@@ -1,0 +1,7 @@
+"""Put the checkout's jrank and the benchmark's own modules on the import path."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE.parent.parent / "src"), str(HERE.parent)]
