@@ -25,12 +25,10 @@ from .corpus import (
 )
 from .indicators import (
     INDICATOR_KEYS,
-    CellKey,
-    CellStats,
     JournalIndicator,
-    build_cells,
+    RankKernel,
+    Scores,
     compute_all,
-    csi_cell,
     expected_jif,
     fncsi,
     fnif,
@@ -54,8 +52,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AssignmentReport",
-    "CellKey",
-    "CellStats",
     "Corpus",
     "CoverageReport",
     "DocumentType",
@@ -64,6 +60,7 @@ __all__ = [
     "Journal",
     "JournalIndicator",
     "Publication",
+    "RankKernel",
     "RankSummary",
     "RankingRow",
     "RankingSamples",
@@ -71,16 +68,15 @@ __all__ = [
     "RelatedRecords",
     "RobustnessReport",
     "SchemaError",
+    "Scores",
     "SyntheticProfile",
     "ValidationReport",
     "assign_majority",
     "bootstrap_rankings",
     "bootstrap_report",
-    "build_cells",
     "compute_all",
     "correlate",
     "coverage_stats",
-    "csi_cell",
     "expected_jif",
     "flip_doc_type",
     "fncsi",

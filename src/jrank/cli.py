@@ -11,6 +11,7 @@ resolved configuration so results can be audited later.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import sys
@@ -31,7 +32,7 @@ from .corpus import (
 from .indicators import JournalIndicator, compute_all
 from .ranking import RankingTable, rank
 from .robustness import bootstrap_report, perturbation_comparison
-from .synth import SyntheticProfile, generate_corpus, write_corpus_files
+from .synth import CITATION_DISTRIBUTIONS, SyntheticProfile, generate_corpus, write_corpus_files
 
 # CLI spelling -> library key
 _CLI_KEYS = {"fncsi": "fncsi", "fnif": "fnif", "expected-jif": "expected_jif", "jif": "jif"}
@@ -78,11 +79,28 @@ class RunConfig:
                 raise FileNotFoundError(f"input file not found: {path}")
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
+def _config_keys(parser: argparse.ArgumentParser) -> set[str]:
+    """Keys a config file may set: the long flags of every subcommand, without dashes."""
+    (subcommands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        option[2:]
+        for sub in subcommands.choices.values()
+        for action in sub._actions
+        for option in action.option_strings
+        if option.startswith("--")
+    } - {"help", "config"}
+
+
+def _resolve_config(args: argparse.Namespace, config_keys: set[str]) -> RunConfig:
     """Merge hard defaults, the optional config file, and explicit flags."""
     file_cfg: dict[str, Any] = {}
     if getattr(args, "config", None):
         file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(file_cfg, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object")
+        unknown = sorted(set(file_cfg) - config_keys)
+        if unknown:
+            raise ValueError(f"unknown config key(s) in {args.config}: {', '.join(unknown)}")
 
     def pick(name: str) -> Any:
         explicit = getattr(args, name.replace("-", "_"), None)
@@ -161,9 +179,9 @@ def _write_csv(path: Path, meta: list[str], header: Sequence[str], rows: Iterabl
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for line in meta:
             fh.write(f"# {line}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def _write_json(path: Path, meta: list[str], payload: dict[str, Any]) -> None:
@@ -409,45 +427,33 @@ def cmd_robustness(config: RunConfig, mode: str) -> int:
     return 0
 
 
-_GENERATE_DEFAULTS = {
-    "journals-count": 30,
-    "topics-count": 5,
-    "pubs-min": 40,
-    "pubs-max": 80,
-    "dist": "lognormal",
-    "sigma": 1.0,
-    "quality-spread": 2.0,
-    "review-fraction": 0.15,
-    "unclassified-fraction": 0.0,
-    "skewed": 0,
-    "outlier-citations": 2000,
-    "outlier-zero-fraction": 0.70,
-    "categories-count": 3,
+# generate flag -> (SyntheticProfile field, type, help); defaults come from the profile
+_GENERATE_FLAGS = {
+    "journals-count": ("n_journals", int, "journal count"),
+    "topics-count": ("n_topics", int, "topic cluster count"),
+    "pubs-min": ("pubs_min", int, "per-journal size range low end"),
+    "pubs-max": ("pubs_max", int, "per-journal size range high end"),
+    "dist": ("citation_dist", str, "citation family"),
+    "sigma": ("lognormal_sigma", float, "lognormal shape parameter"),
+    "quality-spread": ("quality_spread", float, "log-scale span of journal quality"),
+    "review-fraction": ("review_fraction", float, "review share"),
+    "unclassified-fraction": ("unclassified_fraction", float, "unclassified share"),
+    "skewed": ("skewed_journals", int, "journals given the outlier profile"),
+    "outlier-citations": ("outlier_citations", int, "outlier paper citation count"),
+    "outlier-zero-fraction": ("outlier_zero_fraction", float, "outlier journal zero share"),
+    "categories-count": ("n_categories", int, "category label count"),
 }
 
 
 def cmd_generate(config: RunConfig, args: argparse.Namespace) -> int:
-    def opt(name: str) -> Any:
-        explicit = getattr(args, name.replace("-", "_"))
-        if explicit is not None:
-            return explicit
-        return config.extras.get(name, _GENERATE_DEFAULTS[name])
-
-    profile = SyntheticProfile(
-        n_journals=opt("journals-count"),
-        n_topics=opt("topics-count"),
-        pubs_min=opt("pubs-min"),
-        pubs_max=opt("pubs-max"),
-        citation_dist=opt("dist"),
-        lognormal_sigma=opt("sigma"),
-        quality_spread=opt("quality-spread"),
-        review_fraction=opt("review-fraction"),
-        unclassified_fraction=opt("unclassified-fraction"),
-        skewed_journals=opt("skewed"),
-        outlier_citations=opt("outlier-citations"),
-        outlier_zero_fraction=opt("outlier-zero-fraction"),
-        n_categories=opt("categories-count"),
-    )
+    settings = {}
+    for flag, (name, _, _) in _GENERATE_FLAGS.items():
+        value = getattr(args, flag.replace("-", "_"))
+        if value is None:
+            value = config.extras.get(flag)
+        if value is not None:
+            settings[name] = value
+    profile = SyntheticProfile(**settings)
     try:
         profile.validate()
     except ValueError as exc:
@@ -556,52 +562,38 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", help="output directory")
     g.add_argument("--config", help="JSON config file; explicit flags override it")
     g.add_argument("--seed", type=int, help="random seed (default: 42)")
-    g.add_argument("--journals-count", type=int, help="journal count (default: 30)")
-    g.add_argument("--topics-count", type=int, help="topic cluster count (default: 5)")
-    g.add_argument("--pubs-min", type=int, help="per-journal size range low end (default: 40)")
-    g.add_argument("--pubs-max", type=int, help="per-journal size range high end (default: 80)")
-    g.add_argument("--dist", choices=("lognormal", "uniform"), help="citation family (default: lognormal)")
-    g.add_argument("--sigma", type=float, help="lognormal shape parameter (default: 1.0)")
-    g.add_argument("--quality-spread", type=float, help="log-scale span of journal quality (default: 2.0)")
-    g.add_argument("--review-fraction", type=float, help="review share (default: 0.15)")
-    g.add_argument("--unclassified-fraction", type=float, help="unclassified share (default: 0)")
-    g.add_argument("--skewed", type=int, help="journals given the outlier profile (default: 0)")
-    g.add_argument("--outlier-citations", type=int, help="outlier paper citation count (default: 2000)")
-    g.add_argument("--outlier-zero-fraction", type=float, help="outlier journal zero share (default: 0.7)")
-    g.add_argument("--categories-count", type=int, help="category label count (default: 3)")
+    defaults = SyntheticProfile()
+    for flag, (name, kind, text) in _GENERATE_FLAGS.items():
+        choices = CITATION_DISTRIBUTIONS if name == "citation_dist" else None
+        g.add_argument(f"--{flag}", type=kind, choices=choices, help=f"{text} (default: {getattr(defaults, name)})")
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        config = _resolve_config(args)
+        config = _resolve_config(args, _config_keys(parser))
         config.validate_inputs()
     except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    commands = {
+        "validate": lambda: cmd_validate(config),
+        "classify": lambda: cmd_classify(config),
+        "compute": lambda: cmd_compute(config),
+        "rank": lambda: cmd_rank(config),
+        "bootstrap": lambda: cmd_robustness(config, "bootstrap"),
+        "flip-test": lambda: cmd_robustness(config, "flip"),
+        "generate": lambda: cmd_generate(config, args),
+        "report": lambda: cmd_report(config),
+    }
     try:
-        if args.command == "validate":
-            return cmd_validate(config)
-        if args.command == "classify":
-            return cmd_classify(config)
-        if args.command == "compute":
-            return cmd_compute(config)
-        if args.command == "rank":
-            return cmd_rank(config)
-        if args.command == "bootstrap":
-            return cmd_robustness(config, "bootstrap")
-        if args.command == "flip-test":
-            return cmd_robustness(config, "flip")
-        if args.command == "generate":
-            return cmd_generate(config, args)
-        if args.command == "report":
-            return cmd_report(config)
+        return commands[args.command]()
     except Exception as exc:  # surfaced as diagnostics, not tracebacks
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

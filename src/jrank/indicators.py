@@ -15,68 +15,39 @@ statistics:
 * ``jif`` — plain citations-per-item over all of the journal's publications,
   classified or not.
 
-The pairwise comparisons behind ``fncsi`` are never enumerated pair by pair.
-Each cell keeps a sorted citation histogram with prefix sums, so scoring a
-journal against the rest of a cell costs one pass over the journal's distinct
-citation values.  Win and tie counts stay integers until a single final
-division, which keeps pure-tie cells at exactly 0.5 and makes the two-journal
-complement identity hold exactly.
+All four come from one columnar kernel, :class:`RankKernel`.  It encodes the
+corpus once as integer arrays (a journal code and a cell code per paper, and
+the citation counts) and sorts the classified papers twice, by (cell,
+citations) and by (journal, cell, citations).  Per cell, ``fncsi`` is a
+normalized Mann-Whitney U statistic: a paper wins against the papers of its
+cell cited fewer times, less those of its own journal, and ties with the
+papers cited equally often, less those of its own journal.  Both counts are
+differences of cumulative weights along the two sort orders, so any integer
+reweighting of the papers (a bootstrap resample) is scored without sorting
+again.  Win and tie counts are summed per occupied (journal, cell) pair in
+int64 and divided once, which keeps pure-tie cells at exactly 0.5 and makes
+the two-journal complement identity hold exactly.
 
 Aggregation order is fixed everywhere (topics sorted by id, articles before
-reviews, journals sorted by id), so results are bit-reproducible regardless
-of input order or parallel scheduling.  Journals for which an indicator is
-undefined are marked with None, never a fabricated zero.
+reviews, journals sorted by id) and floating-point sums accumulate left to
+right, so results are bit-reproducible regardless of input order.  Journals
+for which an indicator is undefined are marked with None, never a fabricated
+zero.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections import Counter
+import math
 from dataclasses import dataclass, field
-from itertools import groupby
-from typing import Iterable, Mapping
+
+import numpy as np
 
 from .corpus import Corpus, DocumentType
 
 INDICATOR_KEYS = ("fncsi", "fnif", "expected_jif", "jif")
 
-# fixed document-type aggregation order
-_DOC_ORDER = (DocumentType.ARTICLE, DocumentType.REVIEW)
-_DOC_RANK = {d: i for i, d in enumerate(_DOC_ORDER)}
-
-
-@dataclass(frozen=True, slots=True)
-class CellKey:
-    """One normalization cell: a topic crossed with a document type."""
-
-    topic_id: str
-    doc_type: DocumentType
-
-    def sort_key(self) -> tuple[str, int]:
-        return (self.topic_id, _DOC_RANK[self.doc_type])
-
-
-@dataclass
-class CellStats:
-    """Citation histogram of one cell, with per-journal breakdowns.
-
-    ``citation_values`` is sorted and distinct; ``counts[i]`` is the number of
-    cell papers cited exactly ``citation_values[i]`` times and ``cum_below[i]``
-    the number cited fewer times (an exclusive prefix sum).
-    ``per_journal_counts[j]`` maps citation value -> multiplicity for journal
-    ``j``'s papers in the cell.
-    """
-
-    citation_values: list[int]
-    counts: list[int]
-    cum_below: list[int]
-    per_journal_counts: dict[str, dict[int, int]]
-    total: int
-    citation_sum: int
-    mean: float
-
-    def journal_total(self, journal_id: str) -> int:
-        return sum(self.per_journal_counts[journal_id].values())
+# fixed document-type aggregation order; the rank is the low bit of a cell code
+_DOC_RANK = {DocumentType.ARTICLE: 0, DocumentType.REVIEW: 1}
 
 
 @dataclass(frozen=True)
@@ -100,193 +71,281 @@ class JournalIndicator:
     topic_breakdown: dict[str, tuple[float, int]] = field(default_factory=dict)
 
 
-def build_cells(corpus: Corpus) -> dict[CellKey, CellStats]:
-    """Group classified publications into (topic, document-type) cells.
+def _run_starts(*keys: np.ndarray) -> np.ndarray:
+    """Start index of every run of equal consecutive key tuples."""
+    first = np.zeros(len(keys[0]), dtype=bool)
+    first[:1] = True
+    for key in keys:
+        first[1:] |= key[1:] != key[:-1]
+    return np.flatnonzero(first)
 
-    Every classified publication lands in exactly one cell; unclassified
-    publications do not participate.
+
+def _group_of(starts: np.ndarray, n: int) -> np.ndarray:
+    """Group index of each of ``n`` items, given each group's start index."""
+    return np.repeat(np.arange(len(starts), dtype=np.int32), np.diff(starts, append=n))
+
+
+def _divide(num: np.ndarray, den: np.ndarray, where: np.ndarray, fill: float = math.nan) -> np.ndarray:
+    return np.divide(num, den, out=np.full(len(num), fill), where=where)
+
+
+@dataclass(eq=False)
+class RankKernel:
+    """Columnar encoding of a corpus and the scoring kernel over it.
+
+    Papers are grouped by journal code, journals in id order, and keep corpus
+    order within a journal, so ``journal_sizes`` also lays out a bootstrap
+    resample.  ``cell`` is ``2 * topic rank + document-type rank``, or -1 for
+    an unclassified paper.  Journal codes cover the journal table and every
+    journal that publishes; only table journals (``in_table``) are scored.
     """
-    members: dict[CellKey, list[tuple[str, int]]] = {}
-    for pub in corpus.publications:
-        if pub.topic_id is None:
-            continue
-        key = CellKey(pub.topic_id, pub.doc_type)
-        members.setdefault(key, []).append((pub.journal_id, pub.citations))
 
-    cells: dict[CellKey, CellStats] = {}
-    for key in sorted(members, key=CellKey.sort_key):
-        papers = members[key]
-        histogram: Counter[int] = Counter()
-        per_journal: dict[str, Counter[int]] = {}
-        citation_sum = 0
-        for journal_id, citations in papers:
-            histogram[citations] += 1
-            per_journal.setdefault(journal_id, Counter())[citations] += 1
-            citation_sum += citations
-        values = sorted(histogram)
-        counts = [histogram[v] for v in values]
-        cum_below = [0] * len(values)
-        running = 0
-        for i, c in enumerate(counts):
-            cum_below[i] = running
-            running += c
-        cells[key] = CellStats(
-            citation_values=values,
-            counts=counts,
-            cum_below=cum_below,
-            per_journal_counts={j: dict(c) for j, c in per_journal.items()},
-            total=len(papers),
-            citation_sum=citation_sum,
-            mean=citation_sum / len(papers),
+    journal_ids: tuple[str, ...]
+    topic_ids: tuple[str, ...]
+    in_table: np.ndarray
+    journal: np.ndarray
+    cell: np.ndarray
+    citations: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.journal_sizes = np.bincount(self.journal, minlength=len(self.journal_ids))
+        classified = np.flatnonzero(self.cell >= 0)
+        journal, cell, citations = self.journal[classified], self.cell[classified], self.citations[classified]
+        self.by_cell = classified[np.lexsort((citations, cell))].astype(np.int32)
+        self.by_pair = classified[np.lexsort((citations, cell, journal))].astype(np.int32)
+
+        # runs of equal (cell, citations) along by_cell, grouped by cell
+        cell = self.cell[self.by_cell]
+        citations = self.citations[self.by_cell]
+        self._runs = _run_starts(cell, citations)
+        run_cell = cell[self._runs]
+        self._run_citations = citations[self._runs]
+        self._cell_starts = _run_starts(run_cell)
+        self._cells = run_cell[self._cell_starts]
+        self._cell_of_run = _group_of(self._cell_starts, len(self._runs))
+        run_of_paper = np.empty(len(self.cell), dtype=np.int32)
+        run_of_paper[self.by_cell] = _group_of(self._runs, len(self.by_cell))
+
+        # "own runs" of equal (journal, cell, citations) along by_pair, each
+        # matched to its run above, grouped by occupied (journal, cell) pair;
+        # pairs grouped by (journal, topic)
+        journal = self.journal[self.by_pair]
+        cell = self.cell[self.by_pair]
+        self._own_runs = _run_starts(journal, cell, self.citations[self.by_pair])
+        self._own_run_citations = self.citations[self.by_pair[self._own_runs]]
+        self._run_of_own_run = run_of_paper[self.by_pair[self._own_runs]]
+        run_journal, run_cell = journal[self._own_runs], cell[self._own_runs]
+        self._pair_starts = _run_starts(run_journal, run_cell)
+        self._pair_of_own_run = _group_of(self._pair_starts, len(self._own_runs))
+        self.pair_journal = run_journal[self._pair_starts]
+        self.pair_cell = run_cell[self._pair_starts]
+        self._topic_starts = _run_starts(self.pair_journal, self.pair_cell >> 1)
+        self._group_of_pair = _group_of(self._topic_starts, len(self._pair_starts))
+        self._group_journal = self.pair_journal[self._topic_starts]
+        self._group_topic = self.pair_cell[self._topic_starts] >> 1
+
+    @classmethod
+    def from_corpus(cls, corpus: Corpus) -> RankKernel:
+        """Encode a corpus; topics are those its classified publications use."""
+        by_journal = corpus.by_journal
+        journal_ids = tuple(sorted(corpus.journals.keys() | by_journal.keys()))
+        topic_ids = tuple(sorted({p.topic_id for p in corpus.publications if p.topic_id is not None}))
+        topic_rank = {topic_id: rank for rank, topic_id in enumerate(topic_ids)}
+        sizes, cells, citations = [], [], []
+        for journal_id in journal_ids:
+            pubs = by_journal.get(journal_id, ())
+            sizes.append(len(pubs))
+            for p in pubs:
+                cells.append(-1 if p.topic_id is None else 2 * topic_rank[p.topic_id] + _DOC_RANK[p.doc_type])
+                citations.append(p.citations)
+        return cls(
+            journal_ids=journal_ids,
+            topic_ids=topic_ids,
+            in_table=np.array([j in corpus.journals for j in journal_ids], dtype=bool),
+            journal=np.repeat(np.arange(len(journal_ids), dtype=np.int32), sizes),
+            cell=np.array(cells, dtype=np.int32),
+            citations=np.array(citations, dtype=np.int64),
         )
-    return cells
+
+    def _counts(self, weights: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Integer totals per cell code, and integer counts per occupied (journal, cell) pair."""
+        n_cells = 2 * len(self.topic_ids)
+        # a run's weight is every member's equal_in_cell
+        run_weight = np.add.reduceat(weights[self.by_cell], self._runs)
+        before = np.cumsum(run_weight) - run_weight
+        below_in_cell = before - before[self._cell_starts][self._cell_of_run]
+        cell_total = np.zeros(n_cells, dtype=np.int64)
+        cell_total[self._cells] = np.add.reduceat(run_weight, self._cell_starts)
+        cell_citations = np.zeros(n_cells, dtype=np.int64)
+        cell_citations[self._cells] = np.add.reduceat(run_weight * self._run_citations, self._cell_starts)
+
+        # an own run's weight is every member's equal_in_own_group
+        own_run_weight = np.add.reduceat(weights[self.by_pair], self._own_runs)
+        before = np.cumsum(own_run_weight) - own_run_weight
+        below_in_own = before - before[self._pair_starts][self._pair_of_own_run]
+        wins = np.add.reduceat(own_run_weight * (below_in_cell[self._run_of_own_run] - below_in_own), self._pair_starts)
+        ties = np.add.reduceat(own_run_weight * (run_weight[self._run_of_own_run] - own_run_weight), self._pair_starts)
+        n_own = np.add.reduceat(own_run_weight, self._pair_starts)
+        own_citations = np.add.reduceat(own_run_weight * self._own_run_citations, self._pair_starts)
+        return cell_total, cell_citations, n_own, wins, ties, own_citations
+
+    def evaluate(self, weights: np.ndarray | None = None) -> Scores:
+        """Score every journal, each paper counted ``weights[i]`` times (default once)."""
+        weights = np.ones(len(self.journal), dtype=np.int64) if weights is None else np.asarray(weights, dtype=np.int64)
+        n_journals = len(self.journal_ids)
+        cell_total, cell_citations, n_own, wins, ties, own_citations = self._counts(weights)
+
+        # fncsi: cells without comparison papers drop out, weights renormalize
+        n_other = cell_total[self.pair_cell] - n_own
+        compared = (n_own > 0) & (n_other > 0)
+        # integer numerator, one division: exact for pure ties and complements
+        probability = _divide(2 * wins + ties, 2 * n_own * n_other, compared)
+        n_groups = len(self._topic_starts)
+        topic_sum = np.bincount(
+            self._group_of_pair, weights=np.where(compared, n_own * probability, 0.0), minlength=n_groups
+        )
+        topic_n = np.add.reduceat(np.where(compared, n_own, 0), self._topic_starts)
+        topic_score = _divide(topic_sum, topic_n, topic_n > 0)
+        weighted = np.bincount(
+            self._group_journal, weights=np.where(topic_n > 0, topic_n * topic_score, 0.0), minlength=n_journals
+        )
+        weight = np.bincount(self._group_journal, weights=topic_n, minlength=n_journals)
+
+        # fnif: an all-uncited cell's normalized citations are defined as 0
+        divisor = cell_citations[self.pair_cell]
+        fnif_terms = _divide(own_citations * cell_total[self.pair_cell], divisor, divisor > 0, fill=0.0)
+        n_classified = np.bincount(self.pair_journal, weights=n_own, minlength=n_journals)
+
+        # expected_jif: topic means pool articles and reviews
+        topic_citations = cell_citations.reshape(-1, 2).sum(axis=1)
+        topic_total = cell_total.reshape(-1, 2).sum(axis=1)
+        topic_mean = _divide(topic_citations, topic_total, topic_total > 0)
+        topic_count = np.add.reduceat(n_own, self._topic_starts)
+        expected_terms = np.where(topic_count > 0, topic_mean[self._group_topic] * topic_count, 0.0)
+
+        # jif: every paper, classified or not
+        jif_citations = np.bincount(self.journal, weights=weights * self.citations, minlength=n_journals)
+        jif_papers = np.bincount(self.journal, weights=weights, minlength=n_journals)
+
+        classified = n_classified > 0
+        return Scores(
+            kernel=self,
+            fncsi=_divide(weighted, weight, weight > 0),
+            fnif=_divide(np.bincount(self.pair_journal, weights=fnif_terms, minlength=n_journals), n_classified, classified),
+            expected_jif=_divide(
+                np.bincount(self._group_journal, weights=expected_terms, minlength=n_journals), n_classified, classified
+            ),
+            jif=_divide(jif_citations, jif_papers, jif_papers > 0),
+            n_classified=n_classified.astype(np.int64),
+            cell_total=cell_total,
+            cell_citations=cell_citations,
+            pair_score=probability,
+            pair_papers=n_own,
+            topic_score=topic_score,
+            topic_n=topic_n,
+        )
 
 
-def csi_cell(journal_id: str, cell: CellStats) -> tuple[float | None, int]:
-    """Score one journal against the rest of one cell.
+def _optional(value: float) -> float | None:
+    return None if math.isnan(value) else value
 
-    Returns ``(probability, n_journal_papers)`` where the probability counts a
-    win for every (journal paper, other paper) pair the journal outcites and
-    half for every exact tie.  When the journal is the cell's sole publisher
-    there is nothing to compare against and the probability is None.
 
-    The journal must have at least one paper in the cell; anything else is a
-    caller bug and raises KeyError.
+@dataclass(frozen=True, eq=False)
+class Scores:
+    """One kernel evaluation.
+
+    Indicator arrays and ``n_classified`` are indexed by journal code, NaN
+    where the indicator is undefined; ``cell_total`` and ``cell_citations``
+    by cell code; ``pair_score`` (NaN without comparison papers) and
+    ``pair_papers`` by the kernel's occupied (journal, cell) pairs;
+    ``topic_score`` and ``topic_n`` by its (journal, topic) groups.
     """
-    try:
-        own = cell.per_journal_counts[journal_id]
-    except KeyError:
-        raise KeyError(f"journal {journal_id!r} has no publications in this cell") from None
-    n_own = sum(own.values())
-    n_other = cell.total - n_own
-    if n_other == 0:
-        return None, n_own
-    wins = 0
-    ties = 0
-    own_below = 0
-    for value in sorted(own):
-        count = own[value]
-        i = bisect_left(cell.citation_values, value)
-        wins += count * (cell.cum_below[i] - own_below)
-        ties += count * (cell.counts[i] - count)
-        own_below += count
-    # integer numerator, one division: exact for pure ties and complements
-    return (2 * wins + ties) / (2 * n_own * n_other), n_own
+
+    kernel: RankKernel
+    fncsi: np.ndarray
+    fnif: np.ndarray
+    expected_jif: np.ndarray
+    jif: np.ndarray
+    n_classified: np.ndarray
+    cell_total: np.ndarray
+    cell_citations: np.ndarray
+    pair_score: np.ndarray
+    pair_papers: np.ndarray
+    topic_score: np.ndarray
+    topic_n: np.ndarray
+
+    def column(self, key: str) -> np.ndarray:
+        """One indicator per journal code, NaN where undefined or outside the journal table."""
+        if key not in INDICATOR_KEYS:
+            raise ValueError(f"unknown indicator key {key!r}; expected one of {INDICATOR_KEYS}")
+        return np.where(self.kernel.in_table, getattr(self, key), math.nan)
+
+    def values(self, key: str) -> dict[str, float | None]:
+        """One indicator for every journal of the journal table, in id order."""
+        column = self.column(key).tolist()
+        kernel = self.kernel
+        return {
+            journal_id: _optional(column[code])
+            for code, journal_id in enumerate(kernel.journal_ids)
+            if kernel.in_table[code]
+        }
+
+    def records(self) -> list[JournalIndicator]:
+        """All four indicators for every journal of the journal table, in id order."""
+        kernel = self.kernel
+        breakdowns: list[dict[str, tuple[float, int]]] = [{} for _ in kernel.journal_ids]
+        for code, topic, score, n in zip(
+            kernel._group_journal.tolist(),
+            kernel._group_topic.tolist(),
+            self.topic_score.tolist(),
+            self.topic_n.tolist(),
+        ):
+            if n:
+                breakdowns[code][kernel.topic_ids[topic]] = (score, n)
+        columns = [getattr(self, key).tolist() for key in INDICATOR_KEYS]
+        n_classified = self.n_classified.tolist()
+        return [
+            JournalIndicator(
+                journal_id,
+                *(_optional(column[code]) for column in columns),
+                n_pubs=n_classified[code],
+                topic_breakdown=breakdowns[code],
+            )
+            for code, journal_id in enumerate(kernel.journal_ids)
+            if kernel.in_table[code]
+        ]
 
 
-def _journal_cell_index(cells: Mapping[CellKey, CellStats]) -> dict[str, list[tuple[CellKey, CellStats]]]:
-    """Per-journal list of occupied cells, in fixed (topic, doc-type) order."""
-    index: dict[str, list[tuple[CellKey, CellStats]]] = {}
-    for key in sorted(cells, key=CellKey.sort_key):
-        cell = cells[key]
-        for journal_id in cell.per_journal_counts:
-            index.setdefault(journal_id, []).append((key, cell))
-    return index
+def compute_all(corpus: Corpus) -> list[JournalIndicator]:
+    """Compute all four indicators for every journal, sorted by journal id."""
+    return RankKernel.from_corpus(corpus).evaluate().records()
 
 
-def _fncsi_from_cells(
-    journal_id: str, journal_cells: Iterable[tuple[CellKey, CellStats]]
-) -> tuple[float | None, dict[str, tuple[float, int]]]:
-    """Aggregate per-cell comparison scores into the journal indicator.
-
-    Cells where the journal is the sole publisher carry no information and
-    are dropped; the remaining publication-count weights are renormalized,
-    both within each topic and across topics.
-    """
-    breakdown: dict[str, tuple[float, int]] = {}
-    weighted = 0.0
-    weight = 0
-    for topic_id, group in groupby(journal_cells, key=lambda item: item[0].topic_id):
-        topic_sum = 0.0
-        topic_n = 0
-        for _, cell in group:
-            probability, n_papers = csi_cell(journal_id, cell)
-            if probability is None:
-                continue
-            topic_sum += n_papers * probability
-            topic_n += n_papers
-        if topic_n == 0:
-            continue
-        topic_score = topic_sum / topic_n
-        breakdown[topic_id] = (topic_score, topic_n)
-        weighted += topic_n * topic_score
-        weight += topic_n
-    if weight == 0:
-        return None, {}
-    return weighted / weight, breakdown
+def indicator_values(corpus: Corpus, key: str) -> dict[str, float | None]:
+    """Values of one indicator for every journal, sorted by journal id."""
+    return RankKernel.from_corpus(corpus).evaluate().values(key)
 
 
-def fncsi(
-    journal_id: str, cells: Mapping[CellKey, CellStats], corpus: Corpus
-) -> tuple[float | None, dict[str, tuple[float, int]]]:
+def _journal_record(journal_id: str, corpus: Corpus) -> JournalIndicator:
+    if journal_id not in corpus.journals:
+        raise KeyError(f"unknown journal {journal_id!r}")
+    return next(r for r in compute_all(corpus) if r.journal_id == journal_id)
+
+
+def fncsi(journal_id: str, corpus: Corpus) -> tuple[float | None, dict[str, tuple[float, int]]]:
     """Field-normalized citation success of one journal.
 
     Returns ``(score, topic_breakdown)``; the score is None when the journal
     has no classified publications or every one of its cells lacks comparison
     papers.
     """
-    if journal_id not in corpus.journals:
-        raise KeyError(f"unknown journal {journal_id!r}")
-    journal_cells = [
-        (key, cell)
-        for key, cell in sorted(cells.items(), key=lambda item: item[0].sort_key())
-        if journal_id in cell.per_journal_counts
-    ]
-    return _fncsi_from_cells(journal_id, journal_cells)
+    record = _journal_record(journal_id, corpus)
+    return record.fncsi, record.topic_breakdown
 
 
-def _fnif_from_cells(journal_id: str, journal_cells: Iterable[tuple[CellKey, CellStats]]) -> float | None:
-    total = 0.0
-    n_classified = 0
-    for _, cell in journal_cells:
-        own = cell.per_journal_counts[journal_id]
-        n_classified += sum(own.values())
-        if cell.citation_sum == 0:
-            # all papers in the cell are uncited, including this journal's;
-            # their normalized citation is defined as 0
-            continue
-        own_citations = sum(value * count for value, count in own.items())
-        total += own_citations * cell.total / cell.citation_sum
-    if n_classified == 0:
-        return None
-    return total / n_classified
-
-
-def fnif(journal_id: str, cells: Mapping[CellKey, CellStats], corpus: Corpus) -> float | None:
+def fnif(journal_id: str, corpus: Corpus) -> float | None:
     """Cell-mean-normalized impact of one journal, or None if unrankable."""
-    if journal_id not in corpus.journals:
-        raise KeyError(f"unknown journal {journal_id!r}")
-    journal_cells = [
-        (key, cell)
-        for key, cell in sorted(cells.items(), key=lambda item: item[0].sort_key())
-        if journal_id in cell.per_journal_counts
-    ]
-    return _fnif_from_cells(journal_id, journal_cells)
-
-
-def _topic_totals(corpus: Corpus) -> dict[str, tuple[int, int]]:
-    """Per-topic (citation sum, paper count) over all classified publications."""
-    totals: dict[str, list[int]] = {}
-    for pub in corpus.publications:
-        if pub.topic_id is None:
-            continue
-        entry = totals.setdefault(pub.topic_id, [0, 0])
-        entry[0] += pub.citations
-        entry[1] += 1
-    return {t: (s, n) for t, (s, n) in totals.items()}
-
-
-def _expected_from_counts(
-    topic_counts: Mapping[str, int], totals: Mapping[str, tuple[int, int]]
-) -> float | None:
-    n_classified = sum(topic_counts.values())
-    if n_classified == 0:
-        return None
-    acc = 0.0
-    for topic_id in sorted(topic_counts):
-        citation_sum, n_papers = totals[topic_id]
-        acc += (citation_sum / n_papers) * topic_counts[topic_id]
-    return acc / n_classified
+    return _journal_record(journal_id, corpus).fnif
 
 
 def expected_jif(journal_id: str, corpus: Corpus) -> float | None:
@@ -296,80 +355,9 @@ def expected_jif(journal_id: str, corpus: Corpus) -> float | None:
     topic mean pools articles and reviews.  None when the journal has no
     classified publications.
     """
-    if journal_id not in corpus.journals:
-        raise KeyError(f"unknown journal {journal_id!r}")
-    counts: Counter[str] = Counter(
-        p.topic_id for p in corpus.by_journal.get(journal_id, ()) if p.topic_id is not None
-    )
-    return _expected_from_counts(counts, _topic_totals(corpus))
+    return _journal_record(journal_id, corpus).expected_jif
 
 
 def jif(journal_id: str, corpus: Corpus) -> float | None:
     """Citations per item over all of the journal's publications."""
-    if journal_id not in corpus.journals:
-        raise KeyError(f"unknown journal {journal_id!r}")
-    pubs = corpus.by_journal.get(journal_id, ())
-    if not pubs:
-        return None
-    return sum(p.citations for p in pubs) / len(pubs)
-
-
-def compute_all(corpus: Corpus) -> list[JournalIndicator]:
-    """Compute all four indicators for every journal, sorted by journal id."""
-    cells = build_cells(corpus)
-    index = _journal_cell_index(cells)
-    totals = _topic_totals(corpus)
-    by_journal = corpus.by_journal
-
-    records: list[JournalIndicator] = []
-    for journal_id in sorted(corpus.journals):
-        pubs = by_journal.get(journal_id, ())
-        journal_cells = index.get(journal_id, [])
-        topic_counts: Counter[str] = Counter(p.topic_id for p in pubs if p.topic_id is not None)
-        fncsi_value, breakdown = _fncsi_from_cells(journal_id, journal_cells)
-        records.append(
-            JournalIndicator(
-                journal_id=journal_id,
-                fncsi=fncsi_value,
-                fnif=_fnif_from_cells(journal_id, journal_cells),
-                expected_jif=_expected_from_counts(topic_counts, totals),
-                jif=sum(p.citations for p in pubs) / len(pubs) if pubs else None,
-                n_pubs=sum(topic_counts.values()),
-                topic_breakdown=breakdown,
-            )
-        )
-    return records
-
-
-def indicator_values(corpus: Corpus, key: str) -> dict[str, float | None]:
-    """Values of one indicator for every journal; the fast path for resampling.
-
-    Computes only what the requested indicator needs (no cells are built for
-    ``expected_jif`` or ``jif``).
-    """
-    if key not in INDICATOR_KEYS:
-        raise ValueError(f"unknown indicator key {key!r}; expected one of {INDICATOR_KEYS}")
-    by_journal = corpus.by_journal
-    values: dict[str, float | None] = {}
-    if key == "jif":
-        for journal_id in sorted(corpus.journals):
-            pubs = by_journal.get(journal_id, ())
-            values[journal_id] = sum(p.citations for p in pubs) / len(pubs) if pubs else None
-        return values
-    if key == "expected_jif":
-        totals = _topic_totals(corpus)
-        for journal_id in sorted(corpus.journals):
-            counts: Counter[str] = Counter(
-                p.topic_id for p in by_journal.get(journal_id, ()) if p.topic_id is not None
-            )
-            values[journal_id] = _expected_from_counts(counts, totals)
-        return values
-    cells = build_cells(corpus)
-    index = _journal_cell_index(cells)
-    for journal_id in sorted(corpus.journals):
-        journal_cells = index.get(journal_id, [])
-        if key == "fncsi":
-            values[journal_id] = _fncsi_from_cells(journal_id, journal_cells)[0]
-        else:
-            values[journal_id] = _fnif_from_cells(journal_id, journal_cells)
-    return values
+    return _journal_record(journal_id, corpus).jif

@@ -1,9 +1,12 @@
 """Ranking-stability analysis: bootstrap resampling and the document-type flip.
 
-The bootstrap rebuilds the whole corpus once per simulation: every journal's
-publication list is independently resampled with replacement to its original
-size, then cells, means, comparison sets, and the ranking are recomputed from
-scratch.  Per-simulation seeds are spawned deterministically from the master
+A bootstrap resample redraws every journal's publication list with
+replacement to its original size.  It keeps the corpus's papers and changes
+only how often each one counts, so the corpus is encoded once as a
+:class:`~jrank.indicators.RankKernel` and every simulation scores the same
+kernel under new per-paper weights: one draw for all journals, one
+``bincount`` into weights, one kernel evaluation and one ``lexsort`` for the
+ranks.  Per-simulation seeds are spawned deterministically from the master
 seed, so a report is reproducible bit for bit and simulations could run in
 parallel without changing the result.
 
@@ -17,12 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .corpus import Corpus
-from .indicators import indicator_values
+from .corpus import Corpus, Publication
+from .indicators import RankKernel
 from .ranking import order_journals
 
 
@@ -54,6 +57,13 @@ class RobustnessReport:
     sentinel_rank: int
 
 
+def _ranks(values: np.ndarray, sentinel: int) -> np.ndarray:
+    """Rank of every journal code by descending value, ties by journal id; NaN gets the sentinel."""
+    ranks = np.lexsort((np.arange(len(values)), -values)).argsort() + 1
+    ranks[np.isnan(values)] = sentinel
+    return ranks
+
+
 def bootstrap_rankings(
     corpus: Corpus, key: str, sims: int = 100, seed: int = 42
 ) -> dict[str, RankingSamples]:
@@ -64,28 +74,25 @@ def bootstrap_rankings(
     """
     if sims < 1:
         raise ValueError(f"sims must be >= 1, got {sims}")
-    base_values = indicator_values(corpus, key)
-    tracked = sorted(j for j, v in base_values.items() if v is not None)
-    if not tracked:
+    kernel = RankKernel.from_corpus(corpus)
+    tracked = np.flatnonzero(~np.isnan(kernel.evaluate().column(key)))
+    if not tracked.size:
         raise ValueError(f"corpus has no journals rankable on {key!r}")
     sentinel = len(tracked) + 1
 
-    by_journal = corpus.by_journal
-    journal_order = sorted(by_journal)
-    samples = {journal_id: RankingSamples(journal_id) for journal_id in tracked}
-
-    for seq in np.random.SeedSequence(seed).spawn(sims):
-        rng = np.random.default_rng(seq)
-        resampled = []
-        for journal_id in journal_order:
-            pubs = by_journal[journal_id]
-            for i in rng.integers(0, len(pubs), size=len(pubs)):
-                resampled.append(pubs[i])
-        boot = corpus.with_publications(resampled)
-        rank_of = {j: r for r, j in enumerate(order_journals(indicator_values(boot, key)), start=1)}
-        for journal_id in tracked:
-            samples[journal_id].rankings.append(rank_of.get(journal_id, sentinel))
-    return samples
+    # journals in id order, each drawing its size from its own papers
+    sizes = kernel.journal_sizes[kernel.journal_sizes > 0]
+    highs = np.repeat(sizes, sizes)
+    offsets = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    ranks = np.empty((sims, len(tracked)), dtype=np.int64)
+    for sim, seq in enumerate(np.random.SeedSequence(seed).spawn(sims)):
+        draw = np.random.default_rng(seq).integers(0, highs)
+        weights = np.bincount(draw + offsets, minlength=len(highs))
+        ranks[sim] = _ranks(kernel.evaluate(weights).column(key), sentinel)[tracked]
+    return {
+        kernel.journal_ids[code]: RankingSamples(kernel.journal_ids[code], ranks[:, i].tolist())
+        for i, code in enumerate(tracked.tolist())
+    }
 
 
 def relative_change(samples: Mapping[str, RankingSamples]) -> float:
@@ -139,6 +146,20 @@ def bootstrap_report(corpus: Corpus, key: str, sims: int = 100, seed: int = 42) 
     )
 
 
+def _top_papers(corpus: Corpus) -> Iterator[tuple[int, Publication]]:
+    """Every journal's most highly cited paper, ties broken by ascending publication id.
+
+    Each comes with its position in the kernel's paper order: journals in id
+    order, corpus order within a journal.
+    """
+    start = 0
+    for journal_id in sorted(corpus.by_journal):
+        pubs = corpus.by_journal[journal_id]
+        top = min(range(len(pubs)), key=lambda i: (-pubs[i].citations, pubs[i].pub_id))
+        yield start + top, pubs[top]
+        start += len(pubs)
+
+
 def flip_doc_type(corpus: Corpus) -> Corpus:
     """Toggle the document type of every journal's most highly cited paper.
 
@@ -146,11 +167,7 @@ def flip_doc_type(corpus: Corpus) -> Corpus:
     flips are applied simultaneously to one perturbed copy; the input corpus
     is untouched.
     """
-    flip_ids = set()
-    for journal_id in sorted(corpus.by_journal):
-        pubs = corpus.by_journal[journal_id]
-        top = min(pubs, key=lambda p: (-p.citations, p.pub_id))
-        flip_ids.add(top.pub_id)
+    flip_ids = {p.pub_id for _, p in _top_papers(corpus)}
     flipped = tuple(
         replace(p, doc_type=p.doc_type.opposite) if p.pub_id in flip_ids else p
         for p in corpus.publications
@@ -165,11 +182,16 @@ def perturbation_comparison(corpus: Corpus, key: str) -> list[tuple[str, int | N
     rank (journals unrankable in the original corpus last), with None where a
     journal is unrankable on that side.
     """
-    original = {j: r for r, j in enumerate(order_journals(indicator_values(corpus, key)), start=1)}
-    perturbed_corpus = flip_doc_type(corpus)
-    perturbed = {
-        j: r for r, j in enumerate(order_journals(indicator_values(perturbed_corpus, key)), start=1)
-    }
+    kernel = RankKernel.from_corpus(corpus)
+    cell = kernel.cell.copy()
+    top = np.array([position for position, _ in _top_papers(corpus)], dtype=np.int64)
+    top = top[cell[top] >= 0]  # an unclassified paper sits in no cell either way
+    cell[top] ^= 1  # the document type is the low bit of a cell code
+    sides = []
+    for scored in (kernel, replace(kernel, cell=cell)):
+        ordered = order_journals(scored.evaluate().values(key))
+        sides.append({j: r for r, j in enumerate(ordered, start=1)})
+    original, perturbed = sides
     journal_ids = sorted(
         set(original) | set(perturbed),
         key=lambda j: (original.get(j, math.inf), j),

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from jrank.corpus import Corpus, DocumentType, Journal, Publication
+from jrank.indicators import RankKernel
 
 
 @pytest.hookimpl(hookwrapper=True)
@@ -32,6 +35,20 @@ def corpus_of(pubs, journals=None, topics=None, census: str = "test census") -> 
     if topics is None:
         topics = {p.topic_id for p in pubs if p.topic_id is not None}
     return Corpus(tuple(pubs), journals, frozenset(topics), census)
+
+
+def cell_scores(corpus: Corpus) -> dict[tuple[str, str, DocumentType], tuple[float | None, int]]:
+    """(journal, topic, doc type) -> (comparison score, papers) for every occupied pair.
+
+    The score is None where the journal is its cell's sole publisher.
+    """
+    scores = RankKernel.from_corpus(corpus).evaluate()
+    kernel = scores.kernel
+    return {
+        (kernel.journal_ids[j], kernel.topic_ids[c >> 1], (A, R)[c & 1]): (None if math.isnan(p) else p, n)
+        for j, c, p, n in zip(kernel.pair_journal.tolist(), kernel.pair_cell.tolist(),
+                              scores.pair_score.tolist(), scores.pair_papers.tolist())
+    }
 
 
 def coverage_9998_corpus() -> Corpus:

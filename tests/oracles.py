@@ -3,7 +3,10 @@
 Everything here recomputes indicator values the slow, obvious way: explicit
 grouping into plain lists, all-pairs enumeration for the comparison
 probability, per-paper loops for the normalized means.  None of it shares
-code with the package kernels it checks.
+code with the package kernels it checks.  The one exception is
+:func:`rebuild_bootstrap_rankings`, the reference for the bootstrap's
+reweighting: it scores every rebuilt resample with the package's own
+``indicator_values``, so it checks the resampling, not the kernel.
 """
 
 from __future__ import annotations
@@ -13,6 +16,9 @@ import math
 import numpy as np
 
 from jrank.corpus import Corpus, DocumentType, Journal, Publication
+from jrank.indicators import indicator_values
+from jrank.ranking import order_journals
+from jrank.robustness import RankingSamples
 
 
 def naive_cells(corpus: Corpus) -> dict[tuple[str, DocumentType], list[tuple[str, int]]]:
@@ -109,6 +115,32 @@ def brute_spearman(ranks_a: dict[str, int], ranks_b: dict[str, int]) -> float:
     vx = sum((x - mx) ** 2 for x in xs)
     vy = sum((y - my) ** 2 for y in ys)
     return cov / math.sqrt(vx * vy)
+
+
+def rebuild_bootstrap_rankings(
+    corpus: Corpus, key: str, sims: int = 100, seed: int = 42
+) -> dict[str, RankingSamples]:
+    """Bootstrap that rebuilds a resampled corpus per simulation and ranks it afresh.
+
+    Same seeds, draws and sentinel as ``jrank.robustness.bootstrap_rankings``.
+    """
+    base_values = indicator_values(corpus, key)
+    tracked = sorted(j for j, v in base_values.items() if v is not None)
+    sentinel = len(tracked) + 1
+    by_journal = corpus.by_journal
+    samples = {journal_id: RankingSamples(journal_id) for journal_id in tracked}
+    for seq in np.random.SeedSequence(seed).spawn(sims):
+        rng = np.random.default_rng(seq)
+        resampled = []
+        for journal_id in sorted(by_journal):
+            pubs = by_journal[journal_id]
+            for i in rng.integers(0, len(pubs), size=len(pubs)):
+                resampled.append(pubs[i])
+        boot = corpus.with_publications(resampled)
+        rank_of = {j: r for r, j in enumerate(order_journals(indicator_values(boot, key)), start=1)}
+        for journal_id in tracked:
+            samples[journal_id].rankings.append(rank_of.get(journal_id, sentinel))
+    return samples
 
 
 def random_corpus(

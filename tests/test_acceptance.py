@@ -17,12 +17,12 @@ import time
 import numpy as np
 import pytest
 
-from conftest import corpus_of, coverage_9998_corpus, pub
+from conftest import A, cell_scores, corpus_of, coverage_9998_corpus, pub
 from oracles import brute_expected_jif, brute_fncsi, brute_fnif, random_corpus
 
 from jrank.cli import main
 from jrank.corpus import coverage_stats
-from jrank.indicators import build_cells, compute_all, csi_cell, indicator_values
+from jrank.indicators import compute_all, indicator_values
 from jrank.ranking import correlate, rank
 from jrank.robustness import RankingSamples, bootstrap_rankings, perturbation_comparison, relative_change
 from jrank.synth import SKEWED_PREFIX, SyntheticProfile, generate_corpus, write_corpus_files
@@ -50,7 +50,7 @@ def skewed_corpus():
 
 
 def test_oracle_equivalence_on_50_random_corpora():
-    """Histogram kernel vs all-pairs enumeration, 1e-12, under 60 seconds."""
+    """Rank kernel vs all-pairs enumeration, 1e-12, under 60 seconds."""
     rng = np.random.default_rng(2024)
     started = time.monotonic()
     journals_checked = 0
@@ -76,8 +76,7 @@ def test_oracle_equivalence_on_50_random_corpora():
 def test_tie_semantics_and_complement_identity():
     """Pure ties score exactly 0.5; csi(A) + csi(B) == 1 exactly, 1000 cells."""
     pure_tie = corpus_of([pub("a", "jA", 5, "t1"), pub("b", "jB", 5, "t1")])
-    (tie_cell,) = build_cells(pure_tie).values()
-    probability, _ = csi_cell("jA", tie_cell)
+    probability, _ = cell_scores(pure_tie)["jA", "t1", A]
     assert probability == 0.5
 
     rng = np.random.default_rng(99)
@@ -87,9 +86,9 @@ def test_tie_semantics_and_complement_identity():
         top = int(rng.integers(1, 16))
         pubs = [pub(f"a{i}", "jA", int(rng.integers(0, top)), "t1") for i in range(n_a)]
         pubs += [pub(f"b{i}", "jB", int(rng.integers(0, top)), "t1") for i in range(n_b)]
-        (cell,) = build_cells(corpus_of(pubs)).values()
-        score_a, _ = csi_cell("jA", cell)
-        score_b, _ = csi_cell("jB", cell)
+        scores = cell_scores(corpus_of(pubs))
+        score_a, _ = scores["jA", "t1", A]
+        score_b, _ = scores["jB", "t1", A]
         assert score_a + score_b == 1.0
 
 

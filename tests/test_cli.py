@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 
@@ -128,6 +129,17 @@ class TestCompute:
         head = (out / "ranking_fncsi.csv").read_text().splitlines()[:6]
         assert any("100 * (N - rank + 1) / N" in line for line in head)
 
+    def test_journal_id_with_comma_and_quote_reads_back_as_one_field(self, tmp_path):
+        rows = 'a1,"J, ""A""",2018,Article,3,t1\nb1,jB,2018,Article,2,t1\n'
+        pubs, journals = write_tiny_corpus(tmp_path, rows=rows, journals='"J, ""A""",Journal A,X\njB,Journal B,X\n')
+        out = tmp_path / "out"
+        assert main(["compute", "--pubs", str(pubs), "--journals", str(journals), "--out", str(out)]) == 0
+        for name, width in (("indicators.csv", 6), ("ranking_fncsi.csv", 4)):
+            lines = [l for l in (out / name).read_text(encoding="utf-8").splitlines() if not l.startswith("#")]
+            table = list(csv.reader(lines))
+            assert all(len(row) == width for row in table)
+            assert sorted(row[0] for row in table[1:]) == ['J, "A"', "jB"]
+
     def test_unknown_indicator_rejected_by_parser(self, tmp_path):
         pubs, journals = write_tiny_corpus(tmp_path)
         with pytest.raises(SystemExit) as exc:
@@ -220,6 +232,17 @@ class TestConfigFile:
                                    "indicator": ["h-index"]}), encoding="utf-8")
         assert main(["compute", "--config", str(cfg)]) == 2
         assert "unknown indicator" in capsys.readouterr().err
+
+    def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
+        pubs, journals = write_tiny_corpus(tmp_path)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"pubs": str(pubs), "journals": str(journals), "simz": 3, "sed": 1}),
+                       encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["bootstrap", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown config key(s)" in err and "sed, simz" in err
+        assert not out.exists()
 
     def test_sims_floor_enforced(self, tmp_path):
         pubs, journals = write_tiny_corpus(tmp_path)

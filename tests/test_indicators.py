@@ -3,52 +3,55 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from conftest import A, R, corpus_of, pub
+from conftest import A, R, cell_scores, corpus_of, pub
 from oracles import brute_expected_jif, brute_fncsi, brute_fnif, brute_jif, pairwise_score, random_corpus
 
 from jrank.corpus import DocumentType
-from jrank.indicators import (
-    CellKey,
-    build_cells,
-    compute_all,
-    csi_cell,
-    expected_jif,
-    fncsi,
-    fnif,
-    indicator_values,
-    jif,
-)
+from jrank.indicators import RankKernel, compute_all, expected_jif, fncsi, fnif, indicator_values, jif
 
-T1A = CellKey("t1", DocumentType.ARTICLE)
+
+def cell_score(journal_id, corpus, topic_id="t1", doc=A):
+    return cell_scores(corpus)[journal_id, topic_id, doc]
 
 
 def cell_of(own: list[int], others: list[int]):
     """One-cell corpus: journal jA with `own` citations, jB with `others`."""
     pubs = [pub(f"a{i}", "jA", c, "t1") for i, c in enumerate(own)]
     pubs += [pub(f"o{i}", "jB", c, "t1") for i, c in enumerate(others)]
-    return build_cells(corpus_of(pubs))[T1A]
+    return corpus_of(pubs)
+
+
+def cell_members(kernel):
+    """(topic, doc type) -> [(journal_id, citations)] in the kernel's by-cell order."""
+    cells = {}
+    for i in kernel.by_cell.tolist():
+        code = int(kernel.cell[i])
+        key = (kernel.topic_ids[code >> 1], (A, R)[code & 1])
+        cells.setdefault(key, []).append((kernel.journal_ids[kernel.journal[i]], int(kernel.citations[i])))
+    return cells
 
 
 class TestBuildCells:
     def test_direct_grouping(self):
         corpus = corpus_of([pub("p1", "jA", 3, "t1"), pub("p2", "jB", 1, "t1")])
-        cells = build_cells(corpus)
-        assert set(cells) == {T1A}
-        cell = cells[T1A]
-        assert cell.citation_values == [1, 3]
-        assert cell.counts == [1, 1]
-        assert cell.total == 2
-        assert cell.mean == 2.0
+        kernel = RankKernel.from_corpus(corpus)
+        cells = cell_members(kernel)
+        assert set(cells) == {("t1", A)}
+        assert [c for _, c in cells["t1", A]] == [1, 3]
+        scores = kernel.evaluate()
+        assert scores.cell_total.tolist() == [2, 0]
+        assert scores.cell_citations[0] / scores.cell_total[0] == 2.0
 
     def test_doc_type_splits_cells(self):
         corpus = corpus_of([pub("p1", "jA", 3, "t1"), pub("p2", "jB", 1, "t1", doc=R)])
-        cells = build_cells(corpus)
-        assert {k.doc_type for k in cells} == {DocumentType.ARTICLE, DocumentType.REVIEW}
-        assert all(cell.total == 1 for cell in cells.values())
+        kernel = RankKernel.from_corpus(corpus)
+        assert {doc for _, doc in cell_members(kernel)} == {DocumentType.ARTICLE, DocumentType.REVIEW}
+        assert kernel.evaluate().cell_total.tolist() == [1, 1]
 
     def test_totals_recount(self):
         rng = random.Random(0)
@@ -57,57 +60,52 @@ class TestBuildCells:
                 doc=R if rng.random() < 0.4 else A)
             for i in range(10)
         ]
-        cells = build_cells(corpus_of(pubs))
-        assert sum(cell.total for cell in cells.values()) == 10
+        kernel = RankKernel.from_corpus(corpus_of(pubs))
+        assert kernel.evaluate().cell_total.sum() == 10
         # per-journal multiplicities never exceed the cell histogram
-        for cell in cells.values():
-            whole = dict(zip(cell.citation_values, cell.counts))
-            for per_journal in cell.per_journal_counts.values():
-                for value, count in per_journal.items():
-                    assert count <= whole[value]
+        for members in cell_members(kernel).values():
+            whole = Counter(c for _, c in members)
+            for (_, value), count in Counter(members).items():
+                assert count <= whole[value]
 
     def test_unclassified_publications_excluded(self):
         corpus = corpus_of([pub("p1", "jA", 3, "t1"), pub("p2", "jA", 9, None)])
-        (cell,) = build_cells(corpus).values()
-        assert cell.total == 1
+        assert RankKernel.from_corpus(corpus).evaluate().cell_total.tolist() == [1, 0]
 
 
 class TestCsiCell:
     def test_worked_example_matches_all_pairs(self):
-        cell = cell_of([3, 2], [1, 1, 2])
-        probability, n = csi_cell("jA", cell)
+        probability, n = cell_score("jA", cell_of([3, 2], [1, 1, 2]))
         assert n == 2
         assert probability == pairwise_score([3, 2], [1, 1, 2])
         assert probability == pytest.approx(11 / 12, abs=1e-15)
 
     def test_pure_tie_is_exactly_half(self):
-        probability, _ = csi_cell("jA", cell_of([5], [5]))
+        probability, _ = cell_score("jA", cell_of([5], [5]))
         assert probability == 0.5
 
     def test_sole_publisher_yields_empty_comparison(self):
         pubs = [pub("p1", "jA", 3, "t1"), pub("p2", "jA", 1, "t1")]
-        cell = build_cells(corpus_of(pubs))[T1A]
-        probability, n = csi_cell("jA", cell)
+        probability, n = cell_score("jA", corpus_of(pubs))
         assert probability is None and n == 2
 
     def test_absent_journal_is_caller_bug(self):
         with pytest.raises(KeyError):
-            csi_cell("jZ", cell_of([1], [2]))
+            cell_score("jZ", cell_of([1], [2]))
 
     def test_two_journal_complement_is_exact(self):
         rng = np.random.default_rng(12)
         for _ in range(200):
             own = [int(c) for c in rng.integers(0, 12, size=rng.integers(1, 30))]
             others = [int(c) for c in rng.integers(0, 12, size=rng.integers(1, 30))]
-            cell = cell_of(own, others)
-            pa, _ = csi_cell("jA", cell)
-            pb, _ = csi_cell("jB", cell)
+            scores = cell_scores(cell_of(own, others))
+            pa, _ = scores["jA", "t1", A]
+            pb, _ = scores["jB", "t1", A]
             assert pa + pb == 1.0
 
     def test_identical_distribution_is_exactly_half(self):
         # jB's histogram is jA's scaled by 3: statistically identical
-        cell = cell_of([0, 2, 2], [0, 0, 0, 2, 2, 2, 2, 2, 2])
-        probability, _ = csi_cell("jA", cell)
+        probability, _ = cell_score("jA", cell_of([0, 2, 2], [0, 0, 0, 2, 2, 2, 2, 2, 2]))
         assert probability == 0.5
 
     def test_proportional_multisets_are_neutral(self):
@@ -115,7 +113,7 @@ class TestCsiCell:
         for _ in range(50):
             own = [int(v) for v in rng.integers(0, 8, size=rng.integers(1, 10))]
             scale = int(rng.integers(1, 5))
-            probability, _ = csi_cell("jA", cell_of(own, own * scale))
+            probability, _ = cell_score("jA", cell_of(own, own * scale))
             assert probability == 0.5
 
 
@@ -123,16 +121,15 @@ class TestFncsi:
     def test_single_cell_journal_equals_its_cell_score(self):
         pubs = [pub("a1", "jA", 4, "t1"), pub("a2", "jA", 1, "t1"), pub("o1", "jB", 2, "t1")]
         corpus = corpus_of(pubs)
-        cells = build_cells(corpus)
-        value, breakdown = fncsi("jA", cells, corpus)
-        assert value == csi_cell("jA", cells[T1A])[0]
+        value, breakdown = fncsi("jA", corpus)
+        assert value == cell_score("jA", corpus)[0]
         assert breakdown == {"t1": (value, 2)}
 
     def test_total_dominance_is_one(self):
         pubs = [pub("a1", "jA", 10, "t1"), pub("a2", "jA", 9, "t2", doc=R)]
         pubs += [pub(f"o{i}", "jB", i % 3, f"t{1 + i % 2}", doc=R if i % 2 else A) for i in range(8)]
         corpus = corpus_of(pubs)
-        value, _ = fncsi("jA", build_cells(corpus), corpus)
+        value, _ = fncsi("jA", corpus)
         assert value == 1.0
 
     def test_two_topics_equal_weight_averages(self):
@@ -140,10 +137,9 @@ class TestFncsi:
         pubs = [pub("a1", "jA", 1, "t1")] + [pub(f"o{i}", "jB", c, "t1") for i, c in enumerate([0, 2, 2, 2])]
         pubs += [pub("a2", "jA", 2, "t2")] + [pub(f"q{i}", "jB", c, "t2") for i, c in enumerate([3, 1, 1, 1])]
         corpus = corpus_of(pubs)
-        cells = build_cells(corpus)
-        assert csi_cell("jA", cells[CellKey("t1", A)])[0] == 0.25
-        assert csi_cell("jA", cells[CellKey("t2", A)])[0] == 0.75
-        value, _ = fncsi("jA", cells, corpus)
+        assert cell_score("jA", corpus, "t1")[0] == 0.25
+        assert cell_score("jA", corpus, "t2")[0] == 0.75
+        value, _ = fncsi("jA", corpus)
         assert value == 0.5
 
     def test_empty_comparison_cells_dropped_and_renormalized(self):
@@ -155,13 +151,13 @@ class TestFncsi:
             pub("o1", "jB", 1, "t1"),
         ]
         corpus = corpus_of(pubs)
-        value, breakdown = fncsi("jA", build_cells(corpus), corpus)
+        value, breakdown = fncsi("jA", corpus)
         assert breakdown == {"t1": (value, 2)}  # review paper did not participate
         assert value == pairwise_score([5, 0], [1])
 
     def test_all_cells_empty_comparison_is_unrankable(self):
         corpus = corpus_of([pub("a1", "jA", 5, "t1"), pub("o1", "jB", 1, "t2")])
-        value, breakdown = fncsi("jA", build_cells(corpus), corpus)
+        value, breakdown = fncsi("jA", corpus)
         assert value is None and breakdown == {}
 
 
@@ -173,20 +169,19 @@ class TestFnif:
             pub("a2", "jA", 4, "t2"), pub("o3", "jB", 6, "t2"), pub("o4", "jB", 2, "t2"),
         ]
         corpus = corpus_of(pubs)
-        assert fnif("jA", build_cells(corpus), corpus) == 1.0
+        assert fnif("jA", corpus) == 1.0
 
     def test_single_paper_twice_the_mean(self):
         pubs = [pub("a1", "jA", 4, "t1"), pub("o1", "jB", 0, "t1"), pub("o2", "jB", 2, "t1"), pub("o3", "jB", 2, "t1")]
         corpus = corpus_of(pubs)
-        assert fnif("jA", build_cells(corpus), corpus) == 2.0
+        assert fnif("jA", corpus) == 2.0
 
     def test_mixed_two_cell_journal_matches_naive_loops(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             corpus = random_corpus(rng, max_journals=6, max_pubs=120, max_topics=3)
-            cells = build_cells(corpus)
             for journal_id in corpus.journals:
-                mine = fnif(journal_id, cells, corpus)
+                mine = fnif(journal_id, corpus)
                 ref = brute_fnif(corpus, journal_id)
                 if ref is None:
                     assert mine is None
@@ -197,7 +192,7 @@ class TestFnif:
         pubs = [pub("a1", "jA", 0, "t1"), pub("o1", "jB", 0, "t1"), pub("a2", "jA", 3, "t2"), pub("o2", "jB", 1, "t2")]
         corpus = corpus_of(pubs)
         # numerator only from t2: 3 / 2.0 = 1.5; divided by 2 classified papers
-        assert fnif("jA", build_cells(corpus), corpus) == 0.75
+        assert fnif("jA", corpus) == 0.75
 
 
 class TestExpectedJif:
@@ -245,7 +240,7 @@ class TestJif:
         pubs = [pub("p1", "jA", 4, "t1"), pub("p2", "jA", 8, None), pub("o1", "jB", 1, "t1")]
         corpus = corpus_of(pubs)
         assert jif("jA", corpus) == 6.0
-        _, breakdown = fncsi("jA", build_cells(corpus), corpus)
+        _, breakdown = fncsi("jA", corpus)
         compared = sum(n for _, n in breakdown.values())
         assert len(corpus.by_journal["jA"]) > compared  # jif denominator is wider
 
@@ -365,8 +360,7 @@ class TestProperties:
 
     def test_unknown_journal_raises(self):
         corpus = corpus_of([pub("p1", "jA", 1, "t1")])
-        cells = build_cells(corpus)
-        for fn in (lambda: fncsi("jZ", cells, corpus), lambda: fnif("jZ", cells, corpus),
+        for fn in (lambda: fncsi("jZ", corpus), lambda: fnif("jZ", corpus),
                    lambda: expected_jif("jZ", corpus), lambda: jif("jZ", corpus)):
             with pytest.raises(KeyError):
                 fn()

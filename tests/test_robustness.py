@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from conftest import A, R, corpus_of, pub
-from oracles import random_corpus
+from oracles import random_corpus, rebuild_bootstrap_rankings
 
-from jrank.corpus import DocumentType
+from jrank.corpus import Corpus, DocumentType, Journal
+from jrank.indicators import INDICATOR_KEYS
 from jrank.robustness import (
     RankingSamples,
     bootstrap_rankings,
@@ -114,6 +115,33 @@ class TestBootstrap:
         snapshot = corpus.publications
         bootstrap_rankings(corpus, "fncsi", sims=5, seed=1)
         assert corpus.publications == snapshot
+
+
+class TestReweighting:
+    def test_matches_rebuilding_every_resample(self):
+        rng = np.random.default_rng(36)
+        for _ in range(10):
+            corpus = random_corpus(rng, max_journals=10, max_pubs=150, max_topics=3, tie_heavy=True,
+                                   unclassified_p=0.2)
+            # two single-paper journals, and a publisher missing from the journal table
+            extra = (pub("S1", "J_SOLO1", 2, "T00"), pub("S2", "J_SOLO2", 0, None), pub("S3", "J_GONE", 3, "T00"))
+            journals = {**corpus.journals, "J_SOLO1": Journal("J_SOLO1"), "J_SOLO2": Journal("J_SOLO2")}
+            corpus = Corpus(corpus.publications + extra, journals, corpus.topics | {"T00"})
+            for key in INDICATOR_KEYS:
+                seed = int(rng.integers(1000))
+                assert bootstrap_rankings(corpus, key, sims=6, seed=seed) == rebuild_bootstrap_rankings(
+                    corpus, key, sims=6, seed=seed)
+
+    def test_one_draw_matches_the_per_journal_loop(self):
+        rng = np.random.default_rng(37)
+        for _ in range(20):
+            sizes = rng.integers(1, 400, size=int(rng.integers(1, 80)))
+            seq = np.random.SeedSequence(int(rng.integers(2**32)))
+            one, loop = np.random.default_rng(seq), np.random.default_rng(seq)
+            drawn = one.integers(0, np.repeat(sizes, sizes))
+            expected = np.concatenate([loop.integers(0, n, size=n) for n in sizes])
+            assert np.array_equal(drawn, expected)
+            assert one.integers(2**62) == loop.integers(2**62)  # both streams end in the same state
 
 
 class TestFlip:
