@@ -57,12 +57,10 @@ def load_related(path: Path | str) -> RelatedFragment:
     Rows with an empty related list, a self-reference, or a duplicate subject
     id are collected as errors.
     """
-    rows, _ = _read_table(path, RELATED_COLUMNS)
     fragment = RelatedFragment()
     seen: set[str] = set()
-    for lineno, row in rows:
-        pub_id = row["pub_id"]
-        related = tuple(r.strip() for r in row["related_ids"].split(RELATED_SEPARATOR) if r.strip())
+    for lineno, (pub_id, related_ids) in _read_table(path, RELATED_COLUMNS):
+        related = tuple(r.strip() for r in related_ids.split(RELATED_SEPARATOR) if r.strip())
         if not pub_id:
             fragment.errors.append(RowError(lineno, "empty pub_id"))
             continue

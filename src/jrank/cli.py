@@ -11,7 +11,6 @@ resolved configuration so results can be audited later.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -23,11 +22,14 @@ from . import __version__
 from .classifier import assign_majority, load_related
 from .corpus import (
     Corpus,
+    atomic_write,
+    corpus_from_fragments,
     coverage_stats,
     load_journals,
     load_publications,
     validate_corpus,
     write_publications,
+    write_table,
 )
 from .indicators import JournalIndicator, compute_all
 from .ranking import RankingTable, rank
@@ -176,17 +178,16 @@ def _fmt(value: float | int | str | None) -> str:
 
 
 def _write_csv(path: Path, meta: list[str], header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path) as fh:
         for line in meta:
             fh.write(f"# {line}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([_fmt(v) for v in row] for row in rows)
+        write_table(fh, header, ([_fmt(v) for v in row] for row in rows))
 
 
 def _write_json(path: Path, meta: list[str], payload: dict[str, Any]) -> None:
     document = {"meta": meta, **payload}
-    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
 
 
 def _indicator_rows(indicators: Sequence[JournalIndicator]) -> list[list[Any]]:
@@ -224,33 +225,30 @@ def _write_ranking(table: RankingTable, config: RunConfig, command: str) -> list
     return written
 
 
-def _load_corpus_with_diagnostics(config: RunConfig) -> tuple[Corpus | None, bool]:
-    """Load the corpus, printing row errors with their source file; (corpus, clean)."""
+def _load_checked(config: RunConfig) -> tuple[Corpus | None, bool]:
+    """Load and validate the corpus, printing each row error and finding; (corpus, clean).
+
+    Row errors name their source file.  The corpus is None when a path is missing.
+    """
     if config.publications_path is None or config.journals_path is None:
         print("error: --pubs and --journals are required", file=sys.stderr)
         return None, False
     pubs = load_publications(config.publications_path)
     journals = load_journals(config.journals_path)
-    for err in pubs.errors:
-        print(f"error: {config.publications_path}: {err}", file=sys.stderr)
-    for err in journals.errors:
-        print(f"error: {config.journals_path}: {err}", file=sys.stderr)
-    topics = frozenset(p.topic_id for p in pubs.publications if p.topic_id is not None)
-    corpus = Corpus(tuple(pubs.publications), journals.journals, topics)
-    return corpus, not pubs.errors and not journals.errors
+    for path, fragment in ((config.publications_path, pubs), (config.journals_path, journals)):
+        for err in fragment.errors:
+            print(f"error: {path}: {err}", file=sys.stderr)
+    corpus = corpus_from_fragments(pubs, journals)
+    report = validate_corpus(corpus)
+    for finding in report:
+        print(f"error: {finding}", file=sys.stderr)
+    return corpus, not pubs.errors and not journals.errors and report.ok
 
 
 def _load_validated(config: RunConfig) -> Corpus | None:
     """Load and validate the corpus; print diagnostics and return None on failure."""
-    corpus, clean = _load_corpus_with_diagnostics(config)
-    if corpus is None:
-        return None
-    report = validate_corpus(corpus)
-    for finding in report:
-        print(f"error: {finding}", file=sys.stderr)
-    if not clean or not report.ok:
-        return None
-    return corpus
+    corpus, clean = _load_checked(config)
+    return corpus if clean else None
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +257,9 @@ def _load_validated(config: RunConfig) -> Corpus | None:
 
 
 def cmd_validate(config: RunConfig) -> int:
-    if config.publications_path is None or config.journals_path is None:
-        print("error: --pubs and --journals are required", file=sys.stderr)
+    corpus, clean = _load_checked(config)
+    if corpus is None:
         return 2
-    corpus, clean = _load_corpus_with_diagnostics(config)
-    report = validate_corpus(corpus)
-    for finding in report:
-        print(f"error: {finding}", file=sys.stderr)
     coverage = coverage_stats(corpus)
     print(
         f"publications: {coverage.n_publications} ({coverage.n_classified} classified, "
@@ -276,7 +270,7 @@ def cmd_validate(config: RunConfig) -> int:
         f"{coverage.n_journals_over_90} above 90% assigned "
         f"(coverage {coverage.journal_coverage:.4f})"
     )
-    return 0 if clean and report.ok else 1
+    return 0 if clean else 1
 
 
 def cmd_classify(config: RunConfig) -> int:
@@ -499,7 +493,8 @@ def cmd_report(config: RunConfig) -> int:
         for row in table.rows[:20]:
             lines.append(f"{row.rank:>4}  {row.journal_id:<16}  {row.value:<10.6g}  {row.percentile:.2f}")
     out_path = config.output_dir / "summary.txt"
-    out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_write(out_path) as fh:
+        fh.write("\n".join(lines) + "\n")
     print(f"wrote {out_path}")
     # the indicator tables reflect the same (possibly classified) corpus
     return cmd_compute(config, command="report", write_rankings=False, corpus=corpus)

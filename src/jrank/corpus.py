@@ -12,10 +12,14 @@ from __future__ import annotations
 
 import csv
 import enum
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 PUBLICATION_COLUMNS = ("pub_id", "journal_id", "pub_year", "doc_type", "citations", "topic_id")
 JOURNAL_COLUMNS = ("journal_id", "title", "categories")
@@ -41,15 +45,17 @@ class DocumentType(enum.Enum):
     @classmethod
     def parse(cls, text: str) -> DocumentType:
         """Parse a document-type tag, case-insensitively."""
-        normalized = text.strip().lower()
-        for member in cls:
-            if member.value.lower() == normalized:
-                return member
-        raise ValueError(f"unknown document type {text!r} (expected Article or Review)")
+        member = _DOCUMENT_TYPES.get(text.strip().lower())
+        if member is None:
+            raise ValueError(f"unknown document type {text!r} (expected Article or Review)")
+        return member
 
     @property
     def opposite(self) -> DocumentType:
         return DocumentType.REVIEW if self is DocumentType.ARTICLE else DocumentType.ARTICLE
+
+
+_DOCUMENT_TYPES = {member.value.lower(): member for member in DocumentType}
 
 
 @dataclass(frozen=True, slots=True)
@@ -198,49 +204,74 @@ class CoverageReport:
 # ---------------------------------------------------------------------------
 
 
-def _data_lines(path: Path | str) -> list[tuple[int, str]]:
-    """Read a delimited file, dropping blank and ``#`` comment lines.
-
-    Returns (physical line number, text) pairs so row errors can name the
-    actual file line.
-    """
-    text = Path(path).read_text(encoding="utf-8-sig")
-    lines: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip() or raw.lstrip().startswith("#"):
-            continue
-        lines.append((lineno, raw))
-    return lines
-
-
 def _read_table(
-    path: Path | str, required: tuple[str, ...], delimiter: str | None = None
-) -> tuple[list[tuple[int, dict[str, str]]], str]:
-    """Parse header + rows from a comma- or tab-delimited file.
+    path: Path | str, columns: tuple[str, ...], delimiter: str | None = None
+) -> Iterator[tuple[int, Iterator[str]]]:
+    """Yield ``(last physical line, fields)`` for each data record of a delimited file.
 
-    With ``delimiter=None`` the separator is auto-detected from the header
-    line (tab wins if present).  Raises :class:`SchemaError` when the header
-    is missing or lacks required columns.  Rows shorter than the header are
-    padded with empty strings; extra columns are ignored.
+    One ``csv.reader`` streams the whole file, so a quoted field may hold
+    delimiters, quotes and line breaks.  Blank and ``#`` comment lines are
+    skipped only where a record starts; the continuation lines of a quoted
+    field are kept as they are.  ``fields`` yields the values of ``columns``
+    (at least two), in that order and stripped; rows shorter than the header
+    read as empty strings, extra columns are ignored.  With ``delimiter=None``
+    the separator is auto-detected from the header line (tab wins if present).
+
+    Raises :class:`SchemaError` when the header is missing or lacks one of
+    ``columns``, or when a quoted field is never closed.
     """
-    lines = _data_lines(path)
-    if not lines:
-        raise SchemaError(f"{path}: empty file, expected a header row")
-    header_line = lines[0][1]
-    if delimiter is None:
-        delimiter = "\t" if "\t" in header_line else ","
-    header = [h.strip() for h in next(csv.reader([header_line], delimiter=delimiter))]
-    missing = [col for col in required if col not in header]
-    if missing:
-        raise SchemaError(f"{path}: missing required column(s): {', '.join(missing)}")
+    line = 0  # physical lines read so far
+    start = 0  # the line that opened the current record
+    at_start = True  # the next line opens a record; set by the loop below
+    at_eof = False
 
-    rows: list[tuple[int, dict[str, str]]] = []
-    for lineno, raw in lines[1:]:
-        fields = next(csv.reader([raw], delimiter=delimiter))
-        if len(fields) < len(header):
-            fields = fields + [""] * (len(header) - len(fields))
-        rows.append((lineno, {col: fields[i].strip() for i, col in enumerate(header)}))
-    return rows, delimiter
+    def physical_lines(fh: TextIO) -> Iterator[str]:
+        # csv.reader pulls one line at a time and none past a record's end,
+        # so at_start is True exactly when it asks for a record's first line
+        nonlocal line, start, at_start, at_eof
+        for text in fh:
+            line += 1
+            if at_start:
+                head = text.lstrip()
+                if not head or head[0] == "#":
+                    continue
+                start, at_start = line, False
+            yield text
+        at_eof = True
+
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        lines = physical_lines(fh)
+        first = next(lines, None)
+        if first is None:
+            raise SchemaError(f"{path}: empty file, expected a header row")
+        if delimiter is None:
+            delimiter = "\t" if "\t" in first else ","
+        reader = csv.reader(chain([first], lines), delimiter=delimiter)
+        pick = None
+        while True:
+            try:
+                row = next(reader)
+            except StopIteration:
+                return
+            except csv.Error as exc:
+                raise SchemaError(f"{path}: line {line}: {exc}") from None
+            if at_eof:
+                # only an open quoted field makes the reader run out of lines mid-record
+                raise SchemaError(f"{path}: line {start}: quoted field is never closed")
+            at_start = True
+            if pick is None:
+                header = [h.strip() for h in row]
+                missing = [col for col in columns if col not in header]
+                if missing:
+                    raise SchemaError(f"{path}: missing required column(s): {', '.join(missing)}")
+                index = {col: i for i, col in enumerate(header)}  # a repeated column: the last wins
+                positions = [index[col] for col in columns]
+                width = max(positions) + 1
+                pick = itemgetter(*positions)
+                continue
+            if len(row) < width:
+                row += [""] * (width - len(row))
+            yield line, map(str.strip, pick(row))
 
 
 def load_publications(path: Path | str, delimiter: str | None = None) -> CorpusFragment:
@@ -250,60 +281,66 @@ def load_publications(path: Path | str, delimiter: str | None = None) -> CorpusF
     integers, unknown document types, negative citation counts, and duplicate
     publication ids each produce a :class:`RowError` naming the line.
     """
-    rows, _ = _read_table(path, PUBLICATION_COLUMNS, delimiter)
     fragment = CorpusFragment()
+    publications, errors = fragment.publications, fragment.errors
     seen: set[str] = set()
-    for lineno, row in rows:
+    for line, fields in _read_table(path, PUBLICATION_COLUMNS, delimiter):
         try:
-            pub = _parse_publication(row)
+            pub = _parse_publication(*fields)
         except ValueError as exc:
-            fragment.errors.append(RowError(lineno, str(exc)))
+            errors.append(RowError(line, str(exc)))
             continue
         if pub.pub_id in seen:
-            fragment.errors.append(RowError(lineno, f"duplicate pub_id {pub.pub_id!r}"))
+            errors.append(RowError(line, f"duplicate pub_id {pub.pub_id!r}"))
             continue
         seen.add(pub.pub_id)
-        fragment.publications.append(pub)
+        publications.append(pub)
     return fragment
 
 
-def _parse_publication(row: Mapping[str, str]) -> Publication:
-    pub_id = row["pub_id"]
-    journal_id = row["journal_id"]
+def _parse_publication(
+    pub_id: str, journal_id: str, pub_year: str, doc_type: str, citations: str, topic_id: str
+) -> Publication:
     if not pub_id:
         raise ValueError("empty pub_id")
     if not journal_id:
         raise ValueError("empty journal_id")
     try:
-        pub_year = int(row["pub_year"])
+        year = int(pub_year)
     except ValueError:
-        raise ValueError(f"pub_year {row['pub_year']!r} is not an integer") from None
+        raise ValueError(f"pub_year {pub_year!r} is not an integer") from None
     try:
-        citations = int(row["citations"])
+        count = int(citations)
     except ValueError:
-        raise ValueError(f"citations {row['citations']!r} is not an integer") from None
-    if citations < 0:
-        raise ValueError(f"citations must be >= 0, got {citations}")
-    doc_type = DocumentType.parse(row["doc_type"])
-    topic_id = row["topic_id"] or None
-    return Publication(pub_id, journal_id, pub_year, doc_type, citations, topic_id)
+        raise ValueError(f"citations {citations!r} is not an integer") from None
+    if count < 0:
+        raise ValueError(f"citations must be >= 0, got {count}")
+    # DocumentType.parse raises the error for an unknown tag
+    kind = _DOCUMENT_TYPES.get(doc_type.lower()) or DocumentType.parse(doc_type)
+    return Publication(pub_id, journal_id, year, kind, count, topic_id or None)
 
 
 def load_journals(path: Path | str, delimiter: str | None = None) -> JournalsFragment:
     """Load the journal table; categories are ``|``-separated in one column."""
-    rows, _ = _read_table(path, JOURNAL_COLUMNS, delimiter)
     fragment = JournalsFragment()
-    for lineno, row in rows:
-        journal_id = row["journal_id"]
+    for line, (journal_id, title, categories) in _read_table(path, JOURNAL_COLUMNS, delimiter):
         if not journal_id:
-            fragment.errors.append(RowError(lineno, "empty journal_id"))
+            fragment.errors.append(RowError(line, "empty journal_id"))
             continue
         if journal_id in fragment.journals:
-            fragment.errors.append(RowError(lineno, f"duplicate journal_id {journal_id!r}"))
+            fragment.errors.append(RowError(line, f"duplicate journal_id {journal_id!r}"))
             continue
-        categories = tuple(c.strip() for c in row["categories"].split(CATEGORY_SEPARATOR) if c.strip())
-        fragment.journals[journal_id] = Journal(journal_id, row["title"], categories)
+        labels = tuple(c.strip() for c in categories.split(CATEGORY_SEPARATOR) if c.strip())
+        fragment.journals[journal_id] = Journal(journal_id, title, labels)
     return fragment
+
+
+def corpus_from_fragments(
+    pubs: CorpusFragment, journals: JournalsFragment, census_label: str = ""
+) -> Corpus:
+    """The corpus of loaded fragments; its topics are those observed in the publications."""
+    topics = frozenset(p.topic_id for p in pubs.publications if p.topic_id is not None)
+    return Corpus(tuple(pubs.publications), journals.journals, topics, census_label)
 
 
 def load_corpus(
@@ -319,9 +356,7 @@ def load_corpus(
     """
     pubs = load_publications(pubs_path)
     journals = load_journals(journals_path)
-    topics = frozenset(p.topic_id for p in pubs.publications if p.topic_id is not None)
-    corpus = Corpus(tuple(pubs.publications), journals.journals, topics, census_label)
-    return corpus, pubs.errors + journals.errors
+    return corpus_from_fragments(pubs, journals, census_label), pubs.errors + journals.errors
 
 
 # ---------------------------------------------------------------------------
@@ -329,24 +364,61 @@ def load_corpus(
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def atomic_write(path: Path | str) -> Iterator[TextIO]:
+    """Open ``path`` for text output that appears under its name only once complete.
+
+    The text goes to a temporary file in the same directory, which replaces
+    ``path`` when the block ends and is removed if the block raises.
+    """
+    path = Path(path)
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
+def write_table(fh: TextIO, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+    """Write a header and rows of strings as comma-separated text (LF line endings).
+
+    A row is written with every field quoted when its first field starts
+    with ``#`` (after whitespace), so that a reader does not take it for a
+    comment, or when a field holds a carriage return, which the csv module
+    quotes only if it is part of the line terminator.
+    """
+    plain = csv.writer(fh, lineterminator="\n")
+    quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    plain.writerow(header)
+    for row in rows:
+        needs_quotes = row[0].lstrip().startswith("#") or "\r" in "".join(row)
+        (quoted if needs_quotes else plain).writerow(row)
+
+
 def write_publications(publications: Iterable[Publication], path: Path | str) -> None:
     """Write publications as canonical comma-separated text (LF line endings)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(PUBLICATION_COLUMNS)
-        for p in publications:
-            writer.writerow(
-                [p.pub_id, p.journal_id, p.pub_year, p.doc_type.value, p.citations, p.topic_id or ""]
-            )
+    with atomic_write(path) as fh:
+        write_table(
+            fh,
+            PUBLICATION_COLUMNS,
+            (
+                (p.pub_id, p.journal_id, str(p.pub_year), p.doc_type.value, str(p.citations), p.topic_id or "")
+                for p in publications
+            ),
+        )
 
 
 def write_journals(journals: Mapping[str, Journal], path: Path | str) -> None:
     """Write the journal table as canonical comma-separated text."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(JOURNAL_COLUMNS)
-        for journal in journals.values():
-            writer.writerow([journal.journal_id, journal.title, CATEGORY_SEPARATOR.join(journal.categories)])
+    with atomic_write(path) as fh:
+        write_table(
+            fh,
+            JOURNAL_COLUMNS,
+            ((j.journal_id, j.title, CATEGORY_SEPARATOR.join(j.categories)) for j in journals.values()),
+        )
 
 
 # ---------------------------------------------------------------------------

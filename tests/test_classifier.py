@@ -131,3 +131,13 @@ class TestLoadRelated:
         path.write_text("pub_id,related_ids\np1,r1\np1,r2\n", encoding="utf-8")
         frag = load_related(path)
         assert len(frag.records) == 1 and "duplicate" in frag.errors[0].message
+
+    def test_quoted_multiline_list_is_one_record_and_errors_name_physical_lines(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text(
+            "# related records\npub_id,related_ids\n\"p1\",\"r1|\n# r2\n|r3\"\np2,\np3,r1\tr2|r4\n",
+            encoding="utf-8",
+        )
+        frag = load_related(path)
+        assert frag.records == [RelatedRecords("p1", ("r1", "# r2", "r3")), RelatedRecords("p3", ("r1\tr2", "r4"))]
+        assert [(e.line, e.message) for e in frag.errors] == [(6, "no related ids for 'p2'")]

@@ -8,7 +8,8 @@ import json
 
 import pytest
 
-from jrank.cli import main
+from jrank import cli
+from jrank.cli import _write_csv, main
 
 HEADER = "pub_id,journal_id,pub_year,doc_type,citations,topic_id\n"
 JHEADER = "journal_id,title,categories\n"
@@ -79,6 +80,30 @@ class TestValidate:
 
     def test_missing_input_is_config_error(self, tmp_path):
         assert main(["validate", "--pubs", str(tmp_path / "nope.csv"), "--journals", str(tmp_path / "nope2.csv")]) == 2
+
+    def test_row_errors_and_findings_printed_per_file_in_order(self, tmp_path, capsys):
+        pubs, journals = write_tiny_corpus(
+            tmp_path,
+            rows="a1,jA,2018,Article,-4,t1\na2,jZ,2018,Review,1,t1\n",
+            journals="jA,Journal A,X\njA,Again,Y\n",
+        )
+        assert main(["validate", "--pubs", str(pubs), "--journals", str(journals)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            f"error: {pubs}: line 2: citations must be >= 0, got -4",
+            f"error: {journals}: line 3: duplicate journal_id 'jA'",
+            "error: dangling-journal: a2: journal 'jZ' not in journal table",
+        ]
+
+    def test_multiline_journal_title_keeps_its_categories(self, tmp_path):
+        pubs, journals = write_tiny_corpus(tmp_path, journals='jA,"Journal\nA",X\njB,Journal B,X|Y\n')
+        out = tmp_path / "out"
+        assert main(["validate", "--pubs", str(pubs), "--journals", str(journals)]) == 0
+        assert main(["rank", "--pubs", str(pubs), "--journals", str(journals), "--out", str(out),
+                     "--indicator", "jif", "--category", "X"]) == 0
+        rows = [l for l in (out / "ranking_jif_X.csv").read_text().splitlines()
+                if l and not l.startswith("#") and not l.startswith("journal_id")]
+        assert sorted(r.split(",")[0] for r in rows) == ["jA", "jB"]
 
 
 class TestCompute:
@@ -297,3 +322,30 @@ class TestFilenames:
         assert main(["generate", "--config", str(cfg), "--journals-count", "6",
                      "--out", str(tmp_path / "gen2")]) == 0
         assert len((tmp_path / "gen2" / "journals.csv").read_text().splitlines()) - 1 == 6
+
+
+class TestAtomicOutputs:
+    def test_table_writer_that_raises_leaves_no_file(self, tmp_path):
+        def rows():
+            yield ("jA", 1.0)
+            raise RuntimeError("crash mid-table")
+
+        with pytest.raises(RuntimeError, match="mid-table"):
+            _write_csv(tmp_path / "t.csv", ["meta"], ("journal_id", "value"), rows())
+        assert list(tmp_path.iterdir()) == []
+
+    def test_crashed_compute_keeps_finished_files_and_no_temporaries(self, tmp_path, monkeypatch, capsys):
+        pubs, journals = write_tiny_corpus(tmp_path)
+        out = tmp_path / "out"
+        args = ["compute", "--pubs", str(pubs), "--journals", str(journals), "--out", str(out)]
+        assert main(args) == 0
+        before = digest_dir(out)
+
+        def failing_rows(indicators):
+            yield [indicators[0].journal_id, 0.0, 0.0, 0.0, 0.0, 0]
+            raise RuntimeError("crash mid-table")
+
+        monkeypatch.setattr(cli, "_indicator_rows", failing_rows)
+        assert main(args) == 1
+        assert "crash mid-table" in capsys.readouterr().err
+        assert digest_dir(out) == before

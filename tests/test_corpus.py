@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import corpus_of, coverage_9998_corpus, pub
 from oracles import random_corpus
 
 from jrank.corpus import (
+    Corpus,
     DocumentType,
+    Journal,
+    Publication,
     SchemaError,
     coverage_stats,
     load_corpus,
@@ -21,6 +26,7 @@ from jrank.corpus import (
 )
 
 HEADER = "pub_id,journal_id,pub_year,doc_type,citations,topic_id\n"
+JHEADER = "journal_id,title,categories\n"
 
 
 def write(tmp_path, name, text):
@@ -113,6 +119,177 @@ class TestLoadJournals:
             write(tmp_path, "j.csv", "journal_id,title,categories\njA,One,\njA,Two,\n")
         )
         assert len(frag.journals) == 1 and "duplicate" in frag.errors[0].message
+
+
+class TestRecords:
+    """One csv.reader streams the file: records may span lines, comments only start records."""
+
+    def test_quoted_newline_in_title_is_one_journal(self, tmp_path):
+        text = JHEADER + 'jA,"Multi\nline",ONCOLOGY|CELL BIOLOGY\njB,Plain,X\n'
+        frag = load_journals(write(tmp_path, "j.csv", text))
+        assert not frag.errors and list(frag.journals) == ["jA", "jB"]
+        assert frag.journals["jA"] == Journal("jA", "Multi\nline", ("ONCOLOGY", "CELL BIOLOGY"))
+
+    @pytest.mark.parametrize("separator", ["\x85", "\u2028"])
+    def test_unicode_line_separator_in_title_is_one_journal(self, tmp_path, separator):
+        text = JHEADER + f"jA,Alpha{separator}Gamma,X|Y\njB,Beta,Z\n"
+        frag = load_journals(write(tmp_path, "j.csv", text))
+        assert not frag.errors and list(frag.journals) == ["jA", "jB"]
+        assert frag.journals["jA"] == Journal("jA", f"Alpha{separator}Gamma", ("X", "Y"))
+
+    def test_quoted_field_keeps_blank_and_hash_continuation_lines(self, tmp_path):
+        title = "first\n\n# not a comment\n   \nlast"
+        frag = load_journals(write(tmp_path, "j.csv", JHEADER + f'jA,"{title}",X\n# a comment\njB,B,\n'))
+        assert not frag.errors and list(frag.journals) == ["jA", "jB"]
+        assert frag.journals["jA"].title == title
+
+    def test_row_error_after_multiline_record_names_its_physical_line(self, tmp_path):
+        text = (
+            HEADER
+            + 'p1,jA,2018,Article,3,"t\n1"\n'  # lines 2-3
+            + "# comment\n\n"  # lines 4-5
+            + "p2,jA,2018,Article,-1,t1\n"  # line 6
+            + 'p3,jA,"20\n18x",Article,1,t1\n'  # lines 7-8
+            + "p4,jA,2018,Letter,1,t1\n"  # line 9
+        )
+        frag = load_publications(write(tmp_path, "p.csv", text))
+        assert [p.topic_id for p in frag.publications] == ["t\n1"]
+        assert [e.line for e in frag.errors] == [6, 8, 9]
+        assert "citations" in frag.errors[0].message and "20\\n18x" in frag.errors[1].message
+
+    def test_bom_crlf_comment_and_quoted_crlf(self, tmp_path):
+        text = "\ufeff# provenance\r\n" + HEADER.replace("\n", "\r\n") + '\r\np1,jA,2018,Article,3,"t\r\n7"\r\n'
+        frag = load_publications(write(tmp_path, "p.csv", text))
+        assert not frag.errors
+        assert [p.topic_id for p in frag.publications] == ["t\r\n7"]
+
+    def test_bom_before_header(self, tmp_path):
+        frag = load_publications(write(tmp_path, "p.csv", "\ufeff" + HEADER + "p1,jA,2018,Article,3,t7\n"))
+        assert not frag.errors and frag.publications[0].pub_id == "p1"
+
+    def test_tab_delimited_quoted_tab(self, tmp_path):
+        text = HEADER.replace(",", "\t") + 'p1\tjA\t2018\tArticle\t3\t"t\t7"\n'
+        frag = load_publications(write(tmp_path, "p.tsv", text))
+        assert not frag.errors and frag.publications[0].topic_id == "t\t7"
+
+    def test_indented_comment_and_whitespace_line_skipped(self, tmp_path):
+        text = HEADER + "   # indented comment\n \t \np1,jA,2018,Article,3,t7\np2,jA,2018,Article,-3,t7\n"
+        frag = load_publications(write(tmp_path, "p.csv", text))
+        assert len(frag.publications) == 1
+        assert [e.line for e in frag.errors] == [5]
+
+    def test_header_columns_in_any_order_and_short_rows_padded(self, tmp_path):
+        text = "topic_id,citations,doc_type,pub_year,journal_id,pub_id,extra\nt1,3,Review,2019,jA,p1,x\n"
+        text += ",3,Article,2019,jA,p2\n"
+        frag = load_publications(write(tmp_path, "p.csv", text))
+        assert not frag.errors
+        assert frag.publications == [
+            Publication("p1", "jA", 2019, DocumentType.REVIEW, 3, "t1"),
+            Publication("p2", "jA", 2019, DocumentType.ARTICLE, 3, None),
+        ]
+
+    def test_missing_trailing_field_reads_empty(self, tmp_path):
+        frag = load_journals(write(tmp_path, "j.csv", JHEADER + "jA,Title\n"))
+        assert not frag.errors and frag.journals["jA"] == Journal("jA", "Title", ())
+
+    def test_unclosed_quote_is_schema_error_naming_its_line(self, tmp_path):
+        text = HEADER + "p1,jA,2018,Article,3,t1\n" + 'p2,jA,2018,Article,3,"t1\np3,jA,2018,Article,1,t1\n'
+        with pytest.raises(SchemaError, match="line 3: quoted field is never closed"):
+            load_publications(write(tmp_path, "p.csv", text))
+
+    def test_oversized_field_is_schema_error_naming_its_line(self, tmp_path):
+        text = HEADER + "p1,jA,2018,Article,3,t1\n" + 'p2,jA,2018,Article,3,"' + "x" * 200_000 + '"\n'
+        with pytest.raises(SchemaError, match="line 3: field larger than field limit"):
+            load_publications(write(tmp_path, "p.csv", text))
+
+    def test_comment_only_file_is_schema_error(self, tmp_path):
+        with pytest.raises(SchemaError, match="empty file"):
+            load_publications(write(tmp_path, "p.csv", "# nothing here\n\n"))
+
+
+class TestWriteReadBack:
+    def test_leading_hash_ids_are_quoted_and_read_back(self, tmp_path):
+        journals = {"#jA": Journal("#jA", "# title", ("#c",)), "jB": Journal("jB", "B", ())}
+        corpus = corpus_of([pub("#p1", "#jA", 2, "#t"), pub("p2", "jB", 1, "t1")], journals=journals)
+        write_publications(corpus.publications, tmp_path / "p.csv")
+        write_journals(corpus.journals, tmp_path / "j.csv")
+        assert '"#p1","#jA","2018","Article","2","#t"\n' in (tmp_path / "p.csv").read_text(encoding="utf-8")
+        assert "p2,jB,2018,Article,1,t1\n" in (tmp_path / "p.csv").read_text(encoding="utf-8")
+        reloaded, errors = load_corpus(tmp_path / "p.csv", tmp_path / "j.csv", census_label=corpus.census_label)
+        assert not errors and reloaded == corpus
+
+    def test_carriage_return_in_field_reads_back(self, tmp_path):
+        journals = {"jA": Journal("jA", "one\rtwo", ("X\rY",))}
+        corpus = corpus_of([pub("p\r1", "jA", 2, "t\r1")], journals=journals)
+        write_publications(corpus.publications, tmp_path / "p.csv")
+        write_journals(corpus.journals, tmp_path / "j.csv")
+        reloaded, errors = load_corpus(tmp_path / "p.csv", tmp_path / "j.csv", census_label=corpus.census_label)
+        assert not errors and reloaded == corpus
+
+    def test_writer_that_raises_leaves_no_file(self, tmp_path):
+        def publications():
+            yield pub("p1", "jA", 2, "t1")
+            raise RuntimeError("disk gone")
+
+        with pytest.raises(RuntimeError, match="disk gone"):
+            write_publications(publications(), tmp_path / "p.csv")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_writer_that_raises_keeps_the_previous_file(self, tmp_path):
+        path = tmp_path / "j.csv"
+        write_journals({"jA": Journal("jA", "A", ())}, path)
+        before = path.read_bytes()
+
+        class Broken(dict):
+            def values(self):
+                yield Journal("jB", "B", ())
+                raise RuntimeError("disk gone")
+
+        with pytest.raises(RuntimeError):
+            write_journals(Broken(), path)
+        assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == before
+
+
+# Text that ingest keeps as written: no surrounding whitespace (fields are
+# stripped), drawn with the characters that delimited text must quote or
+# that other line splitters break on.
+_TRICKY = st.sampled_from([",", '"', "\t", "\n", "\r", "\x85", "\u2028", "#", " ", "|"])
+_text = st.text(st.one_of(_TRICKY, st.characters(blacklist_categories=("Cs",))), max_size=12)
+_ids = st.one_of(_text, _text.map(lambda s: "#" + s)).map(str.strip).filter(bool)
+_categories = st.lists(_ids.map(lambda s: s.replace("|", "/").strip()).filter(bool), max_size=3)
+
+
+@st.composite
+def _corpora(draw) -> Corpus:
+    journal_ids = draw(st.lists(_ids, min_size=1, max_size=4, unique=True))
+    journals = {
+        j: Journal(j, draw(_text.map(str.strip)), tuple(draw(_categories))) for j in journal_ids
+    }
+    pub_ids = draw(st.lists(_ids, max_size=8, unique=True))
+    publications = tuple(
+        Publication(
+            p,
+            draw(st.sampled_from(journal_ids)),
+            draw(st.integers(1900, 2100)),
+            draw(st.sampled_from(DocumentType)),
+            draw(st.integers(0, 10**6)),
+            draw(st.one_of(st.none(), _ids)),
+        )
+        for p in pub_ids
+    )
+    topics = frozenset(p.topic_id for p in publications if p.topic_id is not None)
+    return Corpus(publications, journals, topics, "census")
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpus=_corpora())
+def test_write_then_load_gives_back_the_corpus(tmp_path_factory, corpus):
+    directory = tmp_path_factory.mktemp("roundtrip")
+    write_publications(corpus.publications, directory / "p.csv")
+    write_journals(corpus.journals, directory / "j.csv")
+    reloaded, errors = load_corpus(directory / "p.csv", directory / "j.csv", census_label="census")
+    assert errors == []
+    assert reloaded == corpus
 
 
 class TestValidate:
