@@ -75,6 +75,7 @@ COMMANDS = (
     ("compute", ["compute", *_IO]),
     ("bootstrap", ["bootstrap", *_IO, "--sims", "20", "--seed", "42"]),
     ("flip_test", ["flip-test", *_IO]),
+    ("report", ["report", *_IO]),
 )
 
 
@@ -99,7 +100,10 @@ def _working_directory(path: Path):
 
 
 def run_commands(out_root: Path) -> None:
-    """Run every golden command into ``out_root/<name>``, stdout into ``stdout.txt``."""
+    """Run every golden command into ``out_root/<name>``, stdout into ``stdout.txt``.
+
+    The output directory is written ``<out>`` in ``stdout.txt``.
+    """
     with _working_directory(GOLDEN):
         for name, argv in COMMANDS:
             out_dir = out_root / name
@@ -108,7 +112,9 @@ def run_commands(out_root: Path) -> None:
                 code = main([*argv, "--out", str(out_dir)])
             if code != 0:
                 raise RuntimeError(f"{name} exited {code}")
-            (out_dir / "stdout.txt").write_text(captured.getvalue(), encoding="utf-8")
+            # report prints the paths it wrote; keep them independent of out_root
+            stdout = captured.getvalue().replace(str(out_dir), "<out>")
+            (out_dir / "stdout.txt").write_text(stdout, encoding="utf-8")
 
 
 if __name__ == "__main__":
