@@ -13,10 +13,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from . import __version__
 from .classifier import assign_majority, load_related
@@ -39,6 +40,8 @@ from .synth import CITATION_DISTRIBUTIONS, SyntheticProfile, generate_corpus, wr
 # CLI spelling -> library key
 _CLI_KEYS = {"fncsi": "fncsi", "fnif": "fnif", "expected-jif": "expected_jif", "jif": "jif"}
 _KEY_TO_CLI = {v: k for k, v in _CLI_KEYS.items()}
+
+_json_string = json.encoder.encode_basestring_ascii
 
 _PERCENTILE_NOTE = "percentile = 100 * (N - rank + 1) / N within the ranked set; higher is better"
 
@@ -76,33 +79,56 @@ class RunConfig:
             raise ValueError("--sims must be >= 1")
         if not self.indicators:
             raise ValueError("at least one --indicator is required")
+        if not self.formats:
+            raise ValueError("at least one --format is required")
         for path in (self.publications_path, self.journals_path, self.related_records_path):
             if path is not None and not path.is_file():
                 raise FileNotFoundError(f"input file not found: {path}")
 
 
-def _config_keys(parser: argparse.ArgumentParser) -> set[str]:
-    """Keys a config file may set: the long flags of every subcommand, without dashes."""
+def _config_types(parser: argparse.ArgumentParser) -> dict[str, type]:
+    """Keys a config file may set, with the type of their values.
+
+    The keys are the long flags of every subcommand, without dashes.  A
+    repeatable flag has type ``list``: its value is a string or a list of
+    strings.
+    """
     (subcommands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     return {
-        option[2:]
+        option[2:]: list if isinstance(action, argparse._AppendAction) else action.type or str
         for sub in subcommands.choices.values()
         for action in sub._actions
         for option in action.option_strings
-        if option.startswith("--")
-    } - {"help", "config"}
+        if option.startswith("--") and option not in ("--help", "--config")
+    }
 
 
-def _resolve_config(args: argparse.Namespace, config_keys: set[str]) -> RunConfig:
+# config value type -> (what it must be, test)
+_CONFIG_CHECKS: dict[type, tuple[str, Callable[[Any], bool]]] = {
+    list: (
+        "a string or a list of strings",
+        lambda v: isinstance(v, str) or isinstance(v, list) and all(isinstance(x, str) for x in v),
+    ),
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
+}
+
+
+def _resolve_config(args: argparse.Namespace, config_types: dict[str, type]) -> RunConfig:
     """Merge hard defaults, the optional config file, and explicit flags."""
     file_cfg: dict[str, Any] = {}
     if getattr(args, "config", None):
         file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
         if not isinstance(file_cfg, dict):
             raise ValueError(f"config file {args.config} must hold a JSON object")
-        unknown = sorted(set(file_cfg) - config_keys)
+        unknown = sorted(set(file_cfg) - set(config_types))
         if unknown:
             raise ValueError(f"unknown config key(s) in {args.config}: {', '.join(unknown)}")
+        for key, value in file_cfg.items():
+            expected, accepts = _CONFIG_CHECKS[config_types[key]]
+            if not accepts(value):
+                raise ValueError(f"config key {key} in {args.config} must be {expected}, not {json.dumps(value)}")
 
     def pick(name: str) -> Any:
         explicit = getattr(args, name.replace("-", "_"), None)
@@ -131,9 +157,9 @@ def _resolve_config(args: argparse.Namespace, config_keys: set[str]) -> RunConfi
         "related": pick("related"),
         "indicator": list(indicators_cli),
         "category": pick("category"),
-        "sims": int(pick("sims")),
-        "seed": int(pick("seed")),
-        "out": str(pick("out")),
+        "sims": pick("sims"),
+        "seed": pick("seed"),
+        "out": pick("out"),
         "format": list(formats),
     }
     # the hash identifies the computation, not where its files land, so runs
@@ -188,6 +214,69 @@ def _write_json(path: Path, meta: list[str], payload: dict[str, Any]) -> None:
     document = {"meta": meta, **payload}
     with atomic_write(path) as fh:
         fh.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
+
+
+def _json_number(value: float | int | None) -> str:
+    """``value`` spelt as ``json.dumps`` spells it (NaN and the infinities included)."""
+    if value is None:
+        return "null"
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    return int.__repr__(value)
+
+
+def _indicator_record(ind: JournalIndicator) -> str:
+    """One journal of ``indicators.json``: an element of the indented, key-sorted ``journals`` list."""
+    if ind.topic_breakdown:
+        topics = ",\n".join(
+            f'        {_json_string(topic)}: {{\n'
+            f'          "papers_compared": {_json_number(n)},\n'
+            f'          "score": {_json_number(score)}\n'
+            f"        }}"
+            for topic, (score, n) in sorted(ind.topic_breakdown.items())
+        )
+        breakdown = f"{{\n{topics}\n      }}"
+    else:
+        breakdown = "{}"
+    return (
+        "    {\n"
+        f'      "expected_jif": {_json_number(ind.expected_jif)},\n'
+        f'      "fncsi": {_json_number(ind.fncsi)},\n'
+        f'      "fnif": {_json_number(ind.fnif)},\n'
+        f'      "jif": {_json_number(ind.jif)},\n'
+        f'      "journal_id": {_json_string(ind.journal_id)},\n'
+        f'      "n_pubs": {_json_number(ind.n_pubs)},\n'
+        f'      "topic_breakdown": {breakdown}\n'
+        "    }"
+    )
+
+
+def _write_indicators_json(path: Path, meta: list[str], indicators: Iterable[JournalIndicator]) -> None:
+    """Write ``indicators.json`` one journal record at a time.
+
+    The bytes equal ``json.dumps({"meta": meta, "journals": [...]}, indent=2,
+    sort_keys=True) + "\n"`` for the records ``_indicator_record`` spells out,
+    without holding the document, its text or its chunks in memory.
+    """
+    with atomic_write(path) as fh:
+        fh.write('{\n  "journals": [')
+        empty = True
+        for ind in indicators:
+            fh.write("\n" if empty else ",\n")
+            fh.write(_indicator_record(ind))
+            empty = False
+        fh.write("],\n" if empty else "\n  ],\n")
+        if meta:
+            lines = ",\n".join(f"    {_json_string(line)}" for line in meta)
+            fh.write(f'  "meta": [\n{lines}\n  ]\n}}\n')
+        else:
+            fh.write('  "meta": []\n}\n')
 
 
 def _indicator_rows(indicators: Sequence[JournalIndicator]) -> list[list[Any]]:
@@ -318,27 +407,7 @@ def cmd_compute(
             _indicator_rows(indicators),
         )
     if "json" in config.formats:
-        _write_json(
-            config.output_dir / "indicators.json",
-            meta,
-            {
-                "journals": [
-                    {
-                        "journal_id": ind.journal_id,
-                        "fncsi": ind.fncsi,
-                        "fnif": ind.fnif,
-                        "expected_jif": ind.expected_jif,
-                        "jif": ind.jif,
-                        "n_pubs": ind.n_pubs,
-                        "topic_breakdown": {
-                            topic: {"score": score, "papers_compared": n}
-                            for topic, (score, n) in ind.topic_breakdown.items()
-                        },
-                    }
-                    for ind in indicators
-                ]
-            },
-        )
+        _write_indicators_json(config.output_dir / "indicators.json", meta, indicators)
     if write_rankings:
         for key in config.indicators:
             table = rank(indicators, key, scope=config.category, journals=corpus.journals)
@@ -568,7 +637,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _resolve_config(args, _config_keys(parser))
+        config = _resolve_config(args, _config_types(parser))
         config.validate_inputs()
     except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

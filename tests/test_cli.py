@@ -269,6 +269,48 @@ class TestConfigFile:
         assert "unknown config key(s)" in err and "sed, simz" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        ("key", "value", "expected"),
+        [
+            ("sims", 2.7, "an integer"),
+            ("sims", True, "an integer"),
+            ("seed", "7", "an integer"),
+            ("seed", False, "an integer"),
+            ("format", 3, "a string or a list of strings"),
+            ("format", ["csv", 3], "a string or a list of strings"),
+            ("indicator", 5, "a string or a list of strings"),
+            ("pubs", 5, "a string"),
+            ("out", ["o"], "a string"),
+            ("category", 1, "a string"),
+            ("category", None, "a string"),
+        ],
+    )
+    def test_mistyped_config_value_is_usage_error(self, tmp_path, capsys, key, value, expected):
+        pubs, journals = write_tiny_corpus(tmp_path)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"pubs": str(pubs), "journals": str(journals), key: value}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["bootstrap", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: config key {key} in {cfg} must be {expected}, not {json.dumps(value)}\n"
+        assert not out.exists()
+
+    def test_empty_format_list_is_usage_error(self, tmp_path, capsys):
+        pubs, journals = write_tiny_corpus(tmp_path)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"pubs": str(pubs), "journals": str(journals), "format": []}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["compute", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: at least one --format is required\n"
+        assert not out.exists()
+
+    def test_mistyped_generate_config_value_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps({"out": str(tmp_path / "gen"), "sigma": "wide"}), encoding="utf-8")
+        assert main(["generate", "--config", str(cfg)]) == 2
+        assert "config key sigma" in capsys.readouterr().err
+        assert not (tmp_path / "gen").exists()
+
     def test_sims_floor_enforced(self, tmp_path):
         pubs, journals = write_tiny_corpus(tmp_path)
         assert main(["bootstrap", "--pubs", str(pubs), "--journals", str(journals), "--sims", "0"]) == 2

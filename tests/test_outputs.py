@@ -1,0 +1,160 @@
+"""Output files: ``indicators.json`` against ``json.dumps``, its memory, and lossless read-back."""
+
+from __future__ import annotations
+
+import csv
+import itertools
+import json
+import random
+import tracemalloc
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import corpus_of, pub
+from jrank import cli
+from jrank.cli import _write_csv, _write_indicators_json, main
+from jrank.corpus import Journal
+from jrank.indicators import JournalIndicator
+from jrank.synth import write_corpus_files
+
+
+def reference_document(meta, indicators):
+    """The document ``indicators.json`` holds, for ``json.dumps`` to encode."""
+    return {
+        "meta": meta,
+        "journals": [
+            {
+                "journal_id": ind.journal_id,
+                "fncsi": ind.fncsi,
+                "fnif": ind.fnif,
+                "expected_jif": ind.expected_jif,
+                "jif": ind.jif,
+                "n_pubs": ind.n_pubs,
+                "topic_breakdown": {
+                    topic: {"score": score, "papers_compared": n}
+                    for topic, (score, n) in ind.topic_breakdown.items()
+                },
+            }
+            for ind in indicators
+        ],
+    }
+
+
+def reference_bytes(meta, indicators):
+    return (json.dumps(reference_document(meta, indicators), indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+# strings json must escape, non-ASCII and astral characters, and anything else
+_SPECIAL = st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\t", " ", "é", "\U0001f600"])
+_strings = st.text(st.one_of(_SPECIAL, st.characters(blacklist_categories=("Cs",))), max_size=8)
+_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e16, 0.1, 1.0, float("nan"), float("inf"), float("-inf")]),
+    st.floats(),
+)
+_counts = st.integers(0, 10**12)
+_indicators = st.builds(
+    JournalIndicator,
+    journal_id=_strings,
+    fncsi=st.none() | _floats,
+    fnif=st.none() | _floats,
+    expected_jif=st.none() | _floats,
+    jif=st.none() | _floats,
+    n_pubs=_counts,
+    topic_breakdown=st.dictionaries(_strings, st.tuples(_floats, _counts), max_size=4),
+)
+
+
+class TestIndicatorsJson:
+    @settings(max_examples=300, deadline=None)
+    @given(meta=st.lists(_strings, max_size=3), indicators=st.lists(_indicators, max_size=4))
+    def test_bytes_equal_indented_sorted_json_dumps(self, tmp_path_factory, meta, indicators):
+        path = tmp_path_factory.mktemp("ind") / "indicators.json"
+        _write_indicators_json(path, meta, indicators)
+        assert path.read_bytes() == reference_bytes(meta, indicators)
+
+    def test_empty_journal_list_and_empty_breakdown(self, tmp_path):
+        path = tmp_path / "indicators.json"
+        _write_indicators_json(path, ["tool: jrank"], [])
+        assert path.read_bytes() == reference_bytes(["tool: jrank"], [])
+        assert b'"journals": [],' in path.read_bytes()
+        lone = [JournalIndicator("j", None, None, None, 0.0, 0)]
+        _write_indicators_json(path, [], lone)
+        assert path.read_bytes() == reference_bytes([], lone)
+        assert b'"topic_breakdown": {}' in path.read_bytes()
+
+    def test_peak_memory_below_a_quarter_of_the_file(self, tmp_path):
+        rng = random.Random(3)
+        indicators = [
+            JournalIndicator(
+                f"j{j:04d}", rng.random(), rng.random(), rng.random() * 5, rng.random() * 5, rng.randrange(500),
+                {f"t{t:03d}": (rng.random(), rng.randrange(1, 60)) for t in range(50)},
+            )
+            for j in range(500)
+        ]
+        path = tmp_path / "indicators.json"
+        tracemalloc.start()
+        try:
+            _write_indicators_json(path, ["tool: jrank"], indicators)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 2_000_000
+        assert peak < size / 4, f"peak {peak} B for a {size} B file"
+
+
+# journal ids that a delimited file must quote or that read back as comments
+_TRICKY = st.sampled_from([",", '"', "\n", "\r", "#", " "])
+_journal_ids = st.text(st.one_of(_TRICKY, st.characters(blacklist_categories=("Cs",))), min_size=1, max_size=10)
+_values = st.none() | st.floats(allow_nan=False) | st.integers(-(10**12), 10**12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    meta=st.lists(st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r"), max_size=12),
+                  max_size=3),
+    rows=st.lists(st.tuples(st.one_of(_journal_ids, _journal_ids.map(lambda s: "#" + s)), _values, _values),
+                  max_size=6),
+)
+def test_csv_table_reads_back_as_the_rows_written(tmp_path_factory, meta, rows):
+    path = tmp_path_factory.mktemp("csv") / "table.csv"
+    _write_csv(path, meta, ("journal_id", "value", "rank"), rows)
+    with open(path, encoding="utf-8", newline="") as fh:
+        got = list(csv.reader(itertools.dropwhile(lambda line: line.startswith("# "), fh)))
+    spelt = [[jid, *("unrankable" if v is None else repr(v) for v in values)] for jid, *values in rows]
+    assert got == [["journal_id", "value", "rank"], *spelt]
+    for (_, *values), (_, *fields) in zip(rows, got[1:]):
+        assert [None if f == "unrankable" else type(v)(f) for v, f in zip(values, fields)] == values
+
+
+def test_every_json_output_loads_back_to_its_payload(tmp_path, monkeypatch):
+    odd = ['J, "A"', "Jé\U0001f600", "#lead", "back\\slash"]
+    pubs = [pub(f"p{i}{k}", jid, (i * 7 + k) % 5, f"t{k}") for i, jid in enumerate(odd) for k in range(3)]
+    pubs.append(pub("u1", "jun", 2, None))
+    journals = {j: Journal(j, f"Journal {j}", ("C",)) for j in [*odd, "jun", "jempty"]}
+    data = tmp_path / "data"
+    write_corpus_files(corpus_of(pubs, journals=journals), data)
+
+    written = []
+    write_json, write_indicators = cli._write_json, cli._write_indicators_json
+
+    def record_json(path, meta, payload):
+        written.append((path, {"meta": meta, **payload}))
+        write_json(path, meta, payload)
+
+    def record_indicators(path, meta, indicators):
+        written.append((path, reference_document(meta, indicators)))
+        write_indicators(path, meta, indicators)
+
+    monkeypatch.setattr(cli, "_write_json", record_json)
+    monkeypatch.setattr(cli, "_write_indicators_json", record_indicators)
+    io_flags = ["--pubs", str(data / "publications.csv"), "--journals", str(data / "journals.csv")]
+    for command in (["compute"], ["bootstrap", "--sims", "5"], ["report"]):
+        assert main([*command, *io_flags, "--out", str(tmp_path / command[0])]) == 0
+
+    names = {path.relative_to(tmp_path).as_posix() for path, _ in written}
+    assert {"compute/indicators.json", "report/indicators.json", "bootstrap/robustness_fncsi.json"} <= names
+    assert "compute/ranking_jif.json" in names
+    for path, document in written:
+        assert json.loads(path.read_text(encoding="utf-8")) == document, path
