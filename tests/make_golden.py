@@ -76,6 +76,7 @@ COMMANDS = (
     ("bootstrap", ["bootstrap", *_IO, "--sims", "20", "--seed", "42"]),
     ("flip_test", ["flip-test", *_IO]),
     ("report", ["report", *_IO]),
+    ("rank", ["rank", *_IO, "--category", "C1"]),
 )
 
 
