@@ -29,11 +29,6 @@ from .indicators import (
     RankKernel,
     Scores,
     compute_all,
-    expected_jif,
-    fncsi,
-    fnif,
-    indicator_values,
-    jif,
 )
 from .ranking import InsufficientDataError, RankingRow, RankingTable, correlate, order_journals, rank
 from .robustness import (
@@ -42,7 +37,6 @@ from .robustness import (
     RobustnessReport,
     bootstrap_rankings,
     bootstrap_report,
-    flip_doc_type,
     perturbation_comparison,
     relative_change,
 )
@@ -77,13 +71,7 @@ __all__ = [
     "compute_all",
     "correlate",
     "coverage_stats",
-    "expected_jif",
-    "flip_doc_type",
-    "fncsi",
-    "fnif",
     "generate_corpus",
-    "indicator_values",
-    "jif",
     "load_corpus",
     "load_journals",
     "load_publications",

@@ -17,7 +17,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from . import __version__
 from .classifier import assign_majority, load_related
@@ -386,18 +386,7 @@ def cmd_classify(config: RunConfig) -> int:
     return 0
 
 
-def cmd_compute(
-    config: RunConfig,
-    command: str = "compute",
-    write_rankings: bool = True,
-    corpus: Corpus | None = None,
-) -> int:
-    if corpus is None:
-        corpus = _load_validated(config)
-        if corpus is None:
-            return 1
-    indicators = compute_all(corpus)
-    config.output_dir.mkdir(parents=True, exist_ok=True)
+def _write_indicators(config: RunConfig, command: str, indicators: Sequence[JournalIndicator]) -> None:
     meta = _meta(config, command)
     if "csv" in config.formats:
         _write_csv(
@@ -408,10 +397,22 @@ def cmd_compute(
         )
     if "json" in config.formats:
         _write_indicators_json(config.output_dir / "indicators.json", meta, indicators)
-    if write_rankings:
-        for key in config.indicators:
-            table = rank(indicators, key, scope=config.category, journals=corpus.journals)
-            _write_ranking(table, config, command)
+
+
+def _rankings(config: RunConfig, corpus: Corpus, indicators: Sequence[JournalIndicator]) -> Iterator[RankingTable]:
+    """One ranking table per requested indicator, in the requested scope."""
+    return (rank(indicators, key, scope=config.category, journals=corpus.journals) for key in config.indicators)
+
+
+def cmd_compute(config: RunConfig) -> int:
+    corpus = _load_validated(config)
+    if corpus is None:
+        return 1
+    indicators = compute_all(corpus)
+    config.output_dir.mkdir(parents=True, exist_ok=True)
+    _write_indicators(config, "compute", indicators)
+    for table in _rankings(config, corpus, indicators):
+        _write_ranking(table, config, "compute")
     return 0
 
 
@@ -421,8 +422,7 @@ def cmd_rank(config: RunConfig) -> int:
         return 1
     indicators = compute_all(corpus)
     config.output_dir.mkdir(parents=True, exist_ok=True)
-    for key in config.indicators:
-        table = rank(indicators, key, scope=config.category, journals=corpus.journals)
+    for table in _rankings(config, corpus, indicators):
         for path in _write_ranking(table, config, "rank"):
             print(f"wrote {path}")
     return 0
@@ -553,11 +553,10 @@ def cmd_report(config: RunConfig) -> int:
         f"(publication coverage {coverage.publication_coverage:.4f}, "
         f"journal coverage {coverage.journal_coverage:.4f})"
     )
-    for key in config.indicators:
-        table = rank(indicators, key, scope=config.category, journals=corpus.journals)
+    for table in _rankings(config, corpus, indicators):
         scope_note = f" in category {table.scope}" if table.scope else ""
         lines.append("")
-        lines.append(f"top journals by {_KEY_TO_CLI[key]}{scope_note}:")
+        lines.append(f"top journals by {_KEY_TO_CLI[table.indicator_name]}{scope_note}:")
         lines.append("rank  journal_id        value       percentile")
         for row in table.rows[:20]:
             lines.append(f"{row.rank:>4}  {row.journal_id:<16}  {row.value:<10.6g}  {row.percentile:.2f}")
@@ -566,7 +565,8 @@ def cmd_report(config: RunConfig) -> int:
         fh.write("\n".join(lines) + "\n")
     print(f"wrote {out_path}")
     # the indicator tables reflect the same (possibly classified) corpus
-    return cmd_compute(config, command="report", write_rankings=False, corpus=corpus)
+    _write_indicators(config, "report", indicators)
+    return 0
 
 
 # ---------------------------------------------------------------------------

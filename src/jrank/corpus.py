@@ -2,10 +2,10 @@
 
 A corpus bundles everything the indicator pipeline consumes: publications
 with precomputed citation counts, the journals that published them, and the
-set of topic clusters used for field normalization.  Corpora are treated as
-immutable once built; operations that "modify" one (topic assignment,
-perturbations, resampling) return a new instance, so a validated corpus can
-be shared freely across workers.
+set of topic clusters used for field normalization.  Corpora are immutable
+once built: topic assignment returns a new instance, and the bootstrap and
+the document-type flip reweight or recode the corpus's kernel encoding
+instead of copying it, so a validated corpus can be shared freely.
 """
 
 from __future__ import annotations
@@ -106,7 +106,6 @@ class Corpus:
     publications: tuple[Publication, ...]
     journals: dict[str, Journal]
     topics: frozenset[str]
-    census_label: str = ""
 
     @cached_property
     def by_journal(self) -> dict[str, tuple[Publication, ...]]:
@@ -115,10 +114,6 @@ class Corpus:
         for pub in self.publications:
             grouped.setdefault(pub.journal_id, []).append(pub)
         return {jid: tuple(pubs) for jid, pubs in grouped.items()}
-
-    @cached_property
-    def classified(self) -> tuple[Publication, ...]:
-        return tuple(p for p in self.publications if p.classified)
 
     def with_publications(self, publications: Iterable[Publication]) -> Corpus:
         """Copy of this corpus with a different publication list."""
@@ -335,19 +330,13 @@ def load_journals(path: Path | str, delimiter: str | None = None) -> JournalsFra
     return fragment
 
 
-def corpus_from_fragments(
-    pubs: CorpusFragment, journals: JournalsFragment, census_label: str = ""
-) -> Corpus:
+def corpus_from_fragments(pubs: CorpusFragment, journals: JournalsFragment) -> Corpus:
     """The corpus of loaded fragments; its topics are those observed in the publications."""
     topics = frozenset(p.topic_id for p in pubs.publications if p.topic_id is not None)
-    return Corpus(tuple(pubs.publications), journals.journals, topics, census_label)
+    return Corpus(tuple(pubs.publications), journals.journals, topics)
 
 
-def load_corpus(
-    pubs_path: Path | str,
-    journals_path: Path | str,
-    census_label: str = "",
-) -> tuple[Corpus, list[RowError]]:
+def load_corpus(pubs_path: Path | str, journals_path: Path | str) -> tuple[Corpus, list[RowError]]:
     """Assemble a corpus from a publications file and a journals file.
 
     The topic universe is the set of topic ids observed in the publications.
@@ -356,7 +345,7 @@ def load_corpus(
     """
     pubs = load_publications(pubs_path)
     journals = load_journals(journals_path)
-    return corpus_from_fragments(pubs, journals, census_label), pubs.errors + journals.errors
+    return corpus_from_fragments(pubs, journals), pubs.errors + journals.errors
 
 
 # ---------------------------------------------------------------------------

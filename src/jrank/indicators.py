@@ -319,45 +319,3 @@ class Scores:
 def compute_all(corpus: Corpus) -> list[JournalIndicator]:
     """Compute all four indicators for every journal, sorted by journal id."""
     return RankKernel.from_corpus(corpus).evaluate().records()
-
-
-def indicator_values(corpus: Corpus, key: str) -> dict[str, float | None]:
-    """Values of one indicator for every journal, sorted by journal id."""
-    return RankKernel.from_corpus(corpus).evaluate().values(key)
-
-
-def _journal_record(journal_id: str, corpus: Corpus) -> JournalIndicator:
-    if journal_id not in corpus.journals:
-        raise KeyError(f"unknown journal {journal_id!r}")
-    return next(r for r in compute_all(corpus) if r.journal_id == journal_id)
-
-
-def fncsi(journal_id: str, corpus: Corpus) -> tuple[float | None, dict[str, tuple[float, int]]]:
-    """Field-normalized citation success of one journal.
-
-    Returns ``(score, topic_breakdown)``; the score is None when the journal
-    has no classified publications or every one of its cells lacks comparison
-    papers.
-    """
-    record = _journal_record(journal_id, corpus)
-    return record.fncsi, record.topic_breakdown
-
-
-def fnif(journal_id: str, corpus: Corpus) -> float | None:
-    """Cell-mean-normalized impact of one journal, or None if unrankable."""
-    return _journal_record(journal_id, corpus).fnif
-
-
-def expected_jif(journal_id: str, corpus: Corpus) -> float | None:
-    """Citation potential of the journal's topic mix.
-
-    Publication-weighted average of the topic mean citations, where each
-    topic mean pools articles and reviews.  None when the journal has no
-    classified publications.
-    """
-    return _journal_record(journal_id, corpus).expected_jif
-
-
-def jif(journal_id: str, corpus: Corpus) -> float | None:
-    """Citations per item over all of the journal's publications."""
-    return _journal_record(journal_id, corpus).jif

@@ -24,7 +24,7 @@ from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .corpus import Corpus, Publication
+from .corpus import Corpus
 from .indicators import RankKernel
 from .ranking import order_journals
 
@@ -112,33 +112,17 @@ def relative_change(samples: Mapping[str, RankingSamples]) -> float:
     return acc / len(samples)
 
 
-def _quantile(sorted_values: list[int], p: float) -> float:
-    """Linear-interpolation quantile of pre-sorted data (numpy's default rule)."""
-    if len(sorted_values) == 1:
-        return float(sorted_values[0])
-    position = p * (len(sorted_values) - 1)
-    lo = math.floor(position)
-    hi = math.ceil(position)
-    frac = position - lo
-    return sorted_values[lo] + (sorted_values[hi] - sorted_values[lo]) * frac
-
-
 def bootstrap_report(corpus: Corpus, key: str, sims: int = 100, seed: int = 42) -> RobustnessReport:
     """Run the bootstrap and summarize each journal's rank distribution."""
     samples = bootstrap_rankings(corpus, key, sims=sims, seed=seed)
-    per_journal: dict[str, RankSummary] = {}
-    for journal_id in sorted(samples):
-        ranks = sorted(samples[journal_id].rankings)
-        per_journal[journal_id] = RankSummary(
-            min_rank=ranks[0],
-            q1=_quantile(ranks, 0.25),
-            median=_quantile(ranks, 0.50),
-            q3=_quantile(ranks, 0.75),
-            max_rank=ranks[-1],
-        )
+    journal_ids = sorted(samples)
+    ranks = np.array([samples[journal_id].rankings for journal_id in journal_ids])  # journals x sims
+    # linear interpolation between order statistics; exact for these integer ranks
+    q1, median, q3 = np.quantile(ranks, (0.25, 0.5, 0.75), axis=1).tolist()
+    summaries = map(RankSummary, ranks.min(axis=1).tolist(), q1, median, q3, ranks.max(axis=1).tolist())
     return RobustnessReport(
         indicator_name=key,
-        per_journal=per_journal,
+        per_journal=dict(zip(journal_ids, summaries)),
         delta=relative_change(samples),
         seed=seed,
         simulations=sims,
@@ -146,33 +130,17 @@ def bootstrap_report(corpus: Corpus, key: str, sims: int = 100, seed: int = 42) 
     )
 
 
-def _top_papers(corpus: Corpus) -> Iterator[tuple[int, Publication]]:
-    """Every journal's most highly cited paper, ties broken by ascending publication id.
+def _top_papers(corpus: Corpus) -> Iterator[int]:
+    """Position of every journal's most highly cited paper, ties broken by ascending publication id.
 
-    Each comes with its position in the kernel's paper order: journals in id
-    order, corpus order within a journal.
+    Positions follow the kernel's paper order: journals in id order, corpus
+    order within a journal.
     """
     start = 0
     for journal_id in sorted(corpus.by_journal):
         pubs = corpus.by_journal[journal_id]
-        top = min(range(len(pubs)), key=lambda i: (-pubs[i].citations, pubs[i].pub_id))
-        yield start + top, pubs[top]
+        yield start + min(range(len(pubs)), key=lambda i: (-pubs[i].citations, pubs[i].pub_id))
         start += len(pubs)
-
-
-def flip_doc_type(corpus: Corpus) -> Corpus:
-    """Toggle the document type of every journal's most highly cited paper.
-
-    Ties on the citation count are broken by ascending publication id.  All
-    flips are applied simultaneously to one perturbed copy; the input corpus
-    is untouched.
-    """
-    flip_ids = {p.pub_id for _, p in _top_papers(corpus)}
-    flipped = tuple(
-        replace(p, doc_type=p.doc_type.opposite) if p.pub_id in flip_ids else p
-        for p in corpus.publications
-    )
-    return corpus.with_publications(flipped)
 
 
 def perturbation_comparison(corpus: Corpus, key: str) -> list[tuple[str, int | None, int | None]]:
@@ -184,7 +152,7 @@ def perturbation_comparison(corpus: Corpus, key: str) -> list[tuple[str, int | N
     """
     kernel = RankKernel.from_corpus(corpus)
     cell = kernel.cell.copy()
-    top = np.array([position for position, _ in _top_papers(corpus)], dtype=np.int64)
+    top = np.fromiter(_top_papers(corpus), dtype=np.int64)
     top = top[cell[top] >= 0]  # an unclassified paper sits in no cell either way
     cell[top] ^= 1  # the document type is the low bit of a cell code
     sides = []

@@ -122,11 +122,7 @@ def generate_corpus(profile: SyntheticProfile, seed: int) -> Corpus:
                 counts = [int(c) for c in rng.integers(0, high, size=n_pubs)]
         publications.extend(draw_common(journal_id, c) for c in counts)
 
-    label = (
-        f"synthetic census: citations in {profile.base_year + 1} of items "
-        f"published {profile.base_year - 1}-{profile.base_year}"
-    )
-    return Corpus(tuple(publications), journals, frozenset(topics), label)
+    return Corpus(tuple(publications), journals, frozenset(topics))
 
 
 def write_corpus_files(corpus: Corpus, out_dir: Path | str) -> tuple[Path, Path]:

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from jrank.corpus import Corpus, DocumentType, Journal, Publication
-from jrank.indicators import RankKernel
+from jrank.indicators import JournalIndicator, RankKernel, compute_all
 
 
 @pytest.hookimpl(hookwrapper=True)
@@ -26,7 +26,7 @@ def pub(pid: str, jid: str, citations: int, topic: str | None = None, doc=A, yea
     return Publication(pid, jid, year, doc, citations, topic)
 
 
-def corpus_of(pubs, journals=None, topics=None, census: str = "test census") -> Corpus:
+def corpus_of(pubs, journals=None, topics=None) -> Corpus:
     """Corpus from a publication list; journals/topics default to what the pubs use."""
     if journals is None:
         journals = sorted({p.journal_id for p in pubs})
@@ -34,7 +34,17 @@ def corpus_of(pubs, journals=None, topics=None, census: str = "test census") -> 
         journals = {j: Journal(j, f"Journal {j}") for j in journals}
     if topics is None:
         topics = {p.topic_id for p in pubs if p.topic_id is not None}
-    return Corpus(tuple(pubs), journals, frozenset(topics), census)
+    return Corpus(tuple(pubs), journals, frozenset(topics))
+
+
+def record(journal_id: str, corpus: Corpus) -> JournalIndicator:
+    """One journal's ``compute_all`` record."""
+    return next(r for r in compute_all(corpus) if r.journal_id == journal_id)
+
+
+def values(corpus: Corpus, key: str) -> dict[str, float | None]:
+    """One indicator for every journal of the journal table, through ``Scores.values``."""
+    return RankKernel.from_corpus(corpus).evaluate().values(key)
 
 
 def cell_scores(corpus: Corpus) -> dict[tuple[str, str, DocumentType], tuple[float | None, int]]:

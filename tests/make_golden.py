@@ -86,7 +86,7 @@ def write_golden_corpus(out_dir: Path) -> None:
     journals = dict(corpus.journals)
     journals.update((j.journal_id, j) for j in EXTRA_JOURNALS)
     topics = corpus.topics | {p.topic_id for p in hand if p.topic_id is not None}
-    grown = type(corpus)(corpus.publications + tuple(hand), journals, topics, corpus.census_label)
+    grown = type(corpus)(corpus.publications + tuple(hand), journals, topics)
     write_corpus_files(grown, out_dir)
 
 

@@ -5,18 +5,21 @@ grouping into plain lists, all-pairs enumeration for the comparison
 probability, per-paper loops for the normalized means.  None of it shares
 code with the package kernels it checks.  The one exception is
 :func:`rebuild_bootstrap_rankings`, the reference for the bootstrap's
-reweighting: it scores every rebuilt resample with the package's own
-``indicator_values``, so it checks the resampling, not the kernel.
+reweighting: it scores every rebuilt resample with the package's own kernel
+(``RankKernel.evaluate().values``), so it checks the resampling, not the
+kernel.  :func:`flip_doc_type` is the reference for the kernel's
+document-type flip: it rewrites the corpus itself.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from jrank.corpus import Corpus, DocumentType, Journal, Publication
-from jrank.indicators import indicator_values
+from jrank.indicators import RankKernel
 from jrank.ranking import order_journals
 from jrank.robustness import RankingSamples
 
@@ -122,9 +125,14 @@ def rebuild_bootstrap_rankings(
 ) -> dict[str, RankingSamples]:
     """Bootstrap that rebuilds a resampled corpus per simulation and ranks it afresh.
 
-    Same seeds, draws and sentinel as ``jrank.robustness.bootstrap_rankings``.
+    Same seeds, draws and sentinel as ``jrank.robustness.bootstrap_rankings``;
+    each corpus is scored by a kernel encoded from it, through ``Scores.values``.
     """
-    base_values = indicator_values(corpus, key)
+
+    def values_of(scored: Corpus) -> dict[str, float | None]:
+        return RankKernel.from_corpus(scored).evaluate().values(key)
+
+    base_values = values_of(corpus)
     tracked = sorted(j for j, v in base_values.items() if v is not None)
     sentinel = len(tracked) + 1
     by_journal = corpus.by_journal
@@ -137,10 +145,29 @@ def rebuild_bootstrap_rankings(
             for i in rng.integers(0, len(pubs), size=len(pubs)):
                 resampled.append(pubs[i])
         boot = corpus.with_publications(resampled)
-        rank_of = {j: r for r, j in enumerate(order_journals(indicator_values(boot, key)), start=1)}
+        rank_of = {j: r for r, j in enumerate(order_journals(values_of(boot)), start=1)}
         for journal_id in tracked:
             samples[journal_id].rankings.append(rank_of.get(journal_id, sentinel))
     return samples
+
+
+def flip_doc_type(corpus: Corpus) -> Corpus:
+    """Toggle the document type of every journal's most highly cited paper, ties to the smallest pub_id.
+
+    All flips land in one new corpus; the input corpus is untouched.
+    """
+    by_journal: dict[str, list[Publication]] = {}
+    for p in corpus.publications:
+        by_journal.setdefault(p.journal_id, []).append(p)
+    flip = set()
+    for journal_id, pubs in by_journal.items():
+        most = max(p.citations for p in pubs)
+        flip.add((journal_id, min(p.pub_id for p in pubs if p.citations == most)))
+    flipped = tuple(
+        replace(p, doc_type=p.doc_type.opposite) if (p.journal_id, p.pub_id) in flip else p
+        for p in corpus.publications
+    )
+    return Corpus(flipped, corpus.journals, corpus.topics)
 
 
 def random_corpus(
@@ -179,4 +206,4 @@ def random_corpus(
     journal_ids.append("J_EMPTY")
     journals = {j: Journal(j, f"Journal {j}") for j in journal_ids}
     observed_topics = frozenset(p.topic_id for p in pubs if p.topic_id is not None)
-    return Corpus(tuple(pubs), journals, observed_topics, "random test corpus")
+    return Corpus(tuple(pubs), journals, observed_topics)

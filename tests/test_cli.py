@@ -10,6 +10,7 @@ import pytest
 
 from jrank import cli
 from jrank.cli import _write_csv, main
+from jrank.indicators import compute_all
 
 HEADER = "pub_id,journal_id,pub_year,doc_type,citations,topic_id\n"
 JHEADER = "journal_id,title,categories\n"
@@ -338,6 +339,19 @@ class TestReport:
         assert code == 0
         jb_row = [l for l in (out / "indicators.csv").read_text().splitlines() if l.startswith("jB")][0]
         assert jb_row.split(",")[5] == "2"  # u1 was classified before computing
+
+    def test_corpus_scored_once(self, tmp_path, monkeypatch):
+        pubs, journals = write_tiny_corpus(tmp_path)
+        calls = []
+
+        def counting_compute_all(corpus):
+            calls.append(corpus)
+            return compute_all(corpus)
+
+        monkeypatch.setattr(cli, "compute_all", counting_compute_all)
+        code = main(["report", "--pubs", str(pubs), "--journals", str(journals), "--out", str(tmp_path / "rep")])
+        assert code == 0
+        assert len(calls) == 1
 
 
 class TestFilenames:

@@ -215,7 +215,7 @@ class TestWriteReadBack:
         write_journals(corpus.journals, tmp_path / "j.csv")
         assert '"#p1","#jA","2018","Article","2","#t"\n' in (tmp_path / "p.csv").read_text(encoding="utf-8")
         assert "p2,jB,2018,Article,1,t1\n" in (tmp_path / "p.csv").read_text(encoding="utf-8")
-        reloaded, errors = load_corpus(tmp_path / "p.csv", tmp_path / "j.csv", census_label=corpus.census_label)
+        reloaded, errors = load_corpus(tmp_path / "p.csv", tmp_path / "j.csv")
         assert not errors and reloaded == corpus
 
     def test_carriage_return_in_field_reads_back(self, tmp_path):
@@ -223,7 +223,7 @@ class TestWriteReadBack:
         corpus = corpus_of([pub("p\r1", "jA", 2, "t\r1")], journals=journals)
         write_publications(corpus.publications, tmp_path / "p.csv")
         write_journals(corpus.journals, tmp_path / "j.csv")
-        reloaded, errors = load_corpus(tmp_path / "p.csv", tmp_path / "j.csv", census_label=corpus.census_label)
+        reloaded, errors = load_corpus(tmp_path / "p.csv", tmp_path / "j.csv")
         assert not errors and reloaded == corpus
 
     def test_writer_that_raises_leaves_no_file(self, tmp_path):
@@ -278,7 +278,7 @@ def _corpora(draw) -> Corpus:
         for p in pub_ids
     )
     topics = frozenset(p.topic_id for p in publications if p.topic_id is not None)
-    return Corpus(publications, journals, topics, "census")
+    return Corpus(publications, journals, topics)
 
 
 @settings(max_examples=200, deadline=None)
@@ -287,7 +287,7 @@ def test_write_then_load_gives_back_the_corpus(tmp_path_factory, corpus):
     directory = tmp_path_factory.mktemp("roundtrip")
     write_publications(corpus.publications, directory / "p.csv")
     write_journals(corpus.journals, directory / "j.csv")
-    reloaded, errors = load_corpus(directory / "p.csv", directory / "j.csv", census_label="census")
+    reloaded, errors = load_corpus(directory / "p.csv", directory / "j.csv")
     assert errors == []
     assert reloaded == corpus
 
@@ -364,7 +364,7 @@ class TestRoundTrip:
             journals_path = tmp_path / f"journals{i}.csv"
             write_publications(corpus.publications, pubs_path)
             write_journals(corpus.journals, journals_path)
-            reloaded, errors = load_corpus(pubs_path, journals_path, census_label=corpus.census_label)
+            reloaded, errors = load_corpus(pubs_path, journals_path)
             assert not errors
             assert reloaded == corpus
 
@@ -375,5 +375,5 @@ class TestRoundTrip:
         corpus = corpus_of([pub("p1", "jA", 2, "t1")], journals=journals)
         write_publications(corpus.publications, tmp_path / "p.csv")
         write_journals(corpus.journals, tmp_path / "j.csv")
-        reloaded, errors = load_corpus(tmp_path / "p.csv", tmp_path / "j.csv", census_label=corpus.census_label)
+        reloaded, errors = load_corpus(tmp_path / "p.csv", tmp_path / "j.csv")
         assert not errors and reloaded == corpus

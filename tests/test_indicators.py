@@ -8,11 +8,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import A, R, cell_scores, corpus_of, pub
+from conftest import A, R, cell_scores, corpus_of, pub, record, values
 from oracles import brute_expected_jif, brute_fncsi, brute_fnif, brute_jif, pairwise_score, random_corpus
 
 from jrank.corpus import DocumentType
-from jrank.indicators import RankKernel, compute_all, expected_jif, fncsi, fnif, indicator_values, jif
+from jrank.indicators import RankKernel, compute_all
 
 
 def cell_score(journal_id, corpus, topic_id="t1", doc=A):
@@ -121,7 +121,8 @@ class TestFncsi:
     def test_single_cell_journal_equals_its_cell_score(self):
         pubs = [pub("a1", "jA", 4, "t1"), pub("a2", "jA", 1, "t1"), pub("o1", "jB", 2, "t1")]
         corpus = corpus_of(pubs)
-        value, breakdown = fncsi("jA", corpus)
+        ja = record("jA", corpus)
+        value, breakdown = ja.fncsi, ja.topic_breakdown
         assert value == cell_score("jA", corpus)[0]
         assert breakdown == {"t1": (value, 2)}
 
@@ -129,7 +130,7 @@ class TestFncsi:
         pubs = [pub("a1", "jA", 10, "t1"), pub("a2", "jA", 9, "t2", doc=R)]
         pubs += [pub(f"o{i}", "jB", i % 3, f"t{1 + i % 2}", doc=R if i % 2 else A) for i in range(8)]
         corpus = corpus_of(pubs)
-        value, _ = fncsi("jA", corpus)
+        value = record("jA", corpus).fncsi
         assert value == 1.0
 
     def test_two_topics_equal_weight_averages(self):
@@ -139,7 +140,7 @@ class TestFncsi:
         corpus = corpus_of(pubs)
         assert cell_score("jA", corpus, "t1")[0] == 0.25
         assert cell_score("jA", corpus, "t2")[0] == 0.75
-        value, _ = fncsi("jA", corpus)
+        value = record("jA", corpus).fncsi
         assert value == 0.5
 
     def test_empty_comparison_cells_dropped_and_renormalized(self):
@@ -151,13 +152,15 @@ class TestFncsi:
             pub("o1", "jB", 1, "t1"),
         ]
         corpus = corpus_of(pubs)
-        value, breakdown = fncsi("jA", corpus)
+        ja = record("jA", corpus)
+        value, breakdown = ja.fncsi, ja.topic_breakdown
         assert breakdown == {"t1": (value, 2)}  # review paper did not participate
         assert value == pairwise_score([5, 0], [1])
 
     def test_all_cells_empty_comparison_is_unrankable(self):
         corpus = corpus_of([pub("a1", "jA", 5, "t1"), pub("o1", "jB", 1, "t2")])
-        value, breakdown = fncsi("jA", corpus)
+        ja = record("jA", corpus)
+        value, breakdown = ja.fncsi, ja.topic_breakdown
         assert value is None and breakdown == {}
 
 
@@ -169,19 +172,19 @@ class TestFnif:
             pub("a2", "jA", 4, "t2"), pub("o3", "jB", 6, "t2"), pub("o4", "jB", 2, "t2"),
         ]
         corpus = corpus_of(pubs)
-        assert fnif("jA", corpus) == 1.0
+        assert record("jA", corpus).fnif == 1.0
 
     def test_single_paper_twice_the_mean(self):
         pubs = [pub("a1", "jA", 4, "t1"), pub("o1", "jB", 0, "t1"), pub("o2", "jB", 2, "t1"), pub("o3", "jB", 2, "t1")]
         corpus = corpus_of(pubs)
-        assert fnif("jA", corpus) == 2.0
+        assert record("jA", corpus).fnif == 2.0
 
     def test_mixed_two_cell_journal_matches_naive_loops(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             corpus = random_corpus(rng, max_journals=6, max_pubs=120, max_topics=3)
             for journal_id in corpus.journals:
-                mine = fnif(journal_id, corpus)
+                mine = record(journal_id, corpus).fnif
                 ref = brute_fnif(corpus, journal_id)
                 if ref is None:
                     assert mine is None
@@ -192,7 +195,7 @@ class TestFnif:
         pubs = [pub("a1", "jA", 0, "t1"), pub("o1", "jB", 0, "t1"), pub("a2", "jA", 3, "t2"), pub("o2", "jB", 1, "t2")]
         corpus = corpus_of(pubs)
         # numerator only from t2: 3 / 2.0 = 1.5; divided by 2 classified papers
-        assert fnif("jA", corpus) == 0.75
+        assert record("jA", corpus).fnif == 0.75
 
 
 class TestExpectedJif:
@@ -200,26 +203,26 @@ class TestExpectedJif:
         pubs = [pub("a1", "jA", 2, "t1"), pub("a2", "jA", 1, "t1")]
         pubs += [pub(f"o{i}", "jB", c, "t1") for i, c in enumerate([3, 0, 3])]
         corpus = corpus_of(pubs)  # topic mean = 9/5 = 1.8
-        assert expected_jif("jA", corpus) == 1.8
+        assert record("jA", corpus).expected_jif == 1.8
 
     def test_even_split_averages_topic_means(self):
         pubs = [pub("a1", "jA", 0, "t1"), pub("a2", "jA", 0, "t2")]
         pubs += [pub("o1", "jB", 2, "t1"), pub("o2", "jB", 6, "t2")]
         corpus = corpus_of(pubs)  # topic means 1.0 and 3.0
-        assert expected_jif("jA", corpus) == 2.0
+        assert record("jA", corpus).expected_jif == 2.0
 
     def test_pools_document_types(self):
         # same topic, different doc types: one pooled mean, not per-cell means
         pubs = [pub("a1", "jA", 0, "t1", doc=A), pub("o1", "jB", 4, "t1", doc=R)]
         corpus = corpus_of(pubs)
-        assert expected_jif("jA", corpus) == 2.0
+        assert record("jA", corpus).expected_jif == 2.0
 
     def test_multi_topic_matches_per_paper_recompute(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
             corpus = random_corpus(rng, max_journals=6, max_pubs=120, max_topics=4)
             for journal_id in corpus.journals:
-                mine = expected_jif(journal_id, corpus)
+                mine = record(journal_id, corpus).expected_jif
                 ref = brute_expected_jif(corpus, journal_id)
                 if ref is None:
                     assert mine is None
@@ -230,18 +233,18 @@ class TestExpectedJif:
 class TestJif:
     def test_plain_mean(self):
         corpus = corpus_of([pub("p1", "jA", 10), pub("p2", "jA", 0), pub("p3", "jA", 2)])
-        assert jif("jA", corpus) == 4.0
+        assert record("jA", corpus).jif == 4.0
 
     def test_all_zero_citations(self):
         corpus = corpus_of([pub("p1", "jA", 0), pub("p2", "jA", 0)])
-        assert jif("jA", corpus) == 0.0
+        assert record("jA", corpus).jif == 0.0
 
     def test_counts_unclassified_papers_that_fncsi_excludes(self):
         pubs = [pub("p1", "jA", 4, "t1"), pub("p2", "jA", 8, None), pub("o1", "jB", 1, "t1")]
         corpus = corpus_of(pubs)
-        assert jif("jA", corpus) == 6.0
-        _, breakdown = fncsi("jA", corpus)
-        compared = sum(n for _, n in breakdown.values())
+        ja = record("jA", corpus)
+        assert ja.jif == 6.0
+        compared = sum(n for _, n in ja.topic_breakdown.values())
         assert len(corpus.by_journal["jA"]) > compared  # jif denominator is wider
 
 
@@ -310,27 +313,27 @@ class TestProperties:
         rng = np.random.default_rng(14)
         for _ in range(15):
             corpus = random_corpus(rng, max_journals=8, max_pubs=100, max_topics=3, tie_heavy=True)
-            values = indicator_values(corpus, "fncsi")
+            base = values(corpus, "fncsi")
             classified = [i for i, p in enumerate(corpus.publications)
-                          if p.topic_id is not None and values[p.journal_id] is not None]
+                          if p.topic_id is not None and base[p.journal_id] is not None]
             if not classified:
                 continue
             target = classified[int(rng.integers(len(classified)))]
             bumped = list(corpus.publications)
             import dataclasses
             bumped[target] = dataclasses.replace(bumped[target], citations=bumped[target].citations + 1)
-            after = indicator_values(corpus.with_publications(bumped), "fncsi")
+            after = values(corpus.with_publications(bumped), "fncsi")
             journal_id = corpus.publications[target].journal_id
-            assert after[journal_id] >= values[journal_id] - 1e-15
+            assert after[journal_id] >= base[journal_id] - 1e-15
 
     def test_single_paper_influence_is_bounded(self):
         rng = np.random.default_rng(15)
         for _ in range(15):
             corpus = random_corpus(rng, max_journals=8, max_pubs=100, max_topics=3)
-            values = indicator_values(corpus, "fncsi")
+            base = values(corpus, "fncsi")
             records = {r.journal_id: r for r in compute_all(corpus)}
             classified = [i for i, p in enumerate(corpus.publications)
-                          if p.topic_id is not None and values[p.journal_id] is not None]
+                          if p.topic_id is not None and base[p.journal_id] is not None]
             if not classified:
                 continue
             target = classified[int(rng.integers(len(classified)))]
@@ -338,9 +341,9 @@ class TestProperties:
             import dataclasses
             bumped = list(corpus.publications)
             bumped[target] = dataclasses.replace(bumped[target], citations=int(rng.integers(0, 10_000)))
-            after = indicator_values(corpus.with_publications(bumped), "fncsi")
+            after = values(corpus.with_publications(bumped), "fncsi")
             n_compared = sum(n for _, n in records[journal_id].topic_breakdown.values())
-            assert abs(after[journal_id] - values[journal_id]) <= 1 / n_compared + 1e-12
+            assert abs(after[journal_id] - base[journal_id]) <= 1 / n_compared + 1e-12
 
     def test_fnif_influence_is_unbounded_unlike_fncsi(self):
         # a single runaway paper moves fnif arbitrarily far but fncsi by at
@@ -348,32 +351,24 @@ class TestProperties:
         pubs = [pub(f"a{i}", "jA", 2, "t1") for i in range(10)]
         pubs += [pub(f"o{i}", "jB", 2, "t1") for i in range(200)]
         corpus = corpus_of(pubs)
-        base_fnif = indicator_values(corpus, "fnif")["jA"]
-        base_fncsi = indicator_values(corpus, "fncsi")["jA"]
+        base_fnif = values(corpus, "fnif")["jA"]
+        base_fncsi = values(corpus, "fncsi")["jA"]
 
         import dataclasses
         boosted = [dataclasses.replace(p, citations=2000) if p.pub_id == "a0" else p
                    for p in corpus.publications]
         spiked = corpus.with_publications(boosted)
-        assert indicator_values(spiked, "fnif")["jA"] - base_fnif > 5.0
-        assert indicator_values(spiked, "fncsi")["jA"] - base_fncsi <= 1 / 10 + 1e-12
-
-    def test_unknown_journal_raises(self):
-        corpus = corpus_of([pub("p1", "jA", 1, "t1")])
-        for fn in (lambda: fncsi("jZ", corpus), lambda: fnif("jZ", corpus),
-                   lambda: expected_jif("jZ", corpus), lambda: jif("jZ", corpus)):
-            with pytest.raises(KeyError):
-                fn()
+        assert values(spiked, "fnif")["jA"] - base_fnif > 5.0
+        assert values(spiked, "fncsi")["jA"] - base_fncsi <= 1 / 10 + 1e-12
 
     def test_indicator_values_agrees_with_compute_all(self):
         rng = np.random.default_rng(16)
         corpus = random_corpus(rng, max_journals=10, max_pubs=200, max_topics=4, unclassified_p=0.1)
         records = {r.journal_id: r for r in compute_all(corpus)}
         for key in ("fncsi", "fnif", "expected_jif", "jif"):
-            values = indicator_values(corpus, key)
-            assert values == {j: getattr(r, key) for j, r in records.items()}
+            assert values(corpus, key) == {j: getattr(r, key) for j, r in records.items()}
 
     def test_indicator_values_rejects_unknown_key(self):
         corpus = corpus_of([pub("p1", "jA", 1, "t1")])
         with pytest.raises(ValueError):
-            indicator_values(corpus, "h-index")
+            values(corpus, "h-index")

@@ -2,19 +2,22 @@
 
 from __future__ import annotations
 
+import math
+import statistics
+
 import numpy as np
 import pytest
 
 from conftest import A, R, corpus_of, pub
-from oracles import random_corpus, rebuild_bootstrap_rankings
+from oracles import flip_doc_type, random_corpus, rebuild_bootstrap_rankings
 
 from jrank.corpus import Corpus, DocumentType, Journal
-from jrank.indicators import INDICATOR_KEYS
+from jrank.indicators import INDICATOR_KEYS, compute_all
+from jrank.ranking import rank
 from jrank.robustness import (
     RankingSamples,
     bootstrap_rankings,
     bootstrap_report,
-    flip_doc_type,
     perturbation_comparison,
     relative_change,
 )
@@ -117,6 +120,34 @@ class TestBootstrap:
         assert corpus.publications == snapshot
 
 
+class TestReportSummary:
+    def test_quartiles_follow_the_inclusive_rule(self):
+        rng = np.random.default_rng(38)
+        for sims in (2, 3, 4, 5, 6, 7, 20):
+            corpus = random_corpus(rng, max_journals=10, max_pubs=150, max_topics=3, tie_heavy=True,
+                                   unclassified_p=0.2)
+            for key in INDICATOR_KEYS:
+                seed = int(rng.integers(1000))
+                samples = bootstrap_rankings(corpus, key, sims=sims, seed=seed)
+                report = bootstrap_report(corpus, key, sims=sims, seed=seed)
+                assert list(report.per_journal) == sorted(samples)
+                for journal_id, summary in report.per_journal.items():
+                    ranks = samples[journal_id].rankings
+                    quartiles = statistics.quantiles(ranks, n=4, method="inclusive")
+                    assert summary == (min(ranks), *quartiles, max(ranks))
+                    assert [type(v) for v in summary] == [int, float, float, float, int]
+
+    def test_one_simulation_summarizes_to_its_rank(self):
+        corpus = random_corpus(np.random.default_rng(39), max_journals=10, max_pubs=150, max_topics=3)
+        for key in INDICATOR_KEYS:
+            samples = bootstrap_rankings(corpus, key, sims=1, seed=5)
+            report = bootstrap_report(corpus, key, sims=1, seed=5)
+            for journal_id, summary in report.per_journal.items():
+                (only,) = samples[journal_id].rankings
+                assert summary == (only,) * 5
+                assert [type(v) for v in summary] == [int, float, float, float, int]
+
+
 class TestReweighting:
     def test_matches_rebuilding_every_resample(self):
         rng = np.random.default_rng(36)
@@ -189,6 +220,25 @@ class TestFlip:
 
 
 class TestPerturbationComparison:
+    def test_matches_ranking_the_flipped_corpus(self):
+        rng = np.random.default_rng(40)
+        for _ in range(10):
+            corpus = random_corpus(rng, max_journals=10, max_pubs=150, max_topics=3, tie_heavy=True,
+                                   unclassified_p=0.2)
+            # a publisher missing from the journal table whose top paper is unclassified;
+            # shuffled so that the smallest pub_id of a tie is not the first in corpus order
+            extra = (pub("S1", "J_GONE", 3, "T00"), pub("S2", "J_GONE", 5, None))
+            pubs = corpus.publications + extra
+            shuffled = tuple(pubs[i] for i in rng.permutation(len(pubs)))
+            corpus = Corpus(shuffled, corpus.journals, corpus.topics | {"T00"})
+            flipped = flip_doc_type(corpus)
+            for key in INDICATOR_KEYS:
+                original = rank(compute_all(corpus), key).rank_of()
+                perturbed = rank(compute_all(flipped), key).rank_of()
+                journal_ids = sorted(original.keys() | perturbed.keys(), key=lambda j: (original.get(j, math.inf), j))
+                rows = [(j, original.get(j), perturbed.get(j)) for j in journal_ids]
+                assert perturbation_comparison(corpus, key) == rows
+
     def test_flip_insensitive_indicators_keep_all_ranks(self):
         # jif and expected_jif ignore document type entirely
         rng = np.random.default_rng(34)
