@@ -43,6 +43,8 @@ _KEY_TO_CLI = {v: k for k, v in _CLI_KEYS.items()}
 
 _json_string = json.encoder.encode_basestring_ascii
 
+_SUMMARY_FIELDS = ("min", "q1", "median", "q3", "max")  # bootstrap JSON names of the RankSummary fields, in order
+
 _PERCENTILE_NOTE = "percentile = 100 * (N - rank + 1) / N within the ranked set; higher is better"
 
 _DEFAULTS: dict[str, Any] = {
@@ -428,65 +430,61 @@ def cmd_rank(config: RunConfig) -> int:
     return 0
 
 
-def cmd_robustness(config: RunConfig, mode: str) -> int:
-    """Bootstrap or flip-test analysis; one output set per requested indicator."""
+def cmd_bootstrap(config: RunConfig) -> int:
     corpus = _load_validated(config)
     if corpus is None:
         return 1
+    # raises before any file is written if one key has no rankable journal
+    reports = bootstrap_report(corpus, config.indicators, sims=config.sims, seed=config.seed)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     for key in config.indicators:
-        cli_key = _KEY_TO_CLI[key].replace("-", "_")
-        if mode == "bootstrap":
-            report = bootstrap_report(corpus, key, sims=config.sims, seed=config.seed)
-            meta = _meta(
-                config,
-                "bootstrap",
-                notes=[
-                    f"simulations: {report.simulations}",
-                    f"sentinel rank for journals unrankable in a simulation: {report.sentinel_rank}",
-                ],
-            )
-            _write_json(
-                config.output_dir / f"robustness_{cli_key}.json",
-                meta,
-                {
-                    "indicator": report.indicator_name,
-                    "delta": report.delta,
-                    "seed": report.seed,
-                    "simulations": report.simulations,
-                    "sentinel_rank": report.sentinel_rank,
-                    "per_journal": {
-                        j: {
-                            "min": s.min_rank,
-                            "q1": s.q1,
-                            "median": s.median,
-                            "q3": s.q3,
-                            "max": s.max_rank,
-                        }
-                        for j, s in report.per_journal.items()
-                    },
-                },
-            )
-            _write_csv(
-                config.output_dir / f"quartiles_{cli_key}.csv",
-                meta,
-                ("journal_id", "min_rank", "q1", "median", "q3", "max_rank"),
-                [
-                    (j, s.min_rank, s.q1, s.median, s.q3, s.max_rank)
-                    for j, s in report.per_journal.items()
-                ],
-            )
-            print(f"delta {_KEY_TO_CLI[key]} = {report.delta}")
-        else:
-            pairs = perturbation_comparison(corpus, key)
-            _write_csv(
-                config.output_dir / f"flip_{cli_key}.csv",
-                _meta(config, "flip-test"),
-                ("journal_id", "original_rank", "perturbed_rank"),
-                pairs,
-            )
-            moved = sum(1 for _, a, b in pairs if a is not None and b is not None and a != b)
-            print(f"flip-test {_KEY_TO_CLI[key]}: {len(pairs)} journals, {moved} changed rank")
+        report = reports[key]
+        meta = _meta(
+            config,
+            "bootstrap",
+            notes=[
+                f"simulations: {report.simulations}",
+                f"sentinel rank for journals unrankable in a simulation: {report.sentinel_rank}",
+            ],
+        )
+        _write_json(
+            config.output_dir / f"robustness_{key}.json",
+            meta,
+            {
+                "indicator": report.indicator_name,
+                "delta": report.delta,
+                "seed": report.seed,
+                "simulations": report.simulations,
+                "sentinel_rank": report.sentinel_rank,
+                "per_journal": {j: dict(zip(_SUMMARY_FIELDS, s)) for j, s in report.per_journal.items()},
+            },
+        )
+        _write_csv(
+            config.output_dir / f"quartiles_{key}.csv",
+            meta,
+            ("journal_id", "min_rank", "q1", "median", "q3", "max_rank"),
+            [(j, *summary) for j, summary in report.per_journal.items()],
+        )
+        print(f"delta {_KEY_TO_CLI[key]} = {report.delta}")
+    return 0
+
+
+def cmd_flip_test(config: RunConfig) -> int:
+    corpus = _load_validated(config)
+    if corpus is None:
+        return 1
+    comparisons = perturbation_comparison(corpus, config.indicators)
+    config.output_dir.mkdir(parents=True, exist_ok=True)
+    for key in config.indicators:
+        pairs = comparisons[key]
+        _write_csv(
+            config.output_dir / f"flip_{key}.csv",
+            _meta(config, "flip-test"),
+            ("journal_id", "original_rank", "perturbed_rank"),
+            pairs,
+        )
+        moved = sum(1 for _, a, b in pairs if a is not None and b is not None and a != b)
+        print(f"flip-test {_KEY_TO_CLI[key]}: {len(pairs)} journals, {moved} changed rank")
     return 0
 
 
@@ -648,8 +646,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         "classify": lambda: cmd_classify(config),
         "compute": lambda: cmd_compute(config),
         "rank": lambda: cmd_rank(config),
-        "bootstrap": lambda: cmd_robustness(config, "bootstrap"),
-        "flip-test": lambda: cmd_robustness(config, "flip"),
+        "bootstrap": lambda: cmd_bootstrap(config),
+        "flip-test": lambda: cmd_flip_test(config),
         "generate": lambda: cmd_generate(config, args),
         "report": lambda: cmd_report(config),
     }

@@ -1,17 +1,18 @@
 """Ranking-stability analysis: bootstrap resampling and the document-type flip.
 
-A bootstrap resample redraws every journal's publication list with
-replacement to its original size.  It keeps the corpus's papers and changes
-only how often each one counts, so the corpus is encoded once as a
-:class:`~jrank.indicators.RankKernel` and every simulation scores the same
-kernel under new per-paper weights: one draw for all journals, one
-``bincount`` into weights, one kernel evaluation and one ``lexsort`` for the
-ranks.  Per-simulation seeds are spawned deterministically from the master
-seed, so a report is reproducible bit for bit and simulations could run in
-parallel without changing the result.
+Both analyses encode the corpus once as a
+:class:`~jrank.indicators.RankKernel`, and each kernel evaluation scores all
+four indicators, so every requested key is read off the same evaluations.  A
+bootstrap resample redraws every journal's publication list with replacement
+to its original size; it keeps the corpus's papers and changes only how often
+each one counts.  A simulation is therefore one draw for all journals, one
+``bincount`` into weights, one kernel evaluation and one ``lexsort`` per key.
+The flip test evaluates the kernel twice: before and after the flip.
+Per-simulation seeds are spawned deterministically from the master seed, so a
+report is reproducible bit for bit.
 
 Journals covered by a report are those rankable on the *original* corpus
-under the chosen indicator.  A journal that loses its comparison sets in a
+under the indicator.  A journal that loses its comparison sets in a
 particular simulation receives the sentinel rank (tracked journal count + 1)
 for that simulation; the sentinel is recorded in the report.
 """
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -65,34 +66,37 @@ def _ranks(values: np.ndarray, sentinel: int) -> np.ndarray:
 
 
 def bootstrap_rankings(
-    corpus: Corpus, key: str, sims: int = 100, seed: int = 42
-) -> dict[str, RankingSamples]:
-    """Resample the corpus ``sims`` times and collect each journal's ranks.
+    corpus: Corpus, keys: Sequence[str], sims: int = 100, seed: int = 42
+) -> dict[str, dict[str, RankingSamples]]:
+    """Resample the corpus ``sims`` times and collect each journal's ranks under every key.
 
-    Raises ValueError when no journal is rankable on the chosen indicator or
-    ``sims`` < 1.
+    Returns ``{key: {journal_id: samples}}``, keys in ``keys`` order, journals in id order.
+    Raises ValueError when no journal is rankable on one of the keys or ``sims`` < 1.
     """
     if sims < 1:
         raise ValueError(f"sims must be >= 1, got {sims}")
     kernel = RankKernel.from_corpus(corpus)
-    tracked = np.flatnonzero(~np.isnan(kernel.evaluate().column(key)))
-    if not tracked.size:
-        raise ValueError(f"corpus has no journals rankable on {key!r}")
-    sentinel = len(tracked) + 1
+    scores = kernel.evaluate()
+    tracked = {key: np.flatnonzero(~np.isnan(scores.column(key))) for key in keys}
+    for key, codes in tracked.items():
+        if not codes.size:
+            raise ValueError(f"corpus has no journals rankable on {key!r}")
 
     # journals in id order, each drawing its size from its own papers
     sizes = kernel.journal_sizes[kernel.journal_sizes > 0]
     highs = np.repeat(sizes, sizes)
     offsets = np.repeat(np.cumsum(sizes) - sizes, sizes)
-    ranks = np.empty((sims, len(tracked)), dtype=np.int64)
+    ranks = {key: np.empty((sims, len(codes)), dtype=np.int64) for key, codes in tracked.items()}
     for sim, seq in enumerate(np.random.SeedSequence(seed).spawn(sims)):
         draw = np.random.default_rng(seq).integers(0, highs)
-        weights = np.bincount(draw + offsets, minlength=len(highs))
-        ranks[sim] = _ranks(kernel.evaluate(weights).column(key), sentinel)[tracked]
-    return {
-        kernel.journal_ids[code]: RankingSamples(kernel.journal_ids[code], ranks[:, i].tolist())
-        for i, code in enumerate(tracked.tolist())
-    }
+        scores = kernel.evaluate(np.bincount(draw + offsets, minlength=len(highs)))
+        for key, codes in tracked.items():
+            ranks[key][sim] = _ranks(scores.column(key), len(codes) + 1)[codes]
+    samples = {}
+    for key, codes in tracked.items():
+        journal_ids = [kernel.journal_ids[code] for code in codes.tolist()]
+        samples[key] = {j: RankingSamples(j, r) for j, r in zip(journal_ids, ranks[key].T.tolist())}
+    return samples
 
 
 def relative_change(samples: Mapping[str, RankingSamples]) -> float:
@@ -112,22 +116,21 @@ def relative_change(samples: Mapping[str, RankingSamples]) -> float:
     return acc / len(samples)
 
 
-def bootstrap_report(corpus: Corpus, key: str, sims: int = 100, seed: int = 42) -> RobustnessReport:
-    """Run the bootstrap and summarize each journal's rank distribution."""
-    samples = bootstrap_rankings(corpus, key, sims=sims, seed=seed)
-    journal_ids = sorted(samples)
-    ranks = np.array([samples[journal_id].rankings for journal_id in journal_ids])  # journals x sims
-    # linear interpolation between order statistics; exact for these integer ranks
-    q1, median, q3 = np.quantile(ranks, (0.25, 0.5, 0.75), axis=1).tolist()
-    summaries = map(RankSummary, ranks.min(axis=1).tolist(), q1, median, q3, ranks.max(axis=1).tolist())
-    return RobustnessReport(
-        indicator_name=key,
-        per_journal=dict(zip(journal_ids, summaries)),
-        delta=relative_change(samples),
-        seed=seed,
-        simulations=sims,
-        sentinel_rank=len(samples) + 1,
-    )
+def bootstrap_report(
+    corpus: Corpus, keys: Sequence[str], sims: int = 100, seed: int = 42
+) -> dict[str, RobustnessReport]:
+    """Run the bootstrap once and summarize each journal's rank distribution under every key."""
+    reports = {}
+    for key, samples in bootstrap_rankings(corpus, keys, sims=sims, seed=seed).items():
+        ranks = np.sort([s.rankings for s in samples.values()], axis=1)  # journals x sims
+        # inclusive quartiles: interpolation between order statistics, exact in integers until the last division
+        low, step = np.divmod(np.arange(1, 4) * (sims - 1), 4)
+        q1, median, q3 = ((ranks[:, low] * (4 - step) + ranks[:, np.minimum(low + 1, sims - 1)] * step) / 4).T.tolist()
+        summaries = map(RankSummary, ranks[:, 0].tolist(), q1, median, q3, ranks[:, -1].tolist())
+        reports[key] = RobustnessReport(
+            key, dict(zip(samples, summaries)), relative_change(samples), seed, sims, len(samples) + 1
+        )
+    return reports
 
 
 def _top_papers(corpus: Corpus) -> Iterator[int]:
@@ -143,8 +146,10 @@ def _top_papers(corpus: Corpus) -> Iterator[int]:
         start += len(pubs)
 
 
-def perturbation_comparison(corpus: Corpus, key: str) -> list[tuple[str, int | None, int | None]]:
-    """Ranks before and after the document-type flip, joined per journal.
+def perturbation_comparison(
+    corpus: Corpus, keys: Sequence[str]
+) -> dict[str, list[tuple[str, int | None, int | None]]]:
+    """Ranks before and after the document-type flip, joined per journal; ``{key: rows}`` in ``keys`` order.
 
     Rows cover every journal rankable in either ranking, ordered by original
     rank (journals unrankable in the original corpus last), with None where a
@@ -155,13 +160,10 @@ def perturbation_comparison(corpus: Corpus, key: str) -> list[tuple[str, int | N
     top = np.fromiter(_top_papers(corpus), dtype=np.int64)
     top = top[cell[top] >= 0]  # an unclassified paper sits in no cell either way
     cell[top] ^= 1  # the document type is the low bit of a cell code
-    sides = []
-    for scored in (kernel, replace(kernel, cell=cell)):
-        ordered = order_journals(scored.evaluate().values(key))
-        sides.append({j: r for r, j in enumerate(ordered, start=1)})
-    original, perturbed = sides
-    journal_ids = sorted(
-        set(original) | set(perturbed),
-        key=lambda j: (original.get(j, math.inf), j),
-    )
-    return [(j, original.get(j), perturbed.get(j)) for j in journal_ids]
+    sides = (kernel.evaluate(), replace(kernel, cell=cell).evaluate())
+    comparisons = {}
+    for key in keys:
+        original, perturbed = ({j: r for r, j in enumerate(order_journals(s.values(key)), start=1)} for s in sides)
+        journal_ids = sorted(original.keys() | perturbed.keys(), key=lambda j: (original.get(j, math.inf), j))
+        comparisons[key] = [(j, original.get(j), perturbed.get(j)) for j in journal_ids]
+    return comparisons

@@ -126,8 +126,7 @@ def test_bootstrap_rank_spread_fncsi_below_fnif(skewed_corpus):
     started = time.monotonic()
     spreads = {}
     deltas = {}
-    for key in ("fncsi", "fnif"):
-        samples = bootstrap_rankings(corpus, key, sims=100, seed=FIG_SEED)
+    for key, samples in bootstrap_rankings(corpus, ("fncsi", "fnif"), sims=100, seed=FIG_SEED).items():
         ranks = samples[skewed_id].rankings
         assert len(ranks) == 100
         spreads[key] = max(ranks) - min(ranks)
@@ -142,8 +141,7 @@ def test_flip_displacement_fncsi_at_most_fnif(skewed_corpus):
     """Median |rank shift| under fncsi <= fnif; strict for the outlier journal."""
     corpus, skewed_id = skewed_corpus
     displacement = {}
-    for key in ("fncsi", "fnif"):
-        pairs = perturbation_comparison(corpus, key)
+    for key, pairs in perturbation_comparison(corpus, ("fncsi", "fnif")).items():
         displacement[key] = {
             j: abs(original - perturbed)
             for j, original, perturbed in pairs

@@ -5,12 +5,17 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import jrank
 from jrank import cli
 from jrank.cli import _write_csv, main
-from jrank.indicators import compute_all
+from jrank.indicators import RankKernel, compute_all
 
 HEADER = "pub_id,journal_id,pub_year,doc_type,citations,topic_id\n"
 JHEADER = "journal_id,title,categories\n"
@@ -234,6 +239,56 @@ class TestRobustnessCommands:
         rows = [l for l in (out / "flip_jif.csv").read_text().splitlines()
                 if l and not l.startswith("#") and not l.startswith("journal_id")]
         assert len(rows) == 12
+
+    def test_bootstrap_writes_nothing_when_one_key_is_unrankable(self, tmp_path, capsys):
+        # jif ranks every journal; fncsi needs classified papers, and there are none
+        pubs, journals = write_tiny_corpus(tmp_path, rows="a1,jA,2018,Article,3,\nb1,jB,2018,Article,2,\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        code = main(["bootstrap", "--pubs", str(pubs), "--journals", str(journals), "--out", str(out),
+                     "--indicator", "jif", "--indicator", "fncsi", "--sims", "3"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: corpus has no journals rankable on 'fncsi'\n"
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command, evaluations, files", [("bootstrap", 7 + 1, 8), ("flip-test", 2, 4)])
+    def test_one_encoding_and_evaluations_independent_of_key_count(
+        self, generated, tmp_path, monkeypatch, command, evaluations, files
+    ):
+        pubs, journals = generated
+        from_corpus, evaluate = RankKernel.from_corpus.__func__, RankKernel.evaluate
+        calls = {"from_corpus": 0, "evaluate": 0}
+
+        def counting_from_corpus(cls, corpus):
+            calls["from_corpus"] += 1
+            return from_corpus(cls, corpus)
+
+        def counting_evaluate(self, weights=None):
+            calls["evaluate"] += 1
+            return evaluate(self, weights)
+
+        monkeypatch.setattr(RankKernel, "from_corpus", classmethod(counting_from_corpus))
+        monkeypatch.setattr(RankKernel, "evaluate", counting_evaluate)
+        code = main([command, "--pubs", str(pubs), "--journals", str(journals), "--out", str(tmp_path / "out"),
+                     "--sims", "7"])
+        assert code == 0
+        assert len(list((tmp_path / "out").iterdir())) == files  # all four indicators
+        assert calls == {"from_corpus": 1, "evaluate": evaluations}
+
+    def test_bootstrap_leaves_numpy_ma_unimported(self, generated, tmp_path):
+        # importing numpy.ma costs time and peak memory in every bootstrap child; np.quantile pulls it in
+        pubs, journals = generated
+        script = (
+            "import sys\n"
+            "from jrank.cli import main\n"
+            f"assert main(['bootstrap', '--pubs', {str(pubs)!r}, '--journals', {str(journals)!r},"
+            f" '--out', {str(tmp_path / 'out')!r}, '--sims', '5']) == 0\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(jrank.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False"
 
 
 class TestConfigFile:

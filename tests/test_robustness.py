@@ -74,34 +74,34 @@ class TestRelativeChange:
 
 class TestBootstrap:
     def test_each_journal_gets_exactly_sims_rankings(self):
-        samples = bootstrap_rankings(small_corpus(), "fncsi", sims=100, seed=42)
+        samples = bootstrap_rankings(small_corpus(), ["fncsi"], sims=100, seed=42)["fncsi"]
         assert samples and all(len(s.rankings) == 100 for s in samples.values())
 
     def test_single_publication_journals_are_rank_constant(self):
         # every journal has one paper: each resample is the identity, so all
         # indicator values and hence all ranks are constant across simulations
         pubs = [pub(f"p{i}", f"j{i}", i, "t1") for i in range(5)]
-        report = bootstrap_report(corpus_of(pubs), "fncsi", sims=25, seed=3)
+        report = bootstrap_report(corpus_of(pubs), ["fncsi"], sims=25, seed=3)["fncsi"]
         assert report.delta == 0.0
         for summary in report.per_journal.values():
             assert summary.min_rank == summary.max_rank
 
     def test_fixed_seed_reproduces_report_exactly(self):
         corpus = small_corpus()
-        first = bootstrap_report(corpus, "fnif", sims=20, seed=42)
-        second = bootstrap_report(corpus, "fnif", sims=20, seed=42)
+        first = bootstrap_report(corpus, ["fnif"], sims=20, seed=42)
+        second = bootstrap_report(corpus, ["fnif"], sims=20, seed=42)
         assert first == second
 
     def test_different_seeds_differ(self):
         corpus = noisy_corpus()
-        a = bootstrap_rankings(corpus, "fnif", sims=20, seed=1)
-        b = bootstrap_rankings(corpus, "fnif", sims=20, seed=2)
+        a = bootstrap_rankings(corpus, ["fnif"], sims=20, seed=1)["fnif"]
+        b = bootstrap_rankings(corpus, ["fnif"], sims=20, seed=2)["fnif"]
         assert any(a[j].rankings != b[j].rankings for j in a)
 
     def test_quartiles_are_ordered(self):
-        report = bootstrap_report(small_corpus(), "fncsi", sims=30, seed=9)
+        report = bootstrap_report(small_corpus(), ["fncsi"], sims=30, seed=9)["fncsi"]
         assert report.delta == relative_change(
-            bootstrap_rankings(small_corpus(), "fncsi", sims=30, seed=9)
+            bootstrap_rankings(small_corpus(), ["fncsi"], sims=30, seed=9)["fncsi"]
         )
         for s in report.per_journal.values():
             assert s.min_rank <= s.q1 <= s.median <= s.q3 <= s.max_rank
@@ -109,14 +109,21 @@ class TestBootstrap:
     def test_rejects_unrankable_corpus_and_bad_sims(self):
         unclassified = corpus_of([pub("p1", "jA", 3, None)])
         with pytest.raises(ValueError):
-            bootstrap_rankings(unclassified, "fncsi", sims=5, seed=1)
+            bootstrap_rankings(unclassified, ["fncsi"], sims=5, seed=1)
         with pytest.raises(ValueError):
-            bootstrap_rankings(small_corpus(), "fncsi", sims=0, seed=1)
+            bootstrap_rankings(small_corpus(), ["fncsi"], sims=0, seed=1)
+
+    def test_bare_string_is_not_a_key_list(self):
+        # iterated, "fncsi" is the unknown keys "f", "n", ...
+        with pytest.raises(ValueError, match="unknown indicator key 'f'"):
+            bootstrap_rankings(small_corpus(), "fncsi", sims=5, seed=1)
+        with pytest.raises(ValueError, match="unknown indicator key 'f'"):
+            perturbation_comparison(small_corpus(), "fncsi")
 
     def test_original_corpus_untouched(self):
         corpus = small_corpus()
         snapshot = corpus.publications
-        bootstrap_rankings(corpus, "fncsi", sims=5, seed=1)
+        bootstrap_rankings(corpus, ["fncsi"], sims=5, seed=1)
         assert corpus.publications == snapshot
 
 
@@ -128,8 +135,8 @@ class TestReportSummary:
                                    unclassified_p=0.2)
             for key in INDICATOR_KEYS:
                 seed = int(rng.integers(1000))
-                samples = bootstrap_rankings(corpus, key, sims=sims, seed=seed)
-                report = bootstrap_report(corpus, key, sims=sims, seed=seed)
+                samples = bootstrap_rankings(corpus, [key], sims=sims, seed=seed)[key]
+                report = bootstrap_report(corpus, [key], sims=sims, seed=seed)[key]
                 assert list(report.per_journal) == sorted(samples)
                 for journal_id, summary in report.per_journal.items():
                     ranks = samples[journal_id].rankings
@@ -140,8 +147,8 @@ class TestReportSummary:
     def test_one_simulation_summarizes_to_its_rank(self):
         corpus = random_corpus(np.random.default_rng(39), max_journals=10, max_pubs=150, max_topics=3)
         for key in INDICATOR_KEYS:
-            samples = bootstrap_rankings(corpus, key, sims=1, seed=5)
-            report = bootstrap_report(corpus, key, sims=1, seed=5)
+            samples = bootstrap_rankings(corpus, [key], sims=1, seed=5)[key]
+            report = bootstrap_report(corpus, [key], sims=1, seed=5)[key]
             for journal_id, summary in report.per_journal.items():
                 (only,) = samples[journal_id].rankings
                 assert summary == (only,) * 5
@@ -158,10 +165,11 @@ class TestReweighting:
             extra = (pub("S1", "J_SOLO1", 2, "T00"), pub("S2", "J_SOLO2", 0, None), pub("S3", "J_GONE", 3, "T00"))
             journals = {**corpus.journals, "J_SOLO1": Journal("J_SOLO1"), "J_SOLO2": Journal("J_SOLO2")}
             corpus = Corpus(corpus.publications + extra, journals, corpus.topics | {"T00"})
+            seed = int(rng.integers(1000))
+            samples = bootstrap_rankings(corpus, INDICATOR_KEYS, sims=6, seed=seed)
+            assert list(samples) == list(INDICATOR_KEYS)
             for key in INDICATOR_KEYS:
-                seed = int(rng.integers(1000))
-                assert bootstrap_rankings(corpus, key, sims=6, seed=seed) == rebuild_bootstrap_rankings(
-                    corpus, key, sims=6, seed=seed)
+                assert samples[key] == rebuild_bootstrap_rankings(corpus, key, sims=6, seed=seed)
 
     def test_one_draw_matches_the_per_journal_loop(self):
         rng = np.random.default_rng(37)
@@ -232,29 +240,32 @@ class TestPerturbationComparison:
             shuffled = tuple(pubs[i] for i in rng.permutation(len(pubs)))
             corpus = Corpus(shuffled, corpus.journals, corpus.topics | {"T00"})
             flipped = flip_doc_type(corpus)
+            comparisons = perturbation_comparison(corpus, INDICATOR_KEYS)
+            assert list(comparisons) == list(INDICATOR_KEYS)
             for key in INDICATOR_KEYS:
                 original = rank(compute_all(corpus), key).rank_of()
                 perturbed = rank(compute_all(flipped), key).rank_of()
                 journal_ids = sorted(original.keys() | perturbed.keys(), key=lambda j: (original.get(j, math.inf), j))
                 rows = [(j, original.get(j), perturbed.get(j)) for j in journal_ids]
-                assert perturbation_comparison(corpus, key) == rows
+                assert comparisons[key] == rows
 
     def test_flip_insensitive_indicators_keep_all_ranks(self):
         # jif and expected_jif ignore document type entirely
         rng = np.random.default_rng(34)
         corpus = random_corpus(rng, max_journals=10, max_pubs=200, max_topics=3)
+        comparisons = perturbation_comparison(corpus, ("jif", "expected_jif"))
         for key in ("jif", "expected_jif"):
-            pairs = perturbation_comparison(corpus, key)
+            pairs = comparisons[key]
             assert pairs and all(original == perturbed for _, original, perturbed in pairs)
 
     def test_rows_cover_rankable_journals(self):
         corpus = small_corpus()
-        pairs = perturbation_comparison(corpus, "fncsi")
+        pairs = perturbation_comparison(corpus, ["fncsi"])["fncsi"]
         assert {j for j, _, _ in pairs} == set(corpus.by_journal)
 
     def test_rows_ordered_by_original_rank(self):
         corpus = small_corpus()
-        pairs = perturbation_comparison(corpus, "fnif")
+        pairs = perturbation_comparison(corpus, ["fnif"])["fnif"]
         originals = [original for _, original, _ in pairs if original is not None]
         assert originals == sorted(originals)
 
@@ -274,7 +285,7 @@ class TestPerturbationComparison:
         pubs.append(pub("jlone_r0", "jlone", 60, "t1", doc=R))
         corpus = corpus_of(pubs)
 
-        pairs = perturbation_comparison(corpus, "fnif")
+        pairs = perturbation_comparison(corpus, ["fnif"])["fnif"]
         displacement = {j: abs(a - b) for j, a, b in pairs if a is not None and b is not None}
         assert displacement["jlone"] == max(displacement.values())
         assert displacement["jlone"] > min(displacement.values())
