@@ -87,8 +87,8 @@ def assign_majority(corpus: Corpus, related: Iterable[RelatedRecords]) -> tuple[
     smallest topic id.  Related ids not present in the corpus are ignored and
     counted.  Publications that already carry a topic are never modified.
     """
-    topic_of = {p.pub_id: p.topic_id for p in corpus.publications if p.topic_id is not None}
-    corpus_ids = {p.pub_id for p in corpus.publications}
+    topic_of = {pub_id: topic_id for pub_id, topic_id in zip(corpus.pub_ids, corpus.topic_ids) if topic_id is not None}
+    corpus_ids = set(corpus.pub_ids)
 
     assignments: dict[str, str] = {}
     external = 0
@@ -107,15 +107,12 @@ def assign_majority(corpus: Corpus, related: Iterable[RelatedRecords]) -> tuple[
         top = max(votes.values())
         assignments[record.pub_id] = min(t for t, n in votes.items() if n == top)
 
-    publications = tuple(
-        replace(p, topic_id=assignments[p.pub_id]) if p.pub_id in assignments else p
-        for p in corpus.publications
-    )
-    still = sum(1 for p in publications if p.topic_id is None)
+    # only unclassified papers have an assignment; every other keeps its topic
+    topic_ids = tuple(map(assignments.get, corpus.pub_ids, corpus.topic_ids))
     report = AssignmentReport(
         assigned=len(assignments),
-        still_unclassified=still,
+        still_unclassified=topic_ids.count(None),
         external_ignored=external,
         already_classified=already,
     )
-    return corpus.with_publications(publications), report
+    return replace(corpus, topic_ids=topic_ids), report

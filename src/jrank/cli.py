@@ -143,6 +143,7 @@ def _resolve_config(args: argparse.Namespace, config_types: dict[str, type]) -> 
     indicators_cli = pick("indicator")
     if isinstance(indicators_cli, str):
         indicators_cli = [indicators_cli]
+    indicators_cli = list(dict.fromkeys(indicators_cli))  # a repeated key counts once, where first given
     unknown = [k for k in indicators_cli if k not in _CLI_KEYS]
     if unknown:
         raise ValueError(f"unknown indicator(s): {', '.join(unknown)}")
@@ -157,7 +158,7 @@ def _resolve_config(args: argparse.Namespace, config_types: dict[str, type]) -> 
         "pubs": pick("pubs"),
         "journals": pick("journals"),
         "related": pick("related"),
-        "indicator": list(indicators_cli),
+        "indicator": indicators_cli,
         "category": pick("category"),
         "sims": pick("sims"),
         "seed": pick("seed"),
@@ -294,7 +295,7 @@ def _slug(label: str) -> str:
 
 def _write_ranking(table: RankingTable, config: RunConfig, command: str) -> list[Path]:
     suffix = f"_{_slug(table.scope)}" if table.scope else ""
-    stem = f"ranking_{_KEY_TO_CLI[table.indicator_name].replace('-', '_')}{suffix}"
+    stem = f"ranking_{table.indicator_name}{suffix}"
     meta = _meta(config, command, notes=[_PERCENTILE_NOTE])
     written = []
     if "csv" in config.formats:
@@ -336,12 +337,6 @@ def _load_checked(config: RunConfig) -> tuple[Corpus | None, bool]:
     return corpus, not pubs.errors and not journals.errors and report.ok
 
 
-def _load_validated(config: RunConfig) -> Corpus | None:
-    """Load and validate the corpus; print diagnostics and return None on failure."""
-    corpus, clean = _load_checked(config)
-    return corpus if clean else None
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -368,8 +363,8 @@ def cmd_classify(config: RunConfig) -> int:
     if config.related_records_path is None:
         print("error: --related is required for classify", file=sys.stderr)
         return 2
-    corpus = _load_validated(config)
-    if corpus is None:
+    corpus, clean = _load_checked(config)
+    if not clean:
         return 1
     fragment = load_related(config.related_records_path)
     for err in fragment.errors:
@@ -379,7 +374,7 @@ def cmd_classify(config: RunConfig) -> int:
     assigned_corpus, report = assign_majority(corpus, fragment.records)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     out_path = config.output_dir / "publications_classified.csv"
-    write_publications(assigned_corpus.publications, out_path)
+    write_publications(assigned_corpus, out_path)
     print(
         f"assigned: {report.assigned}, still unclassified: {report.still_unclassified}, "
         f"external related ids ignored: {report.external_ignored}"
@@ -407,8 +402,8 @@ def _rankings(config: RunConfig, corpus: Corpus, indicators: Sequence[JournalInd
 
 
 def cmd_compute(config: RunConfig) -> int:
-    corpus = _load_validated(config)
-    if corpus is None:
+    corpus, clean = _load_checked(config)
+    if not clean:
         return 1
     indicators = compute_all(corpus)
     config.output_dir.mkdir(parents=True, exist_ok=True)
@@ -419,8 +414,8 @@ def cmd_compute(config: RunConfig) -> int:
 
 
 def cmd_rank(config: RunConfig) -> int:
-    corpus = _load_validated(config)
-    if corpus is None:
+    corpus, clean = _load_checked(config)
+    if not clean:
         return 1
     indicators = compute_all(corpus)
     config.output_dir.mkdir(parents=True, exist_ok=True)
@@ -431,8 +426,8 @@ def cmd_rank(config: RunConfig) -> int:
 
 
 def cmd_bootstrap(config: RunConfig) -> int:
-    corpus = _load_validated(config)
-    if corpus is None:
+    corpus, clean = _load_checked(config)
+    if not clean:
         return 1
     # raises before any file is written if one key has no rankable journal
     reports = bootstrap_report(corpus, config.indicators, sims=config.sims, seed=config.seed)
@@ -470,8 +465,8 @@ def cmd_bootstrap(config: RunConfig) -> int:
 
 
 def cmd_flip_test(config: RunConfig) -> int:
-    corpus = _load_validated(config)
-    if corpus is None:
+    corpus, clean = _load_checked(config)
+    if not clean:
         return 1
     comparisons = perturbation_comparison(corpus, config.indicators)
     config.output_dir.mkdir(parents=True, exist_ok=True)
@@ -522,14 +517,14 @@ def cmd_generate(config: RunConfig, args: argparse.Namespace) -> int:
         return 2
     corpus = generate_corpus(profile, seed=config.seed)
     pubs_path, journals_path = write_corpus_files(corpus, config.output_dir)
-    print(f"wrote {pubs_path} ({len(corpus.publications)} publications)")
+    print(f"wrote {pubs_path} ({len(corpus.pub_ids)} publications)")
     print(f"wrote {journals_path} ({len(corpus.journals)} journals)")
     return 0
 
 
 def cmd_report(config: RunConfig) -> int:
-    corpus = _load_validated(config)
-    if corpus is None:
+    corpus, clean = _load_checked(config)
+    if not clean:
         return 1
     if config.related_records_path is not None:
         fragment = load_related(config.related_records_path)

@@ -2,10 +2,11 @@
 
 A corpus bundles everything the indicator pipeline consumes: publications
 with precomputed citation counts, the journals that published them, and the
-set of topic clusters used for field normalization.  Corpora are immutable
-once built: topic assignment returns a new instance, and the bootstrap and
-the document-type flip reweight or recode the corpus's kernel encoding
-instead of copying it, so a validated corpus can be shared freely.
+set of topic clusters used for field normalization.  Publications are stored
+as one tuple per field (:class:`Publication` is the row type for code that
+works row by row).  Corpora are immutable once built: topic assignment
+returns a new instance, and the bootstrap and the document-type flip reweight
+or recode the corpus's kernel encoding instead of copying it.
 """
 
 from __future__ import annotations
@@ -13,11 +14,12 @@ from __future__ import annotations
 import csv
 import enum
 import os
+from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, compress, repeat
+from operator import attrgetter, is_not, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
@@ -78,10 +80,6 @@ class Publication:
         if self.citations < 0:
             raise ValueError(f"publication {self.pub_id!r}: citations must be >= 0")
 
-    @property
-    def classified(self) -> bool:
-        return self.topic_id is not None
-
 
 @dataclass(frozen=True, slots=True)
 class Journal:
@@ -96,28 +94,36 @@ class Journal:
 class Corpus:
     """An immutable snapshot of publications, journals, and the topic universe.
 
-    ``topics`` is the set of known topic identifiers.  When a corpus is loaded
-    from files it defaults to the topics observed in the publications; callers
-    constructing corpora programmatically may pass a wider or narrower set,
-    and :func:`validate_corpus` reports publications referencing topics
+    Publications are columns in input order, None marking an unclassified
+    paper's topic.  ``topics`` is the set of known topic identifiers; loaded
+    from files, it defaults to the topics observed in the publications.
+    Callers constructing corpora programmatically may pass a wider or narrower
+    set, and :func:`validate_corpus` reports publications referencing topics
     outside it.
     """
 
-    publications: tuple[Publication, ...]
+    pub_ids: tuple[str, ...]
+    journal_ids: tuple[str, ...]
+    pub_years: tuple[int, ...]
+    doc_types: tuple[DocumentType, ...]
+    citations: tuple[int, ...]
+    topic_ids: tuple[str | None, ...]
     journals: dict[str, Journal]
     topics: frozenset[str]
 
-    @cached_property
-    def by_journal(self) -> dict[str, tuple[Publication, ...]]:
-        """Publications grouped by journal (journals without publications absent)."""
-        grouped: dict[str, list[Publication]] = {}
-        for pub in self.publications:
-            grouped.setdefault(pub.journal_id, []).append(pub)
-        return {jid: tuple(pubs) for jid, pubs in grouped.items()}
+    @classmethod
+    def of(cls, publications: Iterable[Publication], journals: dict[str, Journal], topics: frozenset[str]) -> Corpus:
+        """The corpus of these rows, which it keeps as its :attr:`publications`."""
+        rows = tuple(publications)
+        corpus = cls(*(tuple(map(attrgetter(name), rows)) for name in PUBLICATION_COLUMNS), journals, topics)
+        corpus.__dict__["publications"] = rows
+        return corpus
 
-    def with_publications(self, publications: Iterable[Publication]) -> Corpus:
-        """Copy of this corpus with a different publication list."""
-        return replace(self, publications=tuple(publications))
+    @cached_property
+    def publications(self) -> tuple[Publication, ...]:
+        """The rows as :class:`Publication` objects, built on first use; no command reads them."""
+        columns = self.pub_ids, self.journal_ids, self.pub_years, self.doc_types, self.citations, self.topic_ids
+        return tuple(map(Publication, *columns))
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,10 +139,15 @@ class RowError:
 
 @dataclass
 class CorpusFragment:
-    """Parsed publications plus the rows that failed to parse."""
+    """Parsed publications, one list per :class:`Corpus` column, plus the rows that failed to parse."""
 
-    publications: list[Publication] = field(default_factory=list)
-    errors: list[RowError] = field(default_factory=list)
+    columns: tuple[list, ...]
+    errors: list[RowError]
+
+    @property
+    def publications(self) -> list[Publication]:
+        """The parsed rows as :class:`Publication` objects, built on each call; no command reads them."""
+        return list(map(Publication, *self.columns))
 
 
 @dataclass
@@ -274,28 +285,35 @@ def load_publications(path: Path | str, delimiter: str | None = None) -> CorpusF
 
     Unparseable rows are collected in ``errors`` rather than dropped: bad
     integers, unknown document types, negative citation counts, and duplicate
-    publication ids each produce a :class:`RowError` naming the line.
+    publication ids each produce a :class:`RowError` naming the line.  A
+    rejected row adds nothing to any column.
     """
-    fragment = CorpusFragment()
-    publications, errors = fragment.publications, fragment.errors
+    fragment = CorpusFragment(tuple([] for _ in PUBLICATION_COLUMNS), [])
+    pub_ids, journal_ids, pub_years, doc_types, citations, topic_ids = fragment.columns
     seen: set[str] = set()
+    shared: dict[str | int | None, str | int | None] = {}  # one object per distinct journal id, year and topic id
     for line, fields in _read_table(path, PUBLICATION_COLUMNS, delimiter):
         try:
-            pub = _parse_publication(*fields)
+            pub_id, journal_id, year, kind, count, topic_id = _parse_publication(*fields)
         except ValueError as exc:
-            errors.append(RowError(line, str(exc)))
+            fragment.errors.append(RowError(line, str(exc)))
             continue
-        if pub.pub_id in seen:
-            errors.append(RowError(line, f"duplicate pub_id {pub.pub_id!r}"))
+        if pub_id in seen:
+            fragment.errors.append(RowError(line, f"duplicate pub_id {pub_id!r}"))
             continue
-        seen.add(pub.pub_id)
-        publications.append(pub)
+        seen.add(pub_id)
+        pub_ids.append(pub_id)
+        journal_ids.append(shared.setdefault(journal_id, journal_id))
+        pub_years.append(shared.setdefault(year, year))
+        doc_types.append(kind)
+        citations.append(count)
+        topic_ids.append(shared.setdefault(topic_id, topic_id))
     return fragment
 
 
 def _parse_publication(
     pub_id: str, journal_id: str, pub_year: str, doc_type: str, citations: str, topic_id: str
-) -> Publication:
+) -> tuple[str, str, int, DocumentType, int, str | None]:
     if not pub_id:
         raise ValueError("empty pub_id")
     if not journal_id:
@@ -312,7 +330,7 @@ def _parse_publication(
         raise ValueError(f"citations must be >= 0, got {count}")
     # DocumentType.parse raises the error for an unknown tag
     kind = _DOCUMENT_TYPES.get(doc_type.lower()) or DocumentType.parse(doc_type)
-    return Publication(pub_id, journal_id, year, kind, count, topic_id or None)
+    return pub_id, journal_id, year, kind, count, topic_id or None
 
 
 def load_journals(path: Path | str, delimiter: str | None = None) -> JournalsFragment:
@@ -332,8 +350,8 @@ def load_journals(path: Path | str, delimiter: str | None = None) -> JournalsFra
 
 def corpus_from_fragments(pubs: CorpusFragment, journals: JournalsFragment) -> Corpus:
     """The corpus of loaded fragments; its topics are those observed in the publications."""
-    topics = frozenset(p.topic_id for p in pubs.publications if p.topic_id is not None)
-    return Corpus(tuple(pubs.publications), journals.journals, topics)
+    *_, topic_ids = pubs.columns
+    return Corpus(*map(tuple, pubs.columns), journals.journals, frozenset(topic_ids) - {None})
 
 
 def load_corpus(pubs_path: Path | str, journals_path: Path | str) -> tuple[Corpus, list[RowError]]:
@@ -387,15 +405,16 @@ def write_table(fh: TextIO, header: Sequence[str], rows: Iterable[Sequence[str]]
         (quoted if needs_quotes else plain).writerow(row)
 
 
-def write_publications(publications: Iterable[Publication], path: Path | str) -> None:
-    """Write publications as canonical comma-separated text (LF line endings)."""
+def write_publications(corpus: Corpus, path: Path | str) -> None:
+    """Write a corpus's publications as canonical comma-separated text (LF line endings)."""
+    columns = corpus.pub_ids, corpus.journal_ids, corpus.pub_years, corpus.doc_types, corpus.citations, corpus.topic_ids
     with atomic_write(path) as fh:
         write_table(
             fh,
             PUBLICATION_COLUMNS,
             (
-                (p.pub_id, p.journal_id, str(p.pub_year), p.doc_type.value, str(p.citations), p.topic_id or "")
-                for p in publications
+                (pub_id, journal_id, str(year), kind.value, str(count), topic_id or "")
+                for pub_id, journal_id, year, kind, count, topic_id in zip(*columns)
             ),
         )
 
@@ -424,40 +443,30 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
     """
     report = ValidationReport()
     seen: set[str] = set()
-    for pub in corpus.publications:
-        if pub.pub_id in seen:
-            report.findings.append(
-                Finding("duplicate-pub-id", pub.pub_id, "publication id appears more than once")
-            )
-        seen.add(pub.pub_id)
-        if pub.journal_id not in corpus.journals:
-            report.findings.append(
-                Finding("dangling-journal", pub.pub_id, f"journal {pub.journal_id!r} not in journal table")
-            )
-        if pub.topic_id is not None and pub.topic_id not in corpus.topics:
-            report.findings.append(
-                Finding("unknown-topic", pub.pub_id, f"topic {pub.topic_id!r} not in corpus topic set")
-            )
+    for pub_id, journal_id, topic_id in zip(corpus.pub_ids, corpus.journal_ids, corpus.topic_ids):
+        if pub_id in seen:
+            report.findings.append(Finding("duplicate-pub-id", pub_id, "publication id appears more than once"))
+        seen.add(pub_id)
+        if journal_id not in corpus.journals:
+            report.findings.append(Finding("dangling-journal", pub_id, f"journal {journal_id!r} not in journal table"))
+        if topic_id is not None and topic_id not in corpus.topics:
+            report.findings.append(Finding("unknown-topic", pub_id, f"topic {topic_id!r} not in corpus topic set"))
     return report
 
 
 def coverage_stats(corpus: Corpus) -> CoverageReport:
     """Classification coverage: per-publication and per-journal fractions."""
-    n_pubs = len(corpus.publications)
-    n_classified = sum(1 for p in corpus.publications if p.classified)
-    by_journal = corpus.by_journal
-    n_journals = len(by_journal)
-    n_over_90 = 0
-    for pubs in by_journal.values():
-        assigned = sum(1 for p in pubs if p.classified)
-        # integer form of "assigned / len(pubs) > 0.9", immune to float rounding
-        if 10 * assigned > 9 * len(pubs):
-            n_over_90 += 1
+    n_pubs = len(corpus.pub_ids)
+    papers = Counter(corpus.journal_ids)
+    assigned = Counter(compress(corpus.journal_ids, map(is_not, corpus.topic_ids, repeat(None))))
+    n_classified = assigned.total()
+    # integer form of "assigned / papers > 0.9", immune to float rounding
+    n_over_90 = sum(1 for journal_id, n in papers.items() if 10 * assigned[journal_id] > 9 * n)
     return CoverageReport(
         publication_coverage=n_classified / n_pubs if n_pubs else 1.0,
-        journal_coverage=n_over_90 / n_journals if n_journals else 1.0,
+        journal_coverage=n_over_90 / len(papers) if papers else 1.0,
         n_publications=n_pubs,
         n_classified=n_classified,
-        n_journals=n_journals,
+        n_journals=len(papers),
         n_journals_over_90=n_over_90,
     )

@@ -95,9 +95,10 @@ class RankKernel:
 
     Papers are grouped by journal code, journals in id order, and keep corpus
     order within a journal, so ``journal_sizes`` also lays out a bootstrap
-    resample.  ``cell`` is ``2 * topic rank + document-type rank``, or -1 for
-    an unclassified paper.  Journal codes cover the journal table and every
-    journal that publishes; only table journals (``in_table``) are scored.
+    resample; paper ``i`` is corpus row ``rows[i]``.  ``cell`` is
+    ``2 * topic rank + document-type rank``, or -1 for an unclassified paper.
+    Journal codes cover the journal table and every journal that publishes;
+    only table journals (``in_table``) are scored.
     """
 
     journal_ids: tuple[str, ...]
@@ -106,6 +107,7 @@ class RankKernel:
     journal: np.ndarray
     cell: np.ndarray
     citations: np.ndarray
+    rows: np.ndarray
 
     def __post_init__(self) -> None:
         self.journal_sizes = np.bincount(self.journal, minlength=len(self.journal_ids))
@@ -147,24 +149,22 @@ class RankKernel:
     @classmethod
     def from_corpus(cls, corpus: Corpus) -> RankKernel:
         """Encode a corpus; topics are those its classified publications use."""
-        by_journal = corpus.by_journal
-        journal_ids = tuple(sorted(corpus.journals.keys() | by_journal.keys()))
-        topic_ids = tuple(sorted({p.topic_id for p in corpus.publications if p.topic_id is not None}))
-        topic_rank = {topic_id: rank for rank, topic_id in enumerate(topic_ids)}
-        sizes, cells, citations = [], [], []
-        for journal_id in journal_ids:
-            pubs = by_journal.get(journal_id, ())
-            sizes.append(len(pubs))
-            for p in pubs:
-                cells.append(-1 if p.topic_id is None else 2 * topic_rank[p.topic_id] + _DOC_RANK[p.doc_type])
-                citations.append(p.citations)
+        journal_ids = tuple(sorted(corpus.journals.keys() | set(corpus.journal_ids)))
+        topic_ids = tuple(sorted(set(corpus.topic_ids) - {None}))
+        journal_code = {journal_id: code for code, journal_id in enumerate(journal_ids)}
+        journal = np.fromiter(map(journal_code.__getitem__, corpus.journal_ids), dtype=np.int32)
+        topic_code = {None: -1} | {topic_id: code for code, topic_id in enumerate(topic_ids)}
+        topic = np.fromiter(map(topic_code.__getitem__, corpus.topic_ids), dtype=np.int32)
+        doc = np.fromiter(map(_DOC_RANK.__getitem__, corpus.doc_types), dtype=np.int32)
+        rows = np.argsort(journal, kind="stable")
         return cls(
             journal_ids=journal_ids,
             topic_ids=topic_ids,
             in_table=np.array([j in corpus.journals for j in journal_ids], dtype=bool),
-            journal=np.repeat(np.arange(len(journal_ids), dtype=np.int32), sizes),
-            cell=np.array(cells, dtype=np.int32),
-            citations=np.array(citations, dtype=np.int64),
+            journal=journal[rows],
+            cell=np.where(topic < 0, -1, 2 * topic + doc)[rows],
+            citations=np.array(corpus.citations, dtype=np.int64)[rows],
+            rows=rows,
         )
 
     def _counts(self, weights: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from itertools import groupby
+from operator import itemgetter
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -133,17 +135,14 @@ def bootstrap_report(
     return reports
 
 
-def _top_papers(corpus: Corpus) -> Iterator[int]:
-    """Position of every journal's most highly cited paper, ties broken by ascending publication id.
-
-    Positions follow the kernel's paper order: journals in id order, corpus
-    order within a journal.
-    """
-    start = 0
-    for journal_id in sorted(corpus.by_journal):
-        pubs = corpus.by_journal[journal_id]
-        yield start + min(range(len(pubs)), key=lambda i: (-pubs[i].citations, pubs[i].pub_id))
-        start += len(pubs)
+def _top_papers(corpus: Corpus, kernel: RankKernel) -> np.ndarray:
+    """Kernel position of every journal's most cited paper, ties to the smallest pub_id in Python str order."""
+    sizes = kernel.journal_sizes[kernel.journal_sizes > 0]
+    most = np.repeat(np.maximum.reduceat(kernel.citations, np.cumsum(sizes) - sizes), sizes)
+    candidates = np.flatnonzero(kernel.citations == most)
+    pub_ids = [corpus.pub_ids[row] for row in kernel.rows[candidates].tolist()]
+    ties = groupby(zip(kernel.journal[candidates].tolist(), pub_ids, candidates.tolist()), key=itemgetter(0))
+    return np.array([min(tied)[2] for _, tied in ties], dtype=np.int64)
 
 
 def perturbation_comparison(
@@ -157,7 +156,7 @@ def perturbation_comparison(
     """
     kernel = RankKernel.from_corpus(corpus)
     cell = kernel.cell.copy()
-    top = np.fromiter(_top_papers(corpus), dtype=np.int64)
+    top = _top_papers(corpus, kernel)
     top = top[cell[top] >= 0]  # an unclassified paper sits in no cell either way
     cell[top] ^= 1  # the document type is the low bit of a cell code
     sides = (kernel.evaluate(), replace(kernel, cell=cell).evaluate())

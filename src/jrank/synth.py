@@ -48,10 +48,10 @@ class SyntheticProfile:
     n_categories: int = 3
 
     def validate(self) -> None:
-        if self.n_journals < 1:
-            raise ValueError("n_journals must be >= 1")
-        if self.n_topics < 1:
-            raise ValueError("n_topics must be >= 1")
+        lowest = {"n_journals": 1, "n_topics": 1, "n_categories": 1, "lognormal_sigma": 0, "outlier_citations": 0}
+        for name, low in lowest.items():
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
         if not 1 <= self.pubs_min <= self.pubs_max:
             raise ValueError("need 1 <= pubs_min <= pubs_max")
         if self.citation_dist not in CITATION_DISTRIBUTIONS:
@@ -61,8 +61,6 @@ class SyntheticProfile:
                 raise ValueError(f"{name} must be in [0, 1]")
         if not 0 <= self.skewed_journals <= self.n_journals:
             raise ValueError("skewed_journals must be between 0 and n_journals")
-        if self.n_categories < 1:
-            raise ValueError("n_categories must be >= 1")
 
 
 def generate_corpus(profile: SyntheticProfile, seed: int) -> Corpus:
@@ -122,7 +120,7 @@ def generate_corpus(profile: SyntheticProfile, seed: int) -> Corpus:
                 counts = [int(c) for c in rng.integers(0, high, size=n_pubs)]
         publications.extend(draw_common(journal_id, c) for c in counts)
 
-    return Corpus(tuple(publications), journals, frozenset(topics))
+    return Corpus.of(publications, journals, frozenset(topics))
 
 
 def write_corpus_files(corpus: Corpus, out_dir: Path | str) -> tuple[Path, Path]:
@@ -131,6 +129,6 @@ def write_corpus_files(corpus: Corpus, out_dir: Path | str) -> tuple[Path, Path]
     out.mkdir(parents=True, exist_ok=True)
     pubs_path = out / "publications.csv"
     journals_path = out / "journals.csv"
-    write_publications(corpus.publications, pubs_path)
+    write_publications(corpus, pubs_path)
     write_journals(corpus.journals, journals_path)
     return pubs_path, journals_path

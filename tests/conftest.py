@@ -34,7 +34,7 @@ def corpus_of(pubs, journals=None, topics=None) -> Corpus:
         journals = {j: Journal(j, f"Journal {j}") for j in journals}
     if topics is None:
         topics = {p.topic_id for p in pubs if p.topic_id is not None}
-    return Corpus(tuple(pubs), journals, frozenset(topics))
+    return Corpus.of(pubs, journals, frozenset(topics))
 
 
 def record(journal_id: str, corpus: Corpus) -> JournalIndicator:

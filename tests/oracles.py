@@ -135,7 +135,9 @@ def rebuild_bootstrap_rankings(
     base_values = values_of(corpus)
     tracked = sorted(j for j, v in base_values.items() if v is not None)
     sentinel = len(tracked) + 1
-    by_journal = corpus.by_journal
+    by_journal: dict[str, list[Publication]] = {}
+    for p in corpus.publications:
+        by_journal.setdefault(p.journal_id, []).append(p)
     samples = {journal_id: RankingSamples(journal_id) for journal_id in tracked}
     for seq in np.random.SeedSequence(seed).spawn(sims):
         rng = np.random.default_rng(seq)
@@ -144,7 +146,7 @@ def rebuild_bootstrap_rankings(
             pubs = by_journal[journal_id]
             for i in rng.integers(0, len(pubs), size=len(pubs)):
                 resampled.append(pubs[i])
-        boot = corpus.with_publications(resampled)
+        boot = Corpus.of(resampled, corpus.journals, corpus.topics)
         rank_of = {j: r for r, j in enumerate(order_journals(values_of(boot)), start=1)}
         for journal_id in tracked:
             samples[journal_id].rankings.append(rank_of.get(journal_id, sentinel))
@@ -167,7 +169,7 @@ def flip_doc_type(corpus: Corpus) -> Corpus:
         replace(p, doc_type=p.doc_type.opposite) if (p.journal_id, p.pub_id) in flip else p
         for p in corpus.publications
     )
-    return Corpus(flipped, corpus.journals, corpus.topics)
+    return Corpus.of(flipped, corpus.journals, corpus.topics)
 
 
 def random_corpus(
@@ -206,4 +208,4 @@ def random_corpus(
     journal_ids.append("J_EMPTY")
     journals = {j: Journal(j, f"Journal {j}") for j in journal_ids}
     observed_topics = frozenset(p.topic_id for p in pubs if p.topic_id is not None)
-    return Corpus(tuple(pubs), journals, observed_topics)
+    return Corpus.of(pubs, journals, observed_topics)

@@ -21,7 +21,7 @@ from conftest import A, cell_scores, corpus_of, coverage_9998_corpus, pub, value
 from oracles import brute_expected_jif, brute_fncsi, brute_fnif, random_corpus
 
 from jrank.cli import main
-from jrank.corpus import coverage_stats
+from jrank.corpus import Corpus, coverage_stats
 from jrank.indicators import compute_all
 from jrank.ranking import correlate, rank
 from jrank.robustness import RankingSamples, bootstrap_rankings, perturbation_comparison, relative_change
@@ -112,7 +112,7 @@ def test_monotonicity_and_bounded_influence_on_100_corpora():
 
         bumped = list(corpus.publications)
         bumped[target] = dataclasses.replace(bumped[target], citations=bumped[target].citations + 1)
-        after = values(corpus.with_publications(bumped), "fncsi")[journal_id]
+        after = values(Corpus.of(bumped, corpus.journals, corpus.topics), "fncsi")[journal_id]
 
         assert after >= before, f"bump decreased fncsi: {before} -> {after}"
         assert after - before <= 1.0 / compared + INFLUENCE_SLACK

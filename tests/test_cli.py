@@ -67,6 +67,13 @@ class TestGenerate:
         assert code == 2
         assert "pubs_min" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, name", [("--outlier-citations", "outlier_citations"), ("--sigma", "lognormal_sigma")])
+    def test_negative_profile_value_is_usage_error(self, tmp_path, capsys, flag, name):
+        code = main(["generate", "--out", str(tmp_path / "out"), "--skewed", "1", flag, "-5"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {name} must be >= 0\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestValidate:
     def test_clean_corpus_exits_zero(self, tmp_path):
@@ -239,6 +246,18 @@ class TestRobustnessCommands:
         rows = [l for l in (out / "flip_jif.csv").read_text().splitlines()
                 if l and not l.startswith("#") and not l.startswith("journal_id")]
         assert len(rows) == 12
+
+    @pytest.mark.parametrize("command", ["bootstrap", "flip-test"])
+    def test_repeated_indicator_counts_once(self, generated, tmp_path, capsys, command):
+        pubs, journals = generated
+        runs = []
+        for name, flags in (("once", ["--indicator", "fncsi"]), ("twice", ["--indicator", "fncsi"] * 2)):
+            out = tmp_path / name
+            code = main([command, "--pubs", str(pubs), "--journals", str(journals), "--out", str(out),
+                         *flags, "--sims", "5"])
+            assert code == 0
+            runs.append((digest_dir(out), capsys.readouterr().out))
+        assert runs[0] == runs[1]
 
     def test_bootstrap_writes_nothing_when_one_key_is_unrankable(self, tmp_path, capsys):
         # jif ranks every journal; fncsi needs classified papers, and there are none

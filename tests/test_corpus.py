@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -96,6 +98,21 @@ class TestLoadPublications:
     def test_empty_topic_means_unclassified(self, tmp_path):
         frag = load_publications(write(tmp_path, "p.csv", HEADER + "p1,jA,2018,Article,3,\n"))
         assert frag.publications[0].topic_id is None
+
+    def test_rejected_rows_leave_nothing_in_any_column(self, tmp_path):
+        rows = "p1,jA,2018,Article,3,t7\np2,jA,2018,Letter,3,t7\np1,jB,2018,Review,1,t7\np3,jA,2018,Article,-1,\n"
+        frag = load_publications(write(tmp_path, "p.csv", HEADER + rows + "p4,jB,2019,Review,0,\n"))
+        assert [e.line for e in frag.errors] == [3, 4, 5]
+        assert frag.columns == (
+            ["p1", "p4"], ["jA", "jB"], [2018, 2019], [DocumentType.ARTICLE, DocumentType.REVIEW], [3, 0], ["t7", None]
+        )
+
+    def test_repeated_journal_year_and_topic_share_one_object(self, tmp_path):
+        rows = "".join(f"p{i},jA,2018,Article,{i},t7\n" for i in range(3))
+        frag = load_publications(write(tmp_path, "p.csv", HEADER + rows))
+        _, journal_ids, pub_years, _, _, topic_ids = frag.columns
+        for column in (journal_ids, pub_years, topic_ids):
+            assert len(column) == 3 and len({id(value) for value in column}) == 1
 
     def test_bad_year_and_bad_citations_reported(self, tmp_path):
         frag = load_publications(
@@ -211,7 +228,7 @@ class TestWriteReadBack:
     def test_leading_hash_ids_are_quoted_and_read_back(self, tmp_path):
         journals = {"#jA": Journal("#jA", "# title", ("#c",)), "jB": Journal("jB", "B", ())}
         corpus = corpus_of([pub("#p1", "#jA", 2, "#t"), pub("p2", "jB", 1, "t1")], journals=journals)
-        write_publications(corpus.publications, tmp_path / "p.csv")
+        write_publications(corpus, tmp_path / "p.csv")
         write_journals(corpus.journals, tmp_path / "j.csv")
         assert '"#p1","#jA","2018","Article","2","#t"\n' in (tmp_path / "p.csv").read_text(encoding="utf-8")
         assert "p2,jB,2018,Article,1,t1\n" in (tmp_path / "p.csv").read_text(encoding="utf-8")
@@ -221,18 +238,20 @@ class TestWriteReadBack:
     def test_carriage_return_in_field_reads_back(self, tmp_path):
         journals = {"jA": Journal("jA", "one\rtwo", ("X\rY",))}
         corpus = corpus_of([pub("p\r1", "jA", 2, "t\r1")], journals=journals)
-        write_publications(corpus.publications, tmp_path / "p.csv")
+        write_publications(corpus, tmp_path / "p.csv")
         write_journals(corpus.journals, tmp_path / "j.csv")
         reloaded, errors = load_corpus(tmp_path / "p.csv", tmp_path / "j.csv")
         assert not errors and reloaded == corpus
 
     def test_writer_that_raises_leaves_no_file(self, tmp_path):
-        def publications():
-            yield pub("p1", "jA", 2, "t1")
-            raise RuntimeError("disk gone")
+        class Broken(tuple):
+            def __iter__(self):
+                yield "t1"
+                raise RuntimeError("disk gone")
 
+        corpus = corpus_of([pub("p1", "jA", 2, "t1"), pub("p2", "jA", 1, "t1")])
         with pytest.raises(RuntimeError, match="disk gone"):
-            write_publications(publications(), tmp_path / "p.csv")
+            write_publications(replace(corpus, topic_ids=Broken(corpus.topic_ids)), tmp_path / "p.csv")
         assert list(tmp_path.iterdir()) == []
 
     def test_writer_that_raises_keeps_the_previous_file(self, tmp_path):
@@ -278,14 +297,14 @@ def _corpora(draw) -> Corpus:
         for p in pub_ids
     )
     topics = frozenset(p.topic_id for p in publications if p.topic_id is not None)
-    return Corpus(publications, journals, topics)
+    return Corpus.of(publications, journals, topics)
 
 
 @settings(max_examples=200, deadline=None)
 @given(corpus=_corpora())
 def test_write_then_load_gives_back_the_corpus(tmp_path_factory, corpus):
     directory = tmp_path_factory.mktemp("roundtrip")
-    write_publications(corpus.publications, directory / "p.csv")
+    write_publications(corpus, directory / "p.csv")
     write_journals(corpus.journals, directory / "j.csv")
     reloaded, errors = load_corpus(directory / "p.csv", directory / "j.csv")
     assert errors == []
@@ -362,7 +381,7 @@ class TestRoundTrip:
             corpus = random_corpus(rng, max_journals=10, max_pubs=200, unclassified_p=0.1)
             pubs_path = tmp_path / f"pubs{i}.csv"
             journals_path = tmp_path / f"journals{i}.csv"
-            write_publications(corpus.publications, pubs_path)
+            write_publications(corpus, pubs_path)
             write_journals(corpus.journals, journals_path)
             reloaded, errors = load_corpus(pubs_path, journals_path)
             assert not errors
@@ -373,7 +392,7 @@ class TestRoundTrip:
 
         journals = {"jA": Journal("jA", 'Journal "A", applied', ("X", "Y Z"))}
         corpus = corpus_of([pub("p1", "jA", 2, "t1")], journals=journals)
-        write_publications(corpus.publications, tmp_path / "p.csv")
+        write_publications(corpus, tmp_path / "p.csv")
         write_journals(corpus.journals, tmp_path / "j.csv")
         reloaded, errors = load_corpus(tmp_path / "p.csv", tmp_path / "j.csv")
         assert not errors and reloaded == corpus

@@ -11,7 +11,7 @@ import pytest
 from conftest import A, R, cell_scores, corpus_of, pub, record, values
 from oracles import brute_expected_jif, brute_fncsi, brute_fnif, brute_jif, pairwise_score, random_corpus
 
-from jrank.corpus import DocumentType
+from jrank.corpus import Corpus, DocumentType
 from jrank.indicators import RankKernel, compute_all
 
 
@@ -245,7 +245,7 @@ class TestJif:
         ja = record("jA", corpus)
         assert ja.jif == 6.0
         compared = sum(n for _, n in ja.topic_breakdown.values())
-        assert len(corpus.by_journal["jA"]) > compared  # jif denominator is wider
+        assert len([p for p in corpus.publications if p.journal_id == "jA"]) > compared  # jif denominator is wider
 
 
 class TestComputeAll:
@@ -301,7 +301,7 @@ class TestProperties:
         corpus = random_corpus(rng, max_journals=10, max_pubs=200, max_topics=4, unclassified_p=0.1)
         shuffled = list(corpus.publications)
         random.Random(99).shuffle(shuffled)
-        permuted = corpus.with_publications(shuffled)
+        permuted = Corpus.of(shuffled, corpus.journals, corpus.topics)
         original = {r.journal_id: r for r in compute_all(corpus)}
         reordered = {r.journal_id: r for r in compute_all(permuted)}
         for journal_id, record in original.items():
@@ -322,7 +322,7 @@ class TestProperties:
             bumped = list(corpus.publications)
             import dataclasses
             bumped[target] = dataclasses.replace(bumped[target], citations=bumped[target].citations + 1)
-            after = values(corpus.with_publications(bumped), "fncsi")
+            after = values(Corpus.of(bumped, corpus.journals, corpus.topics), "fncsi")
             journal_id = corpus.publications[target].journal_id
             assert after[journal_id] >= base[journal_id] - 1e-15
 
@@ -341,7 +341,7 @@ class TestProperties:
             import dataclasses
             bumped = list(corpus.publications)
             bumped[target] = dataclasses.replace(bumped[target], citations=int(rng.integers(0, 10_000)))
-            after = values(corpus.with_publications(bumped), "fncsi")
+            after = values(Corpus.of(bumped, corpus.journals, corpus.topics), "fncsi")
             n_compared = sum(n for _, n in records[journal_id].topic_breakdown.values())
             assert abs(after[journal_id] - base[journal_id]) <= 1 / n_compared + 1e-12
 
@@ -357,7 +357,7 @@ class TestProperties:
         import dataclasses
         boosted = [dataclasses.replace(p, citations=2000) if p.pub_id == "a0" else p
                    for p in corpus.publications]
-        spiked = corpus.with_publications(boosted)
+        spiked = Corpus.of(boosted, corpus.journals, corpus.topics)
         assert values(spiked, "fnif")["jA"] - base_fnif > 5.0
         assert values(spiked, "fncsi")["jA"] - base_fncsi <= 1 / 10 + 1e-12
 

@@ -164,7 +164,7 @@ class TestReweighting:
             # two single-paper journals, and a publisher missing from the journal table
             extra = (pub("S1", "J_SOLO1", 2, "T00"), pub("S2", "J_SOLO2", 0, None), pub("S3", "J_GONE", 3, "T00"))
             journals = {**corpus.journals, "J_SOLO1": Journal("J_SOLO1"), "J_SOLO2": Journal("J_SOLO2")}
-            corpus = Corpus(corpus.publications + extra, journals, corpus.topics | {"T00"})
+            corpus = Corpus.of(corpus.publications + extra, journals, corpus.topics | {"T00"})
             seed = int(rng.integers(1000))
             samples = bootstrap_rankings(corpus, INDICATOR_KEYS, sims=6, seed=seed)
             assert list(samples) == list(INDICATOR_KEYS)
@@ -203,7 +203,7 @@ class TestFlip:
         diffs = [
             (a, b) for a, b in zip(corpus.publications, flipped.publications) if a != b
         ]
-        journals_with_pubs = len(corpus.by_journal)
+        journals_with_pubs = len({p.journal_id for p in corpus.publications})
         assert len(diffs) == journals_with_pubs
         assert len({a.journal_id for a, _ in diffs}) == journals_with_pubs
         for a, b in diffs:
@@ -223,7 +223,7 @@ class TestFlip:
                     import dataclasses
                     p = dataclasses.replace(p, citations=10_000 + len(seen))
                 bumped.append(p)
-            unique_top = corpus.with_publications(bumped)
+            unique_top = Corpus.of(bumped, corpus.journals, corpus.topics)
             assert flip_doc_type(flip_doc_type(unique_top)) == unique_top
 
 
@@ -238,7 +238,7 @@ class TestPerturbationComparison:
             extra = (pub("S1", "J_GONE", 3, "T00"), pub("S2", "J_GONE", 5, None))
             pubs = corpus.publications + extra
             shuffled = tuple(pubs[i] for i in rng.permutation(len(pubs)))
-            corpus = Corpus(shuffled, corpus.journals, corpus.topics | {"T00"})
+            corpus = Corpus.of(shuffled, corpus.journals, corpus.topics | {"T00"})
             flipped = flip_doc_type(corpus)
             comparisons = perturbation_comparison(corpus, INDICATOR_KEYS)
             assert list(comparisons) == list(INDICATOR_KEYS)
@@ -248,6 +248,18 @@ class TestPerturbationComparison:
                 journal_ids = sorted(original.keys() | perturbed.keys(), key=lambda j: (original.get(j, math.inf), j))
                 rows = [(j, original.get(j), perturbed.get(j)) for j in journal_ids]
                 assert comparisons[key] == rows
+
+    def test_tie_broken_in_str_order_where_a_trailing_nul_counts(self):
+        # "a" < "a\0" as Python strings; a fixed-width numpy string array reads them as equal
+        corpus = corpus_of([
+            pub("a\0", "jA", 5, "t2"), pub("a", "jA", 5, "t1"),
+            pub("b1", "jB", 6, "t1"), pub("b2", "jB", 4, "t1", doc=R), pub("b3", "jB", 1, "t2"),
+            pub("c1", "jC", 4, "t2", doc=R), pub("c2", "jC", 3, "t1"),
+        ])
+        perturbed = rank(compute_all(flip_doc_type(corpus)), "fnif").rank_of()
+        assert perturbed == {"jA": 1, "jC": 2, "jB": 3}  # flipping "a\0" instead puts jC first
+        rows = perturbation_comparison(corpus, ["fnif"])["fnif"]
+        assert {journal_id: after for journal_id, _, after in rows} == perturbed
 
     def test_flip_insensitive_indicators_keep_all_ranks(self):
         # jif and expected_jif ignore document type entirely
@@ -261,7 +273,7 @@ class TestPerturbationComparison:
     def test_rows_cover_rankable_journals(self):
         corpus = small_corpus()
         pairs = perturbation_comparison(corpus, ["fncsi"])["fncsi"]
-        assert {j for j, _, _ in pairs} == set(corpus.by_journal)
+        assert {j for j, _, _ in pairs} == {p.journal_id for p in corpus.publications}
 
     def test_rows_ordered_by_original_rank(self):
         corpus = small_corpus()

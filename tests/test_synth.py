@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from jrank.corpus import validate_corpus
@@ -22,8 +24,8 @@ class TestGenerate:
         corpus = generate_corpus(profile, seed=1)
         assert validate_corpus(corpus).ok
         assert len(corpus.journals) == 10
-        for pubs in corpus.by_journal.values():
-            assert 5 <= len(pubs) <= 12
+        for n_pubs in Counter(p.journal_id for p in corpus.publications).values():
+            assert 5 <= n_pubs <= 12
 
     def test_skewed_journal_matches_outlier_profile(self):
         profile = SyntheticProfile(
@@ -31,7 +33,7 @@ class TestGenerate:
         )
         corpus = generate_corpus(profile, seed=2)
         (skewed_id,) = [j for j in corpus.journals if j.startswith(SKEWED_PREFIX)]
-        citations = [p.citations for p in corpus.by_journal[skewed_id]]
+        citations = [p.citations for p in corpus.publications if p.journal_id == skewed_id]
         assert citations.count(2000) == 1
         assert max(citations) == 2000
         # at least the configured share of zero-cited papers
