@@ -20,9 +20,10 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from . import __version__
-from .classifier import assign_majority, load_related
+from .classifier import AssignmentReport, assign_majority, load_related
 from .corpus import (
     Corpus,
+    RowError,
     atomic_write,
     corpus_from_fragments,
     coverage_stats,
@@ -32,13 +33,13 @@ from .corpus import (
     write_publications,
     write_table,
 )
-from .indicators import JournalIndicator, compute_all
+from .indicators import INDICATOR_KEYS, JournalIndicator, compute_all
 from .ranking import RankingTable, rank
 from .robustness import bootstrap_report, perturbation_comparison
 from .synth import CITATION_DISTRIBUTIONS, SyntheticProfile, generate_corpus, write_corpus_files
 
 # CLI spelling -> library key
-_CLI_KEYS = {"fncsi": "fncsi", "fnif": "fnif", "expected-jif": "expected_jif", "jif": "jif"}
+_CLI_KEYS = {key.replace("_", "-"): key for key in INDICATOR_KEYS}
 _KEY_TO_CLI = {v: k for k, v in _CLI_KEYS.items()}
 
 _json_string = json.encoder.encode_basestring_ascii
@@ -56,14 +57,32 @@ _DEFAULTS: dict[str, Any] = {
 }
 
 
+# generate flag -> (SyntheticProfile field, type, help); defaults come from the profile
+_GENERATE_FLAGS = {
+    "journals-count": ("n_journals", int, "journal count"),
+    "topics-count": ("n_topics", int, "topic cluster count"),
+    "pubs-min": ("pubs_min", int, "per-journal size range low end"),
+    "pubs-max": ("pubs_max", int, "per-journal size range high end"),
+    "dist": ("citation_dist", str, "citation family"),
+    "sigma": ("lognormal_sigma", float, "lognormal shape parameter"),
+    "quality-spread": ("quality_spread", float, "log-scale span of journal quality"),
+    "review-fraction": ("review_fraction", float, "review share"),
+    "unclassified-fraction": ("unclassified_fraction", float, "unclassified share"),
+    "skewed": ("skewed_journals", int, "journals given the outlier profile"),
+    "outlier-citations": ("outlier_citations", int, "outlier paper citation count"),
+    "outlier-zero-fraction": ("outlier_zero_fraction", float, "outlier journal zero share"),
+    "categories-count": ("n_categories", int, "category label count"),
+}
+
+
 @dataclass
 class RunConfig:
     """Resolved settings for one command invocation.
 
-    ``extras`` keeps the raw config-file mapping so command-specific flags
-    (the generate profile) can also be supplied through the file.
+    ``profile`` holds the generate flags; the other commands ignore it.
     """
 
+    command: str
     publications_path: Path | None
     journals_path: Path | None
     related_records_path: Path | None
@@ -73,12 +92,15 @@ class RunConfig:
     seed: int
     output_dir: Path
     formats: list[str]
+    profile: SyntheticProfile
     config_hash: str
-    extras: dict[str, Any]
 
     def validate_inputs(self) -> None:
+        """Raise for a usage error; runs before any input file is read or output written."""
         if self.sims < 1:
             raise ValueError("--sims must be >= 1")
+        if self.seed < 0:
+            raise ValueError("--seed must be >= 0")
         if not self.indicators:
             raise ValueError("at least one --indicator is required")
         if not self.formats:
@@ -86,6 +108,13 @@ class RunConfig:
         for path in (self.publications_path, self.journals_path, self.related_records_path):
             if path is not None and not path.is_file():
                 raise FileNotFoundError(f"input file not found: {path}")
+        if self.command == "generate":
+            self.profile.validate()
+            return
+        if self.command == "classify" and self.related_records_path is None:
+            raise ValueError("--related is required for classify")
+        if self.publications_path is None or self.journals_path is None:
+            raise ValueError("--pubs and --journals are required")
 
 
 def _config_types(parser: argparse.ArgumentParser) -> dict[str, type]:
@@ -120,7 +149,7 @@ _CONFIG_CHECKS: dict[type, tuple[str, Callable[[Any], bool]]] = {
 def _resolve_config(args: argparse.Namespace, config_types: dict[str, type]) -> RunConfig:
     """Merge hard defaults, the optional config file, and explicit flags."""
     file_cfg: dict[str, Any] = {}
-    if getattr(args, "config", None):
+    if args.config:
         file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
         if not isinstance(file_cfg, dict):
             raise ValueError(f"config file {args.config} must hold a JSON object")
@@ -133,54 +162,44 @@ def _resolve_config(args: argparse.Namespace, config_types: dict[str, type]) -> 
                 raise ValueError(f"config key {key} in {args.config} must be {expected}, not {json.dumps(value)}")
 
     def pick(name: str) -> Any:
-        explicit = getattr(args, name.replace("-", "_"), None)
-        if explicit is not None:
-            return explicit
-        if name in file_cfg:
-            return file_cfg[name]
-        return _DEFAULTS.get(name)
+        # explicit flag, else config file, else default; a repeatable flag
+        # gives a list in which a repeated value counts once, where first given
+        value = getattr(args, name.replace("-", "_"), None)
+        if value is None:
+            value = file_cfg.get(name, _DEFAULTS.get(name))
+        if config_types.get(name) is list:
+            value = list(dict.fromkeys([value] if isinstance(value, str) else value))
+        return value
 
-    indicators_cli = pick("indicator")
-    if isinstance(indicators_cli, str):
-        indicators_cli = [indicators_cli]
-    indicators_cli = list(dict.fromkeys(indicators_cli))  # a repeated key counts once, where first given
-    unknown = [k for k in indicators_cli if k not in _CLI_KEYS]
+    def path(name: str) -> Path | None:
+        value = pick(name)
+        return Path(value) if value else None
+
+    unknown = [k for k in pick("indicator") if k not in _CLI_KEYS]
     if unknown:
         raise ValueError(f"unknown indicator(s): {', '.join(unknown)}")
-    formats = pick("format")
-    if isinstance(formats, str):
-        formats = [formats]
-    bad_formats = [f for f in formats if f not in ("csv", "json")]
+    bad_formats = [f for f in pick("format") if f not in ("csv", "json")]
     if bad_formats:
         raise ValueError(f"unknown format(s): {', '.join(bad_formats)}")
 
-    resolved = {
-        "pubs": pick("pubs"),
-        "journals": pick("journals"),
-        "related": pick("related"),
-        "indicator": indicators_cli,
-        "category": pick("category"),
-        "sims": pick("sims"),
-        "seed": pick("seed"),
-        "out": pick("out"),
-        "format": list(formats),
-    }
     # the hash identifies the computation, not where its files land, so runs
     # into different directories still produce byte-identical outputs
-    hashed = {k: v for k, v in resolved.items() if k not in ("out", "format")}
+    hashed = {name: pick(name) for name in ("pubs", "journals", "related", "indicator", "category", "sims", "seed")}
     digest = hashlib.sha256(json.dumps(hashed, sort_keys=True).encode("utf-8")).hexdigest()[:12]
+    settings = {field: pick(flag) for flag, (field, _, _) in _GENERATE_FLAGS.items()}
     return RunConfig(
-        publications_path=Path(resolved["pubs"]) if resolved["pubs"] else None,
-        journals_path=Path(resolved["journals"]) if resolved["journals"] else None,
-        related_records_path=Path(resolved["related"]) if resolved["related"] else None,
-        indicators=[_CLI_KEYS[k] for k in resolved["indicator"]],
-        category=resolved["category"],
-        sims=resolved["sims"],
-        seed=resolved["seed"],
-        output_dir=Path(resolved["out"]),
-        formats=resolved["format"],
+        command=args.command,
+        publications_path=path("pubs"),
+        journals_path=path("journals"),
+        related_records_path=path("related"),
+        indicators=[_CLI_KEYS[k] for k in pick("indicator")],
+        category=pick("category"),
+        sims=pick("sims"),
+        seed=pick("seed"),
+        output_dir=Path(pick("out")),
+        formats=pick("format"),
+        profile=SyntheticProfile(**{field: value for field, value in settings.items() if value is not None}),
         config_hash=digest,
-        extras=file_cfg,
     )
 
 
@@ -189,10 +208,10 @@ def _resolve_config(args: argparse.Namespace, config_types: dict[str, type]) -> 
 # ---------------------------------------------------------------------------
 
 
-def _meta(config: RunConfig, command: str, notes: Iterable[str] = ()) -> list[str]:
+def _meta(config: RunConfig, notes: Iterable[str] = ()) -> list[str]:
     lines = [
         f"tool: jrank {__version__}",
-        f"command: {command}",
+        f"command: {config.command}",
         f"seed: {config.seed}",
         f"config: sha256:{config.config_hash}",
     ]
@@ -293,10 +312,10 @@ def _slug(label: str) -> str:
     return "".join(ch if ch.isalnum() else "_" for ch in label)
 
 
-def _write_ranking(table: RankingTable, config: RunConfig, command: str) -> list[Path]:
+def _write_ranking(table: RankingTable, config: RunConfig) -> list[Path]:
     suffix = f"_{_slug(table.scope)}" if table.scope else ""
     stem = f"ranking_{table.indicator_name}{suffix}"
-    meta = _meta(config, command, notes=[_PERCENTILE_NOTE])
+    meta = _meta(config, notes=[_PERCENTILE_NOTE])
     written = []
     if "csv" in config.formats:
         path = config.output_dir / f"{stem}.csv"
@@ -317,24 +336,34 @@ def _write_ranking(table: RankingTable, config: RunConfig, command: str) -> list
     return written
 
 
-def _load_checked(config: RunConfig) -> tuple[Corpus | None, bool]:
+def _print_row_errors(path: Path, errors: Iterable[RowError]) -> None:
+    for err in errors:
+        print(f"error: {path}: {err}", file=sys.stderr)
+
+
+def _load_checked(config: RunConfig) -> tuple[Corpus, bool]:
     """Load and validate the corpus, printing each row error and finding; (corpus, clean).
 
-    Row errors name their source file.  The corpus is None when a path is missing.
+    Row errors name their source file.
     """
-    if config.publications_path is None or config.journals_path is None:
-        print("error: --pubs and --journals are required", file=sys.stderr)
-        return None, False
     pubs = load_publications(config.publications_path)
     journals = load_journals(config.journals_path)
-    for path, fragment in ((config.publications_path, pubs), (config.journals_path, journals)):
-        for err in fragment.errors:
-            print(f"error: {path}: {err}", file=sys.stderr)
+    _print_row_errors(config.publications_path, pubs.errors)
+    _print_row_errors(config.journals_path, journals.errors)
     corpus = corpus_from_fragments(pubs, journals)
     report = validate_corpus(corpus)
     for finding in report:
         print(f"error: {finding}", file=sys.stderr)
     return corpus, not pubs.errors and not journals.errors and report.ok
+
+
+def _classified(config: RunConfig, corpus: Corpus) -> tuple[Corpus, AssignmentReport] | None:
+    """Assign topics to ``corpus`` from the related records; None, after printing them, if a row is bad."""
+    fragment = load_related(config.related_records_path)
+    _print_row_errors(config.related_records_path, fragment.errors)
+    if fragment.errors:
+        return None
+    return assign_majority(corpus, fragment.records)
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +373,6 @@ def _load_checked(config: RunConfig) -> tuple[Corpus | None, bool]:
 
 def cmd_validate(config: RunConfig) -> int:
     corpus, clean = _load_checked(config)
-    if corpus is None:
-        return 2
     coverage = coverage_stats(corpus)
     print(
         f"publications: {coverage.n_publications} ({coverage.n_classified} classified, "
@@ -360,18 +387,11 @@ def cmd_validate(config: RunConfig) -> int:
 
 
 def cmd_classify(config: RunConfig) -> int:
-    if config.related_records_path is None:
-        print("error: --related is required for classify", file=sys.stderr)
-        return 2
     corpus, clean = _load_checked(config)
-    if not clean:
+    classified = _classified(config, corpus) if clean else None
+    if classified is None:
         return 1
-    fragment = load_related(config.related_records_path)
-    for err in fragment.errors:
-        print(f"error: {config.related_records_path}: {err}", file=sys.stderr)
-    if fragment.errors:
-        return 1
-    assigned_corpus, report = assign_majority(corpus, fragment.records)
+    assigned_corpus, report = classified
     config.output_dir.mkdir(parents=True, exist_ok=True)
     out_path = config.output_dir / "publications_classified.csv"
     write_publications(assigned_corpus, out_path)
@@ -383,8 +403,8 @@ def cmd_classify(config: RunConfig) -> int:
     return 0
 
 
-def _write_indicators(config: RunConfig, command: str, indicators: Sequence[JournalIndicator]) -> None:
-    meta = _meta(config, command)
+def _write_indicators(config: RunConfig, indicators: Sequence[JournalIndicator]) -> None:
+    meta = _meta(config)
     if "csv" in config.formats:
         _write_csv(
             config.output_dir / "indicators.csv",
@@ -407,9 +427,9 @@ def cmd_compute(config: RunConfig) -> int:
         return 1
     indicators = compute_all(corpus)
     config.output_dir.mkdir(parents=True, exist_ok=True)
-    _write_indicators(config, "compute", indicators)
+    _write_indicators(config, indicators)
     for table in _rankings(config, corpus, indicators):
-        _write_ranking(table, config, "compute")
+        _write_ranking(table, config)
     return 0
 
 
@@ -420,7 +440,7 @@ def cmd_rank(config: RunConfig) -> int:
     indicators = compute_all(corpus)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     for table in _rankings(config, corpus, indicators):
-        for path in _write_ranking(table, config, "rank"):
+        for path in _write_ranking(table, config):
             print(f"wrote {path}")
     return 0
 
@@ -436,7 +456,6 @@ def cmd_bootstrap(config: RunConfig) -> int:
         report = reports[key]
         meta = _meta(
             config,
-            "bootstrap",
             notes=[
                 f"simulations: {report.simulations}",
                 f"sentinel rank for journals unrankable in a simulation: {report.sentinel_rank}",
@@ -474,7 +493,7 @@ def cmd_flip_test(config: RunConfig) -> int:
         pairs = comparisons[key]
         _write_csv(
             config.output_dir / f"flip_{key}.csv",
-            _meta(config, "flip-test"),
+            _meta(config),
             ("journal_id", "original_rank", "perturbed_rank"),
             pairs,
         )
@@ -483,39 +502,8 @@ def cmd_flip_test(config: RunConfig) -> int:
     return 0
 
 
-# generate flag -> (SyntheticProfile field, type, help); defaults come from the profile
-_GENERATE_FLAGS = {
-    "journals-count": ("n_journals", int, "journal count"),
-    "topics-count": ("n_topics", int, "topic cluster count"),
-    "pubs-min": ("pubs_min", int, "per-journal size range low end"),
-    "pubs-max": ("pubs_max", int, "per-journal size range high end"),
-    "dist": ("citation_dist", str, "citation family"),
-    "sigma": ("lognormal_sigma", float, "lognormal shape parameter"),
-    "quality-spread": ("quality_spread", float, "log-scale span of journal quality"),
-    "review-fraction": ("review_fraction", float, "review share"),
-    "unclassified-fraction": ("unclassified_fraction", float, "unclassified share"),
-    "skewed": ("skewed_journals", int, "journals given the outlier profile"),
-    "outlier-citations": ("outlier_citations", int, "outlier paper citation count"),
-    "outlier-zero-fraction": ("outlier_zero_fraction", float, "outlier journal zero share"),
-    "categories-count": ("n_categories", int, "category label count"),
-}
-
-
-def cmd_generate(config: RunConfig, args: argparse.Namespace) -> int:
-    settings = {}
-    for flag, (name, _, _) in _GENERATE_FLAGS.items():
-        value = getattr(args, flag.replace("-", "_"))
-        if value is None:
-            value = config.extras.get(flag)
-        if value is not None:
-            settings[name] = value
-    profile = SyntheticProfile(**settings)
-    try:
-        profile.validate()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    corpus = generate_corpus(profile, seed=config.seed)
+def cmd_generate(config: RunConfig) -> int:
+    corpus = generate_corpus(config.profile, seed=config.seed)
     pubs_path, journals_path = write_corpus_files(corpus, config.output_dir)
     print(f"wrote {pubs_path} ({len(corpus.pub_ids)} publications)")
     print(f"wrote {journals_path} ({len(corpus.journals)} journals)")
@@ -527,18 +515,16 @@ def cmd_report(config: RunConfig) -> int:
     if not clean:
         return 1
     if config.related_records_path is not None:
-        fragment = load_related(config.related_records_path)
-        for err in fragment.errors:
-            print(f"error: {config.related_records_path}: {err}", file=sys.stderr)
-        if fragment.errors:
+        classified = _classified(config, corpus)
+        if classified is None:
             return 1
-        corpus, _ = assign_majority(corpus, fragment.records)
+        corpus, _ = classified
     coverage = coverage_stats(corpus)
     indicators = compute_all(corpus)
     config.output_dir.mkdir(parents=True, exist_ok=True)
 
     lines: list[str] = []
-    lines.extend(f"# {m}" for m in _meta(config, "report", notes=[_PERCENTILE_NOTE]))
+    lines.extend(f"# {m}" for m in _meta(config, notes=[_PERCENTILE_NOTE]))
     lines.append("")
     lines.append(
         f"corpus: {coverage.n_publications} publications, {coverage.n_journals} journals, "
@@ -558,7 +544,7 @@ def cmd_report(config: RunConfig) -> int:
         fh.write("\n".join(lines) + "\n")
     print(f"wrote {out_path}")
     # the indicator tables reflect the same (possibly classified) corpus
-    _write_indicators(config, "report", indicators)
+    _write_indicators(config, indicators)
     return 0
 
 
@@ -602,20 +588,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"jrank {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text, related in (
-        ("validate", "check corpus files and report findings", False),
-        ("classify", "assign topics to unclassified publications by majority rule", True),
-        ("compute", "compute all indicators and write ranking tables", False),
-        ("rank", "write ranking tables for the chosen indicators", False),
-        ("bootstrap", "bootstrap ranking-stability analysis", False),
-        ("flip-test", "document-type flip perturbation analysis", False),
-        ("report", "human-readable summary of indicators and coverage", True),
+    for name, run, help_text, related in (
+        ("validate", cmd_validate, "check corpus files and report findings", False),
+        ("classify", cmd_classify, "assign topics to unclassified publications by majority rule", True),
+        ("compute", cmd_compute, "compute all indicators and write ranking tables", False),
+        ("rank", cmd_rank, "write ranking tables for the chosen indicators", False),
+        ("bootstrap", cmd_bootstrap, "bootstrap ranking-stability analysis", False),
+        ("flip-test", cmd_flip_test, "document-type flip perturbation analysis", False),
+        ("report", cmd_report, "human-readable summary of indicators and coverage", True),
     ):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         _add_io_options(p, related=related)
         _add_analysis_options(p)
 
     g = sub.add_parser("generate", help="generate a synthetic corpus file pair")
+    g.set_defaults(run=cmd_generate)
     g.add_argument("--out", help="output directory")
     g.add_argument("--config", help="JSON config file; explicit flags override it")
     g.add_argument("--seed", type=int, help="random seed (default: 42)")
@@ -632,22 +620,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config = _resolve_config(args, _config_types(parser))
         config.validate_inputs()
-    except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValueError, FileNotFoundError) as exc:  # a malformed config file raises a ValueError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    commands = {
-        "validate": lambda: cmd_validate(config),
-        "classify": lambda: cmd_classify(config),
-        "compute": lambda: cmd_compute(config),
-        "rank": lambda: cmd_rank(config),
-        "bootstrap": lambda: cmd_bootstrap(config),
-        "flip-test": lambda: cmd_flip_test(config),
-        "generate": lambda: cmd_generate(config, args),
-        "report": lambda: cmd_report(config),
-    }
     try:
-        return commands[args.command]()
+        return args.run(config)
     except Exception as exc:  # surfaced as diagnostics, not tracebacks
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -210,9 +210,7 @@ class CoverageReport:
 # ---------------------------------------------------------------------------
 
 
-def _read_table(
-    path: Path | str, columns: tuple[str, ...], delimiter: str | None = None
-) -> Iterator[tuple[int, Iterator[str]]]:
+def _read_table(path: Path | str, columns: tuple[str, ...]) -> Iterator[tuple[int, Iterator[str]]]:
     """Yield ``(last physical line, fields)`` for each data record of a delimited file.
 
     One ``csv.reader`` streams the whole file, so a quoted field may hold
@@ -220,8 +218,8 @@ def _read_table(
     skipped only where a record starts; the continuation lines of a quoted
     field are kept as they are.  ``fields`` yields the values of ``columns``
     (at least two), in that order and stripped; rows shorter than the header
-    read as empty strings, extra columns are ignored.  With ``delimiter=None``
-    the separator is auto-detected from the header line (tab wins if present).
+    read as empty strings, extra columns are ignored.  The separator comes
+    from the header line: tab if it holds one, else comma.
 
     Raises :class:`SchemaError` when the header is missing or lacks one of
     ``columns``, or when a quoted field is never closed.
@@ -250,9 +248,7 @@ def _read_table(
         first = next(lines, None)
         if first is None:
             raise SchemaError(f"{path}: empty file, expected a header row")
-        if delimiter is None:
-            delimiter = "\t" if "\t" in first else ","
-        reader = csv.reader(chain([first], lines), delimiter=delimiter)
+        reader = csv.reader(chain([first], lines), delimiter="\t" if "\t" in first else ",")
         pick = None
         while True:
             try:
@@ -280,8 +276,8 @@ def _read_table(
             yield line, map(str.strip, pick(row))
 
 
-def load_publications(path: Path | str, delimiter: str | None = None) -> CorpusFragment:
-    """Load publications from delimited text (separator auto-detected by default).
+def load_publications(path: Path | str) -> CorpusFragment:
+    """Load publications from delimited text (separator auto-detected).
 
     Unparseable rows are collected in ``errors`` rather than dropped: bad
     integers, unknown document types, negative citation counts, and duplicate
@@ -292,7 +288,7 @@ def load_publications(path: Path | str, delimiter: str | None = None) -> CorpusF
     pub_ids, journal_ids, pub_years, doc_types, citations, topic_ids = fragment.columns
     seen: set[str] = set()
     shared: dict[str | int | None, str | int | None] = {}  # one object per distinct journal id, year and topic id
-    for line, fields in _read_table(path, PUBLICATION_COLUMNS, delimiter):
+    for line, fields in _read_table(path, PUBLICATION_COLUMNS):
         try:
             pub_id, journal_id, year, kind, count, topic_id = _parse_publication(*fields)
         except ValueError as exc:
@@ -333,10 +329,10 @@ def _parse_publication(
     return pub_id, journal_id, year, kind, count, topic_id or None
 
 
-def load_journals(path: Path | str, delimiter: str | None = None) -> JournalsFragment:
+def load_journals(path: Path | str) -> JournalsFragment:
     """Load the journal table; categories are ``|``-separated in one column."""
     fragment = JournalsFragment()
-    for line, (journal_id, title, categories) in _read_table(path, JOURNAL_COLUMNS, delimiter):
+    for line, (journal_id, title, categories) in _read_table(path, JOURNAL_COLUMNS):
         if not journal_id:
             fragment.errors.append(RowError(line, "empty journal_id"))
             continue

@@ -10,6 +10,7 @@ rank-fragile ones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,6 +53,9 @@ class SyntheticProfile:
         for name, low in lowest.items():
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
+        for name in ("lognormal_sigma", "quality_spread"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not 1 <= self.pubs_min <= self.pubs_max:
             raise ValueError("need 1 <= pubs_min <= pubs_max")
         if self.citation_dist not in CITATION_DISTRIBUTIONS:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -67,11 +68,26 @@ class TestGenerate:
         assert code == 2
         assert "pubs_min" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag, name", [("--outlier-citations", "outlier_citations"), ("--sigma", "lognormal_sigma")])
-    def test_negative_profile_value_is_usage_error(self, tmp_path, capsys, flag, name):
-        code = main(["generate", "--out", str(tmp_path / "out"), "--skewed", "1", flag, "-5"])
+    @pytest.mark.parametrize(
+        "flags, config, message",
+        [
+            pytest.param(["--outlier-citations", "-5"], None, "outlier_citations must be >= 0",
+                         id="--outlier-citations-outlier_citations"),
+            pytest.param(["--sigma", "-5"], None, "lognormal_sigma must be >= 0", id="--sigma-lognormal_sigma"),
+            pytest.param(["--sigma", "nan"], None, "lognormal_sigma must be finite", id="--sigma-nan"),
+            pytest.param(["--sigma", "inf"], None, "lognormal_sigma must be finite", id="--sigma-inf"),
+            pytest.param(["--quality-spread", "nan"], None, "quality_spread must be finite", id="--quality-spread-nan"),
+            pytest.param([], {"sigma": math.nan}, "lognormal_sigma must be finite", id="config-sigma-nan"),
+        ],
+    )
+    def test_negative_profile_value_is_usage_error(self, tmp_path, capsys, flags, config, message):
+        if config is not None:
+            cfg = tmp_path / "gen.json"
+            cfg.write_text(json.dumps(config), encoding="utf-8")
+            flags = [*flags, "--config", str(cfg)]
+        code = main(["generate", "--out", str(tmp_path / "out"), "--skewed", "1", *flags])
         assert code == 2
-        assert capsys.readouterr().err == f"error: {name} must be >= 0\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
 
@@ -200,9 +216,25 @@ class TestClassify:
         result = (out / "publications_classified.csv").read_text()
         assert "u1,jB,2018,Article,2,t1" in result
 
-    def test_classify_requires_related(self, tmp_path):
+    def test_classify_requires_related(self, tmp_path, capsys):
         pubs, journals = write_tiny_corpus(tmp_path)
-        assert main(["classify", "--pubs", str(pubs), "--journals", str(journals)]) == 2
+        # --related is named first, also when --pubs and --journals are missing
+        for inputs in (["--pubs", str(pubs), "--journals", str(journals)], []):
+            assert main(["classify", *inputs]) == 2
+            assert capsys.readouterr().err == "error: --related is required for classify\n"
+
+    @pytest.mark.parametrize("command", ["classify", "report"])
+    def test_related_row_error_exits_one_and_writes_nothing(self, tmp_path, capsys, command):
+        rows = "a1,jA,2018,Article,3,t1\nu1,jB,2018,Article,2,\n"
+        pubs, journals = write_tiny_corpus(tmp_path, rows=rows)
+        related = tmp_path / "related.csv"
+        related.write_text("pub_id,related_ids\nu1,a1\nu1,u1\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = main([command, "--pubs", str(pubs), "--journals", str(journals),
+                     "--related", str(related), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {related}: line 3: 'u1' lists itself as a related record\n"
+        assert not out.exists()
 
     def test_input_files_never_mutated(self, tmp_path):
         rows = "a1,jA,2018,Article,3,t1\nu1,jB,2018,Article,2,\n"
@@ -389,6 +421,42 @@ class TestConfigFile:
     def test_sims_floor_enforced(self, tmp_path):
         pubs, journals = write_tiny_corpus(tmp_path)
         assert main(["bootstrap", "--pubs", str(pubs), "--journals", str(journals), "--sims", "0"]) == 2
+
+
+class TestUsageErrors:
+    """Usage errors exit 2 before any input file is read or output written."""
+
+    @pytest.fixture(autouse=True)
+    def no_reads(self, monkeypatch):
+        def refuse(path):
+            raise AssertionError(f"read {path}")
+
+        monkeypatch.setattr(cli, "load_publications", refuse)
+        monkeypatch.setattr(cli, "load_journals", refuse)
+
+    @pytest.mark.parametrize("command", ["compute", "rank", "bootstrap", "flip-test", "report"])
+    def test_missing_corpus_input(self, tmp_path, capsys, command):
+        pubs, _ = write_tiny_corpus(tmp_path)
+        out = tmp_path / "out"
+        assert main([command, "--pubs", str(pubs), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --pubs and --journals are required\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["bootstrap", "flip-test", "generate"])
+    def test_negative_seed(self, tmp_path, capsys, command, source):
+        pubs, journals = write_tiny_corpus(tmp_path)
+        inputs = [] if command == "generate" else ["--pubs", str(pubs), "--journals", str(journals)]
+        if source == "flag":
+            inputs += ["--seed", "-1"]
+        else:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps({"seed": -1}), encoding="utf-8")
+            inputs += ["--config", str(cfg)]
+        out = tmp_path / "out"
+        assert main([command, *inputs, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --seed must be >= 0\n"
+        assert not out.exists()
 
 
 class TestReport:

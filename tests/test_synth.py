@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 
 import pytest
@@ -57,11 +58,19 @@ class TestGenerate:
             {"review_fraction": 1.5},
             {"skewed_journals": 99},
             {"n_categories": 0},
+            {"lognormal_sigma": math.nan},
+            {"lognormal_sigma": math.inf},
+            {"quality_spread": math.nan},
+            {"quality_spread": math.inf},
+            {"quality_spread": -math.inf},
         ],
     )
     def test_invalid_profiles_rejected(self, bad):
         with pytest.raises(ValueError):
             SyntheticProfile(**bad).validate()
+
+    def test_negative_quality_spread_allowed(self):
+        SyntheticProfile(quality_spread=-2.0).validate()
 
     def test_uniform_family_supported(self):
         profile = SyntheticProfile(n_journals=5, n_topics=2, pubs_min=5, pubs_max=10,
