@@ -60,7 +60,7 @@ def load_related(path: Path | str) -> RelatedFragment:
     fragment = RelatedFragment()
     seen: set[str] = set()
     for lineno, (pub_id, related_ids) in _read_table(path, RELATED_COLUMNS):
-        related = tuple(r.strip() for r in related_ids.split(RELATED_SEPARATOR) if r.strip())
+        related = tuple(filter(None, map(str.strip, related_ids.split(RELATED_SEPARATOR))))
         if not pub_id:
             fragment.errors.append(RowError(lineno, "empty pub_id"))
             continue

@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Subcommands: validate, classify, compute, rank, bootstrap, flip-test,
-generate, report.  Any flag may also be supplied through a JSON config file
-(``--config``); explicit flags override the file.  Outputs are deterministic:
-rerunning a command with identical inputs and seed produces byte-identical
-files, and every output records the tool version, the seed, and a hash of the
-resolved configuration so results can be audited later.
+generate, report.  Each subcommand takes only the flags it reads, and a JSON
+config file (``--config``) may set any of them; explicit flags override the
+file.  Outputs are deterministic: rerunning a command with identical inputs
+and seed produces byte-identical files, and every output records the tool
+version, the seed, and a hash of the resolved configuration so results can be
+audited later.
 """
 
 from __future__ import annotations
@@ -74,6 +75,31 @@ _GENERATE_FLAGS = {
     "categories-count": ("n_categories", int, "category label count"),
 }
 
+# long flag without dashes -> add_argument keywords; an "append" flag is repeatable
+_FLAGS: dict[str, dict[str, Any]] = {
+    "pubs": {"help": "publications file (csv/tsv)"},
+    "journals": {"help": "journals file (csv/tsv)"},
+    "related": {"help": "related-records file (csv/tsv)"},
+    "out": {"help": "output directory (default: current directory)"},
+    "format": {"action": "append", "choices": ("csv", "json"), "help": "output format; repeatable (default: both)"},
+    "indicator": {
+        "action": "append",
+        "choices": tuple(_CLI_KEYS),
+        "help": "indicator key; repeatable (default: all four)",
+    },
+    "category": {"help": "restrict rankings to one journal category label"},
+    "sims": {"type": int, "help": "bootstrap simulation count (default: 100)"},
+    "seed": {"type": int, "help": "random seed (default: 42)"},
+    **{
+        flag: {
+            "type": kind,
+            "choices": CITATION_DISTRIBUTIONS if name == "citation_dist" else None,
+            "help": f"{text} (default: {getattr(SyntheticProfile(), name)})",
+        }
+        for flag, (name, kind, text) in _GENERATE_FLAGS.items()
+    },
+}
+
 
 @dataclass
 class RunConfig:
@@ -105,6 +131,8 @@ class RunConfig:
             raise ValueError("at least one --indicator is required")
         if not self.formats:
             raise ValueError("at least one --format is required")
+        if self.category is not None and not self.category.strip():
+            raise ValueError("--category must not be empty")
         for path in (self.publications_path, self.journals_path, self.related_records_path):
             if path is not None and not path.is_file():
                 raise FileNotFoundError(f"input file not found: {path}")
@@ -117,21 +145,13 @@ class RunConfig:
             raise ValueError("--pubs and --journals are required")
 
 
-def _config_types(parser: argparse.ArgumentParser) -> dict[str, type]:
-    """Keys a config file may set, with the type of their values.
+def _config_types(flags: Iterable[str]) -> dict[str, type]:
+    """Keys a config file may set for a subcommand that reads ``flags``, with the type of their values.
 
-    The keys are the long flags of every subcommand, without dashes.  A
-    repeatable flag has type ``list``: its value is a string or a list of
+    A repeatable flag has type ``list``: its value is a string or a list of
     strings.
     """
-    (subcommands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return {
-        option[2:]: list if isinstance(action, argparse._AppendAction) else action.type or str
-        for sub in subcommands.choices.values()
-        for action in sub._actions
-        for option in action.option_strings
-        if option.startswith("--") and option not in ("--help", "--config")
-    }
+    return {flag: list if _FLAGS[flag].get("action") == "append" else _FLAGS[flag].get("type", str) for flag in flags}
 
 
 # config value type -> (what it must be, test)
@@ -183,7 +203,8 @@ def _resolve_config(args: argparse.Namespace, config_types: dict[str, type]) -> 
         raise ValueError(f"unknown format(s): {', '.join(bad_formats)}")
 
     # the hash identifies the computation, not where its files land, so runs
-    # into different directories still produce byte-identical outputs
+    # into different directories still produce byte-identical outputs; a key
+    # the subcommand has no flag for hashes as its default
     hashed = {name: pick(name) for name in ("pubs", "journals", "related", "indicator", "category", "sims", "seed")}
     digest = hashlib.sha256(json.dumps(hashed, sort_keys=True).encode("utf-8")).hexdigest()[:12]
     settings = {field: pick(flag) for flag, (field, _, _) in _GENERATE_FLAGS.items()}
@@ -553,31 +574,20 @@ def cmd_report(config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_io_options(parser: argparse.ArgumentParser, related: bool = False) -> None:
-    parser.add_argument("--pubs", help="publications file (csv/tsv)")
-    parser.add_argument("--journals", help="journals file (csv/tsv)")
-    if related:
-        parser.add_argument("--related", help="related-records file (csv/tsv)")
-    parser.add_argument("--out", help="output directory (default: current directory)")
-    parser.add_argument("--config", help="JSON config file; explicit flags override it")
-    parser.add_argument(
-        "--format",
-        action="append",
-        choices=("csv", "json"),
-        help="output format; repeatable (default: both)",
-    )
+_IO = ("pubs", "journals", "out")
+_RANKINGS = ("format", "indicator", "category", "seed")
 
-
-def _add_analysis_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--indicator",
-        action="append",
-        choices=tuple(_CLI_KEYS),
-        help="indicator key; repeatable (default: all four)",
-    )
-    parser.add_argument("--category", help="restrict rankings to one journal category label")
-    parser.add_argument("--sims", type=int, help="bootstrap simulation count (default: 100)")
-    parser.add_argument("--seed", type=int, help="random seed (default: 42)")
+# subcommand -> (command, help, the flags it reads besides --config)
+_COMMANDS: dict[str, tuple[Callable[[RunConfig], int], str, tuple[str, ...]]] = {
+    "validate": (cmd_validate, "check corpus files and report findings", _IO),
+    "classify": (cmd_classify, "assign topics to unclassified publications by majority rule", (*_IO, "related")),
+    "compute": (cmd_compute, "compute all indicators and write ranking tables", (*_IO, *_RANKINGS)),
+    "rank": (cmd_rank, "write ranking tables for the chosen indicators", (*_IO, *_RANKINGS)),
+    "bootstrap": (cmd_bootstrap, "bootstrap ranking-stability analysis", (*_IO, "indicator", "sims", "seed")),
+    "flip-test": (cmd_flip_test, "document-type flip perturbation analysis", (*_IO, "indicator", "seed")),
+    "report": (cmd_report, "human-readable summary of indicators and coverage", (*_IO, "related", *_RANKINGS)),
+    "generate": (cmd_generate, "generate a synthetic corpus file pair", ("out", "seed", *_GENERATE_FLAGS)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -587,44 +597,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"jrank {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, run, help_text, related in (
-        ("validate", cmd_validate, "check corpus files and report findings", False),
-        ("classify", cmd_classify, "assign topics to unclassified publications by majority rule", True),
-        ("compute", cmd_compute, "compute all indicators and write ranking tables", False),
-        ("rank", cmd_rank, "write ranking tables for the chosen indicators", False),
-        ("bootstrap", cmd_bootstrap, "bootstrap ranking-stability analysis", False),
-        ("flip-test", cmd_flip_test, "document-type flip perturbation analysis", False),
-        ("report", cmd_report, "human-readable summary of indicators and coverage", True),
-    ):
+    for name, (_, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(run=run)
-        _add_io_options(p, related=related)
-        _add_analysis_options(p)
-
-    g = sub.add_parser("generate", help="generate a synthetic corpus file pair")
-    g.set_defaults(run=cmd_generate)
-    g.add_argument("--out", help="output directory")
-    g.add_argument("--config", help="JSON config file; explicit flags override it")
-    g.add_argument("--seed", type=int, help="random seed (default: 42)")
-    defaults = SyntheticProfile()
-    for flag, (name, kind, text) in _GENERATE_FLAGS.items():
-        choices = CITATION_DISTRIBUTIONS if name == "citation_dist" else None
-        g.add_argument(f"--{flag}", type=kind, choices=choices, help=f"{text} (default: {getattr(defaults, name)})")
+        p.add_argument("--config", help="JSON config file; explicit flags override it")
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    run, _, flags = _COMMANDS[args.command]
     try:
-        config = _resolve_config(args, _config_types(parser))
+        config = _resolve_config(args, _config_types(flags))
         config.validate_inputs()
     except (ValueError, FileNotFoundError) as exc:  # a malformed config file raises a ValueError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        return args.run(config)
+        return run(config)
     except Exception as exc:  # surfaced as diagnostics, not tracebacks
         print(f"error: {exc}", file=sys.stderr)
         return 1

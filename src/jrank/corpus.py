@@ -339,7 +339,7 @@ def load_journals(path: Path | str) -> JournalsFragment:
         if journal_id in fragment.journals:
             fragment.errors.append(RowError(line, f"duplicate journal_id {journal_id!r}"))
             continue
-        labels = tuple(c.strip() for c in categories.split(CATEGORY_SEPARATOR) if c.strip())
+        labels = tuple(filter(None, map(str.strip, categories.split(CATEGORY_SEPARATOR))))
         fragment.journals[journal_id] = Journal(journal_id, title, labels)
     return fragment
 

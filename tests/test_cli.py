@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -285,8 +286,9 @@ class TestRobustnessCommands:
         runs = []
         for name, flags in (("once", ["--indicator", "fncsi"]), ("twice", ["--indicator", "fncsi"] * 2)):
             out = tmp_path / name
+            sims = ["--sims", "5"] if command == "bootstrap" else []
             code = main([command, "--pubs", str(pubs), "--journals", str(journals), "--out", str(out),
-                         *flags, "--sims", "5"])
+                         *flags, *sims])
             assert code == 0
             runs.append((digest_dir(out), capsys.readouterr().out))
         assert runs[0] == runs[1]
@@ -320,8 +322,9 @@ class TestRobustnessCommands:
 
         monkeypatch.setattr(RankKernel, "from_corpus", classmethod(counting_from_corpus))
         monkeypatch.setattr(RankKernel, "evaluate", counting_evaluate)
+        sims = ["--sims", "7"] if command == "bootstrap" else []
         code = main([command, "--pubs", str(pubs), "--journals", str(journals), "--out", str(tmp_path / "out"),
-                     "--sims", "7"])
+                     *sims])
         assert code == 0
         assert len(list((tmp_path / "out").iterdir())) == files  # all four indicators
         assert calls == {"from_corpus": 1, "evaluate": evaluations}
@@ -397,7 +400,8 @@ class TestConfigFile:
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"pubs": str(pubs), "journals": str(journals), key: value}), encoding="utf-8")
         out = tmp_path / "out"
-        assert main(["bootstrap", "--config", str(cfg), "--out", str(out)]) == 2
+        command = "compute" if key in ("format", "category") else "bootstrap"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == f"error: config key {key} in {cfg} must be {expected}, not {json.dumps(value)}\n"
         assert not out.exists()
@@ -457,6 +461,94 @@ class TestUsageErrors:
         assert main([command, *inputs, "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: --seed must be >= 0\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("category", ["", "  "])
+    @pytest.mark.parametrize("command, source", [("rank", "flag"), ("compute", "config")])
+    def test_empty_category(self, tmp_path, capsys, command, source, category):
+        pubs, journals = write_tiny_corpus(tmp_path)
+        inputs = ["--pubs", str(pubs), "--journals", str(journals)]
+        if source == "flag":
+            inputs += ["--category", category]
+        else:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps({"category": category}), encoding="utf-8")
+            inputs += ["--config", str(cfg)]
+        out = tmp_path / "out"
+        assert main([command, *inputs, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --category must not be empty\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            *(("validate", flag) for flag in ("format", "indicator", "category", "sims", "seed")),
+            *(("classify", flag) for flag in ("format", "indicator", "category", "sims", "seed")),
+            ("compute", "sims"),
+            ("rank", "sims"),
+            ("bootstrap", "format"),
+            ("bootstrap", "category"),
+            ("flip-test", "format"),
+            ("flip-test", "category"),
+            ("flip-test", "sims"),
+            ("report", "sims"),
+        ],
+    )
+    def test_flag_the_command_does_not_read(self, tmp_path, capsys, command, flag):
+        pubs, journals = write_tiny_corpus(tmp_path)
+        value = {"format": "json", "indicator": "jif", "category": "X", "sims": "9", "seed": "1"}[flag]
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--pubs", str(pubs), "--journals", str(journals), "--out", str(out), f"--{flag}", value])
+        assert exc.value.code == 2
+        assert f"error: unrecognized arguments: --{flag} {value}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, keys",
+        [
+            ("compute", {"sigma": -4, "dist": "x"}),
+            ("validate", {"related": "pubs.csv"}),
+            ("generate", {"pubs": "pubs.csv"}),
+            ("bootstrap", {"category": "X"}),
+        ],
+    )
+    def test_config_key_the_command_does_not_read(self, tmp_path, monkeypatch, capsys, command, keys):
+        # a path key names an existing file, so only the key itself can be at fault
+        monkeypatch.chdir(tmp_path)
+        pubs, journals = write_tiny_corpus(tmp_path)
+        inputs = {} if command == "generate" else {"pubs": str(pubs), "journals": str(journals)}
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({**inputs, **keys}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: unknown config key(s) in {cfg}: {', '.join(sorted(keys))}\n"
+        assert not out.exists()
+
+
+class TestSubcommandFlags:
+    IO = {"pubs", "journals", "out"}
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("validate", IO),
+            ("classify", IO | {"related"}),
+            ("compute", IO | {"format", "indicator", "category", "seed"}),
+            ("rank", IO | {"format", "indicator", "category", "seed"}),
+            ("bootstrap", IO | {"indicator", "sims", "seed"}),
+            ("flip-test", IO | {"indicator", "seed"}),
+            ("report", IO | {"related", "format", "indicator", "category", "seed"}),
+            ("generate", {"out", "seed", "journals-count", "topics-count", "pubs-min", "pubs-max", "dist", "sigma",
+                          "quality-spread", "review-fraction", "unclassified-fraction", "skewed",
+                          "outlier-citations", "outlier-zero-fraction", "categories-count"}),
+        ],
+    )
+    def test_each_subcommand_takes_only_the_flags_it_reads(self, capsys, command, flags):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"--([a-z][a-z-]*)", capsys.readouterr().out))
+        assert listed == flags | {"help", "config"}
 
 
 class TestReport:
