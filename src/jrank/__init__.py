@@ -30,7 +30,7 @@ from .indicators import (
     Scores,
     compute_all,
 )
-from .ranking import InsufficientDataError, RankingRow, RankingTable, correlate, order_journals, rank
+from .ranking import InsufficientDataError, RankingRow, RankingTable, correlate, rank
 from .robustness import (
     RankingSamples,
     RankSummary,
@@ -76,7 +76,6 @@ __all__ = [
     "load_journals",
     "load_publications",
     "load_related",
-    "order_journals",
     "perturbation_comparison",
     "rank",
     "relative_change",

@@ -371,11 +371,13 @@ def _load_checked(config: RunConfig) -> tuple[Corpus, bool]:
     journals = load_journals(config.journals_path)
     _print_row_errors(config.publications_path, pubs.errors)
     _print_row_errors(config.journals_path, journals.errors)
+    row_errors = bool(pubs.errors or journals.errors)
     corpus = corpus_from_fragments(pubs, journals)
+    del pubs  # the fragment's columns would otherwise live beside the corpus through validation
     report = validate_corpus(corpus)
     for finding in report:
         print(f"error: {finding}", file=sys.stderr)
-    return corpus, not pubs.errors and not journals.errors and report.ok
+    return corpus, not row_errors and report.ok
 
 
 def _classified(config: RunConfig, corpus: Corpus) -> tuple[Corpus, AssignmentReport] | None:
@@ -599,6 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(subparser=p)  # a flag the subcommand does not read is reported against its usage
         p.add_argument("--config", help="JSON config file; explicit flags override it")
         for flag in flags:
             p.add_argument(f"--{flag}", **_FLAGS[flag])
@@ -606,7 +609,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:
+        args.subparser.error(f"unrecognized arguments: {' '.join(extra)}")
     run, _, flags = _COMMANDS[args.command]
     try:
         config = _resolve_config(args, _config_types(flags))

@@ -52,10 +52,6 @@ class DocumentType(enum.Enum):
             raise ValueError(f"unknown document type {text!r} (expected Article or Review)")
         return member
 
-    @property
-    def opposite(self) -> DocumentType:
-        return DocumentType.REVIEW if self is DocumentType.ARTICLE else DocumentType.ARTICLE
-
 
 _DOCUMENT_TYPES = {member.value.lower(): member for member in DocumentType}
 

@@ -280,16 +280,6 @@ class Scores:
             raise ValueError(f"unknown indicator key {key!r}; expected one of {INDICATOR_KEYS}")
         return np.where(self.kernel.in_table, getattr(self, key), math.nan)
 
-    def values(self, key: str) -> dict[str, float | None]:
-        """One indicator for every journal of the journal table, in id order."""
-        column = self.column(key).tolist()
-        kernel = self.kernel
-        return {
-            journal_id: _optional(column[code])
-            for code, journal_id in enumerate(kernel.journal_ids)
-            if kernel.in_table[code]
-        }
-
     def records(self) -> list[JournalIndicator]:
         """All four indicators for every journal of the journal table, in id order."""
         kernel = self.kernel

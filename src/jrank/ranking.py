@@ -2,14 +2,19 @@
 
 Rankings depend only on the ordering of indicator values: journals are sorted
 by descending value, equal values broken by ascending journal id, so the same
-inputs always produce the same table.  Percentile ranks rescale positions to
-(0, 100], higher is better: rank r of N maps to 100 * (N - r + 1) / N.
+inputs always produce the same table.  :func:`ranks` is that rule, and every
+ranking in the package (tables, bootstrap, flip test) goes through it.
+Percentile ranks rescale positions to (0, 100], higher is better: rank r of N
+maps to 100 * (N - r + 1) / N.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .corpus import Journal
 from .indicators import INDICATOR_KEYS, JournalIndicator
@@ -38,15 +43,14 @@ class RankingTable:
         return {row.journal_id: row.rank for row in self.rows}
 
 
-def order_journals(values: Mapping[str, float | None]) -> list[str]:
-    """Journal ids ordered by descending value, ties by ascending id.
+def ranks(values: np.ndarray, sentinel: int) -> np.ndarray:
+    """Rank of every position by descending value, ties by ascending position; NaN gets the sentinel.
 
-    Journals whose value is None (unrankable) are excluded.  This is the one
-    ordering rule shared by every ranking in the package.
+    Positions are journals in id order, so ties go to the smaller journal id.
     """
-    rankable = [(journal_id, value) for journal_id, value in values.items() if value is not None]
-    rankable.sort(key=lambda item: (-item[1], item[0]))
-    return [journal_id for journal_id, _ in rankable]
+    ranked = np.lexsort((np.arange(len(values)), -values)).argsort() + 1
+    ranked[np.isnan(values)] = sentinel
+    return ranked
 
 
 def rank(
@@ -75,8 +79,10 @@ def rank(
                 continue
         values[indicator.journal_id] = getattr(indicator, key)
 
-    ordered = order_journals(values)
-    n = len(ordered)
+    journal_ids = sorted(values)
+    column = np.array([math.nan if values[j] is None else values[j] for j in journal_ids], dtype=float)
+    n = int(np.count_nonzero(~np.isnan(column)))
+    ordered = [journal_ids[i] for i in ranks(column, n + 1).argsort()[:n].tolist()]
     rows = tuple(
         RankingRow(journal_id, values[journal_id], r, 100.0 * (n - r + 1) / n)
         for r, journal_id in enumerate(ordered, start=1)

@@ -6,7 +6,8 @@ four indicators, so every requested key is read off the same evaluations.  A
 bootstrap resample redraws every journal's publication list with replacement
 to its original size; it keeps the corpus's papers and changes only how often
 each one counts.  A simulation is therefore one draw for all journals, one
-``bincount`` into weights, one kernel evaluation and one ``lexsort`` per key.
+``bincount`` into weights, one kernel evaluation and one
+:func:`~jrank.ranking.ranks` per key.
 The flip test evaluates the kernel twice: before and after the flip.
 Per-simulation seeds are spawned deterministically from the master seed, so a
 report is reproducible bit for bit.
@@ -28,8 +29,8 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .corpus import Corpus
-from .indicators import RankKernel
-from .ranking import order_journals
+from .indicators import RankKernel, Scores
+from .ranking import ranks
 
 
 @dataclass
@@ -60,13 +61,6 @@ class RobustnessReport:
     sentinel_rank: int
 
 
-def _ranks(values: np.ndarray, sentinel: int) -> np.ndarray:
-    """Rank of every journal code by descending value, ties by journal id; NaN gets the sentinel."""
-    ranks = np.lexsort((np.arange(len(values)), -values)).argsort() + 1
-    ranks[np.isnan(values)] = sentinel
-    return ranks
-
-
 def bootstrap_rankings(
     corpus: Corpus, keys: Sequence[str], sims: int = 100, seed: int = 42
 ) -> dict[str, dict[str, RankingSamples]]:
@@ -88,16 +82,16 @@ def bootstrap_rankings(
     sizes = kernel.journal_sizes[kernel.journal_sizes > 0]
     highs = np.repeat(sizes, sizes)
     offsets = np.repeat(np.cumsum(sizes) - sizes, sizes)
-    ranks = {key: np.empty((sims, len(codes)), dtype=np.int64) for key, codes in tracked.items()}
+    sampled = {key: np.empty((sims, len(codes)), dtype=np.int64) for key, codes in tracked.items()}
     for sim, seq in enumerate(np.random.SeedSequence(seed).spawn(sims)):
         draw = np.random.default_rng(seq).integers(0, highs)
         scores = kernel.evaluate(np.bincount(draw + offsets, minlength=len(highs)))
         for key, codes in tracked.items():
-            ranks[key][sim] = _ranks(scores.column(key), len(codes) + 1)[codes]
+            sampled[key][sim] = ranks(scores.column(key), len(codes) + 1)[codes]
     samples = {}
     for key, codes in tracked.items():
         journal_ids = [kernel.journal_ids[code] for code in codes.tolist()]
-        samples[key] = {j: RankingSamples(j, r) for j, r in zip(journal_ids, ranks[key].T.tolist())}
+        samples[key] = {j: RankingSamples(j, r) for j, r in zip(journal_ids, sampled[key].T.tolist())}
     return samples
 
 
@@ -159,10 +153,18 @@ def perturbation_comparison(
     top = _top_papers(corpus, kernel)
     top = top[cell[top] >= 0]  # an unclassified paper sits in no cell either way
     cell[top] ^= 1  # the document type is the low bit of a cell code
-    sides = (kernel.evaluate(), replace(kernel, cell=cell).evaluate())
+
+    def ranked(scores: Scores) -> dict[str, dict[str, int]]:
+        # each side is ranked as soon as it is scored, so its Scores is freed before the flip is encoded
+        return {
+            key: {j: r for j, r in zip(kernel.journal_ids, ranks(scores.column(key), 0).tolist()) if r}
+            for key in keys
+        }
+
+    sides = (ranked(kernel.evaluate()), ranked(replace(kernel, cell=cell).evaluate()))
     comparisons = {}
     for key in keys:
-        original, perturbed = ({j: r for r, j in enumerate(order_journals(s.values(key)), start=1)} for s in sides)
+        original, perturbed = (side[key] for side in sides)
         journal_ids = sorted(original.keys() | perturbed.keys(), key=lambda j: (original.get(j, math.inf), j))
         comparisons[key] = [(j, original.get(j), perturbed.get(j)) for j in journal_ids]
     return comparisons

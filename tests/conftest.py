@@ -6,6 +6,8 @@ import math
 
 import pytest
 
+from oracles import values  # re-exported: the test modules import it from here
+
 from jrank.corpus import Corpus, DocumentType, Journal, Publication
 from jrank.indicators import JournalIndicator, RankKernel, compute_all
 
@@ -40,11 +42,6 @@ def corpus_of(pubs, journals=None, topics=None) -> Corpus:
 def record(journal_id: str, corpus: Corpus) -> JournalIndicator:
     """One journal's ``compute_all`` record."""
     return next(r for r in compute_all(corpus) if r.journal_id == journal_id)
-
-
-def values(corpus: Corpus, key: str) -> dict[str, float | None]:
-    """One indicator for every journal of the journal table, through ``Scores.values``."""
-    return RankKernel.from_corpus(corpus).evaluate().values(key)
 
 
 def cell_scores(corpus: Corpus) -> dict[tuple[str, str, DocumentType], tuple[float | None, int]]:

@@ -6,21 +6,22 @@ probability, per-paper loops for the normalized means.  None of it shares
 code with the package kernels it checks.  The one exception is
 :func:`rebuild_bootstrap_rankings`, the reference for the bootstrap's
 reweighting: it scores every rebuilt resample with the package's own kernel
-(``RankKernel.evaluate().values``), so it checks the resampling, not the
-kernel.  :func:`flip_doc_type` is the reference for the kernel's
-document-type flip: it rewrites the corpus itself.
+(through :func:`values`), so it checks the resampling, not the kernel.  It
+ranks with :func:`order_journals`, a plain Python sort that checks the
+package's ordering rule.  :func:`flip_doc_type` is the reference for the
+kernel's document-type flip: it rewrites the corpus itself.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import replace
+from typing import Mapping
 
 import numpy as np
 
 from jrank.corpus import Corpus, DocumentType, Journal, Publication
 from jrank.indicators import RankKernel
-from jrank.ranking import order_journals
 from jrank.robustness import RankingSamples
 
 
@@ -120,19 +121,34 @@ def brute_spearman(ranks_a: dict[str, int], ranks_b: dict[str, int]) -> float:
     return cov / math.sqrt(vx * vy)
 
 
+def values(corpus: Corpus, key: str) -> dict[str, float | None]:
+    """One indicator for every journal of the journal table, in id order; None where undefined."""
+    scores = RankKernel.from_corpus(corpus).evaluate()
+    kernel = scores.kernel
+    column = scores.column(key).tolist()
+    return {
+        journal_id: None if math.isnan(column[code]) else column[code]
+        for code, journal_id in enumerate(kernel.journal_ids)
+        if kernel.in_table[code]
+    }
+
+
+def order_journals(values: Mapping[str, float | None]) -> list[str]:
+    """Journal ids ordered by descending value, ties by ascending id; journals valued None are left out."""
+    rankable = [(journal_id, value) for journal_id, value in values.items() if value is not None]
+    rankable.sort(key=lambda item: (-item[1], item[0]))
+    return [journal_id for journal_id, _ in rankable]
+
+
 def rebuild_bootstrap_rankings(
     corpus: Corpus, key: str, sims: int = 100, seed: int = 42
 ) -> dict[str, RankingSamples]:
     """Bootstrap that rebuilds a resampled corpus per simulation and ranks it afresh.
 
     Same seeds, draws and sentinel as ``jrank.robustness.bootstrap_rankings``;
-    each corpus is scored by a kernel encoded from it, through ``Scores.values``.
+    each corpus is scored by a kernel encoded from it, through :func:`values`.
     """
-
-    def values_of(scored: Corpus) -> dict[str, float | None]:
-        return RankKernel.from_corpus(scored).evaluate().values(key)
-
-    base_values = values_of(corpus)
+    base_values = values(corpus, key)
     tracked = sorted(j for j, v in base_values.items() if v is not None)
     sentinel = len(tracked) + 1
     by_journal: dict[str, list[Publication]] = {}
@@ -147,10 +163,14 @@ def rebuild_bootstrap_rankings(
             for i in rng.integers(0, len(pubs), size=len(pubs)):
                 resampled.append(pubs[i])
         boot = Corpus.of(resampled, corpus.journals, corpus.topics)
-        rank_of = {j: r for r, j in enumerate(order_journals(values_of(boot)), start=1)}
+        rank_of = {j: r for r, j in enumerate(order_journals(values(boot, key)), start=1)}
         for journal_id in tracked:
             samples[journal_id].rankings.append(rank_of.get(journal_id, sentinel))
     return samples
+
+
+def opposite(doc_type: DocumentType) -> DocumentType:
+    return DocumentType.REVIEW if doc_type is DocumentType.ARTICLE else DocumentType.ARTICLE
 
 
 def flip_doc_type(corpus: Corpus) -> Corpus:
@@ -166,7 +186,7 @@ def flip_doc_type(corpus: Corpus) -> Corpus:
         most = max(p.citations for p in pubs)
         flip.add((journal_id, min(p.pub_id for p in pubs if p.citations == most)))
     flipped = tuple(
-        replace(p, doc_type=p.doc_type.opposite) if (p.journal_id, p.pub_id) in flip else p
+        replace(p, doc_type=opposite(p.doc_type)) if (p.journal_id, p.pub_id) in flip else p
         for p in corpus.publications
     )
     return Corpus.of(flipped, corpus.journals, corpus.topics)

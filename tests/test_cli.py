@@ -500,7 +500,9 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main([command, "--pubs", str(pubs), "--journals", str(journals), "--out", str(out), f"--{flag}", value])
         assert exc.value.code == 2
-        assert f"error: unrecognized arguments: --{flag} {value}\n" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: jrank {command} ")
+        assert f"\njrank {command}: error: unrecognized arguments: --{flag} {value}\n" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(

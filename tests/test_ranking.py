@@ -6,12 +6,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import brute_spearman
+from oracles import brute_spearman, order_journals
 
 from jrank.corpus import Journal
 from jrank.indicators import JournalIndicator
-from jrank.ranking import InsufficientDataError, RankingTable, correlate, order_journals, rank
+from jrank.ranking import InsufficientDataError, RankingTable, correlate, rank, ranks
+
+# ties, signed zeros and infinities are drawn often; NaN never reaches rank(), since records() maps it to None
+_floats = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0.5, math.inf, -math.inf]), st.floats(allow_nan=False))
+_values = st.one_of(st.none(), _floats)
 
 
 def indicator(journal_id, value, key="fncsi", n_pubs=10):
@@ -80,6 +86,37 @@ class TestRank:
 
     def test_order_journals_skips_none(self):
         assert order_journals({"a": None, "b": 1.0, "c": 2.0}) == ["c", "b"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.dictionaries(st.text("Jab0", min_size=1, max_size=3), _values, max_size=12),
+        in_x=st.sets(st.text("Jab0", min_size=1, max_size=3)),
+        scoped=st.booleans(),
+        data=st.data(),
+    )
+    def test_matches_the_oracle_order(self, values, in_x, scoped, data):
+        journals = {j: Journal(j, categories=("X",) if j in in_x else ("Y",)) for j in values}
+        shuffled = data.draw(st.permutations(list(values)))
+        scope = "X" if scoped else None
+        table = rank([indicator(j, values[j]) for j in shuffled], "fncsi", scope=scope, journals=journals)
+        expected = order_journals({j: v for j, v in values.items() if scope is None or j in in_x})
+        n = len(expected)
+        assert [(r.journal_id, r.rank, r.percentile) for r in table.rows] == [
+            (j, r, 100.0 * (n - r + 1) / n) for r, j in enumerate(expected, start=1)
+        ]
+        assert all(row.value is values[row.journal_id] for row in table.rows)
+        assert all(type(row.rank) is int and type(row.percentile) is float for row in table.rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(column=st.lists(st.one_of(st.just(math.nan), _floats), max_size=12))
+    def test_ranks_gives_the_sentinel_to_exactly_the_nan_positions(self, column):
+        values = np.array(column, dtype=float)
+        sentinel = len(column) + 1
+        ranked = ranks(values, sentinel)
+        assert ((ranked == sentinel) == np.isnan(values)).all()
+        ids = [f"j{i:02d}" for i in range(len(column))]
+        expected = order_journals({j: None if math.isnan(v) else v for j, v in zip(ids, column)})
+        assert [ids[i] for i in ranked.argsort()[: len(expected)].tolist()] == expected
 
 
 class TestCorrelate:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import A, R, corpus_of, pub
-from oracles import flip_doc_type, random_corpus, rebuild_bootstrap_rankings
+from oracles import flip_doc_type, opposite, random_corpus, rebuild_bootstrap_rankings
 
 from jrank.corpus import Corpus, DocumentType, Journal
 from jrank.indicators import INDICATOR_KEYS, compute_all
@@ -207,7 +207,7 @@ class TestFlip:
         assert len(diffs) == journals_with_pubs
         assert len({a.journal_id for a, _ in diffs}) == journals_with_pubs
         for a, b in diffs:
-            assert a.doc_type is b.doc_type.opposite
+            assert a.doc_type is opposite(b.doc_type)
             assert (a.pub_id, a.citations, a.topic_id) == (b.pub_id, b.citations, b.topic_id)
 
     def test_involution_when_max_is_unique(self):
