@@ -6,7 +6,7 @@ jif), turns them into deterministic rankings, and quantifies how stable those
 rankings are under bootstrap resampling and document-type mislabeling.
 """
 
-from .classifier import AssignmentReport, RelatedRecords, assign_majority, load_related
+from .classifier import AssignmentReport, RelatedRecords, assign_majority, load_related, read_related
 from .corpus import (
     Corpus,
     CoverageReport,
@@ -78,6 +78,7 @@ __all__ = [
     "load_related",
     "perturbation_comparison",
     "rank",
+    "read_related",
     "relative_change",
     "validate_corpus",
     "write_corpus_files",

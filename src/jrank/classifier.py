@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .corpus import Corpus, RowError, _read_table
 
@@ -51,30 +51,35 @@ class AssignmentReport:
     already_classified: int
 
 
-def load_related(path: Path | str) -> RelatedFragment:
-    """Load related records; related_ids are ``|``-separated.
+def read_related(path: Path | str, errors: list[RowError]) -> Iterator[RelatedRecords]:
+    """Yield related records one at a time; related_ids are ``|``-separated.
 
     Rows with an empty related list, a self-reference, or a duplicate subject
-    id are collected as errors.
+    id are appended to ``errors`` as they are read, and not yielded.
     """
-    fragment = RelatedFragment()
     seen: set[str] = set()
     for lineno, (pub_id, related_ids) in _read_table(path, RELATED_COLUMNS):
         related = tuple(filter(None, map(str.strip, related_ids.split(RELATED_SEPARATOR))))
         if not pub_id:
-            fragment.errors.append(RowError(lineno, "empty pub_id"))
+            errors.append(RowError(lineno, "empty pub_id"))
             continue
         if not related:
-            fragment.errors.append(RowError(lineno, f"no related ids for {pub_id!r}"))
+            errors.append(RowError(lineno, f"no related ids for {pub_id!r}"))
             continue
         if pub_id in related:
-            fragment.errors.append(RowError(lineno, f"{pub_id!r} lists itself as a related record"))
+            errors.append(RowError(lineno, f"{pub_id!r} lists itself as a related record"))
             continue
         if pub_id in seen:
-            fragment.errors.append(RowError(lineno, f"duplicate related-record row for {pub_id!r}"))
+            errors.append(RowError(lineno, f"duplicate related-record row for {pub_id!r}"))
             continue
         seen.add(pub_id)
-        fragment.records.append(RelatedRecords(pub_id, related))
+        yield RelatedRecords(pub_id, related)
+
+
+def load_related(path: Path | str) -> RelatedFragment:
+    """Every record of :func:`read_related` in a list, plus the rows that failed to parse."""
+    fragment = RelatedFragment()
+    fragment.records.extend(read_related(path, fragment.errors))
     return fragment
 
 
@@ -86,22 +91,26 @@ def assign_majority(corpus: Corpus, related: Iterable[RelatedRecords]) -> tuple[
     corpus; the most frequent wins, ties broken by the lexicographically
     smallest topic id.  Related ids not present in the corpus are ignored and
     counted.  Publications that already carry a topic are never modified.
+    ``related`` is read once, so it may be a stream such as :func:`read_related`.
     """
-    topic_of = {pub_id: topic_id for pub_id, topic_id in zip(corpus.pub_ids, corpus.topic_ids) if topic_id is not None}
-    corpus_ids = set(corpus.pub_ids)
+    # None: in the corpus but unclassified; a repeated id keeps its last topic, if any
+    topic_of = dict(zip(corpus.pub_ids, corpus.topic_ids))
+    if len(topic_of) < len(corpus.pub_ids):
+        topic_of.update((p, t) for p, t in zip(corpus.pub_ids, corpus.topic_ids) if t is not None)
 
     assignments: dict[str, str] = {}
     external = 0
     already = 0
     for record in related:
-        if record.pub_id not in corpus_ids:
+        if record.pub_id not in topic_of:
             continue
-        in_corpus = [rid for rid in record.related_ids if rid in corpus_ids]
+        in_corpus = [rid for rid in record.related_ids if rid in topic_of]
         external += len(record.related_ids) - len(in_corpus)
-        if record.pub_id in topic_of:
+        if topic_of[record.pub_id] is not None:
             already += 1
             continue
-        votes = Counter(topic_of[rid] for rid in in_corpus if rid in topic_of)
+        votes = Counter(map(topic_of.__getitem__, in_corpus))
+        votes.pop(None, None)
         if not votes:
             continue
         top = max(votes.values())

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from . import __version__
-from .classifier import AssignmentReport, assign_majority, load_related
+from .classifier import AssignmentReport, assign_majority, read_related
 from .corpus import (
     Corpus,
     RowError,
@@ -381,12 +381,16 @@ def _load_checked(config: RunConfig) -> tuple[Corpus, bool]:
 
 
 def _classified(config: RunConfig, corpus: Corpus) -> tuple[Corpus, AssignmentReport] | None:
-    """Assign topics to ``corpus`` from the related records; None, after printing them, if a row is bad."""
-    fragment = load_related(config.related_records_path)
-    _print_row_errors(config.related_records_path, fragment.errors)
-    if fragment.errors:
-        return None
-    return assign_majority(corpus, fragment.records)
+    """Assign topics to ``corpus`` from the related records; None, after printing them, if a row is bad.
+
+    The records are voted on as they are read, so one is alive at a time.
+    """
+    errors: list[RowError] = []
+    records = read_related(config.related_records_path, errors)
+    # after a bad row nothing is written: read on to report every bad row, but stop voting
+    classified = assign_majority(corpus, (record for record in records if not errors))
+    _print_row_errors(config.related_records_path, errors)
+    return None if errors else classified
 
 
 # ---------------------------------------------------------------------------

@@ -434,6 +434,13 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
     corpus is acceptable for indicator computation.
     """
     report = ValidationReport()
+    # set checks clear the common, clean corpus; the row walk only runs to report findings
+    if (
+        len(set(corpus.pub_ids)) == len(corpus.pub_ids)
+        and corpus.journals.keys() >= set(corpus.journal_ids)
+        and corpus.topics >= set(corpus.topic_ids) - {None}
+    ):
+        return report
     seen: set[str] = set()
     for pub_id, journal_id, topic_id in zip(corpus.pub_ids, corpus.journal_ids, corpus.topic_ids):
         if pub_id in seen:

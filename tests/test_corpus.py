@@ -15,6 +15,7 @@ from oracles import random_corpus
 from jrank.corpus import (
     Corpus,
     DocumentType,
+    Finding,
     Journal,
     Publication,
     SchemaError,
@@ -335,6 +336,46 @@ class TestValidate:
     def test_validation_is_pure(self):
         corpus = corpus_of([pub("p1", "jA", 3, "t1")], topics={"t9"})
         assert validate_corpus(corpus) == validate_corpus(corpus)
+
+
+def walked_findings(corpus: Corpus) -> list[Finding]:
+    """The findings of a plain walk over every row, in row order."""
+    findings = []
+    seen = set()
+    for pub_id, journal_id, topic_id in zip(corpus.pub_ids, corpus.journal_ids, corpus.topic_ids):
+        if pub_id in seen:
+            findings.append(Finding("duplicate-pub-id", pub_id, "publication id appears more than once"))
+        seen.add(pub_id)
+        if journal_id not in corpus.journals:
+            findings.append(Finding("dangling-journal", pub_id, f"journal {journal_id!r} not in journal table"))
+        if topic_id is not None and topic_id not in corpus.topics:
+            findings.append(Finding("unknown-topic", pub_id, f"topic {topic_id!r} not in corpus topic set"))
+    return findings
+
+
+@st.composite
+def _flawed_corpora(draw) -> Corpus:
+    """Small corpora with repeated ids, dangling journals and unknown topics at random rows."""
+    n = draw(st.integers(0, 12))
+    rows = [
+        Publication(
+            draw(st.sampled_from(["p0", "p1", "p2", f"u{i}"])),
+            draw(st.sampled_from(["jA", "jB", "jX"])),
+            2018,
+            DocumentType.ARTICLE,
+            draw(st.integers(0, 9)),
+            draw(st.sampled_from([None, "t1", "t2", "t9"])),
+        )
+        for i in range(n)
+    ]
+    journals = {j: Journal(j) for j in draw(st.sets(st.sampled_from(["jA", "jB", "jX"])))}
+    return Corpus.of(rows, journals, frozenset(draw(st.sets(st.sampled_from(["t1", "t2", "t9"])))))
+
+
+@settings(max_examples=500, deadline=None)
+@given(corpus=_flawed_corpora())
+def test_validate_finds_what_a_row_walk_finds(corpus):
+    assert validate_corpus(corpus).findings == walked_findings(corpus)
 
 
 class TestCoverage:
