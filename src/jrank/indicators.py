@@ -18,15 +18,16 @@ statistics:
 All four come from one columnar kernel, :class:`RankKernel`.  It encodes the
 corpus once as integer arrays (a journal code and a cell code per paper, and
 the citation counts) and sorts the classified papers twice, by (cell,
-citations) and by (journal, cell, citations).  Per cell, ``fncsi`` is a
-normalized Mann-Whitney U statistic: a paper wins against the papers of its
-cell cited fewer times, less those of its own journal, and ties with the
-papers cited equally often, less those of its own journal.  Both counts are
-differences of cumulative weights along the two sort orders, so any integer
-reweighting of the papers (a bootstrap resample) is scored without sorting
-again.  Win and tie counts are summed per occupied (journal, cell) pair in
-int64 and divided once, which keeps pure-tie cells at exactly 0.5 and makes
-the two-journal complement identity hold exactly.
+citations) and by (journal, cell).  Per cell, ``fncsi`` is a normalized
+Mann-Whitney U statistic in rank-sum form: a journal's paper scores 2 per
+paper of its cell cited less and 1 per paper cited equally, itself and its
+own journal's papers included.  Those score exactly ``n_own**2`` among
+themselves, so the sum less that is twice U: twice the wins plus the ties
+against other journals.  Scores are differences of cumulative weights along
+the (cell, citations) order, so an integer reweighting of the papers (a
+bootstrap resample) needs no new sort.  Twice U is summed per occupied
+(journal, cell) pair in int64 and divided once, so pure-tie cells score
+exactly 0.5 and the two-journal complement identity holds exactly.
 
 Aggregation order is fixed everywhere (topics sorted by id, articles before
 reviews, journals sorted by id) and floating-point sums accumulate left to
@@ -97,8 +98,9 @@ class RankKernel:
     order within a journal, so ``journal_sizes`` also lays out a bootstrap
     resample; paper ``i`` is corpus row ``rows[i]``.  ``cell`` is
     ``2 * topic rank + document-type rank``, or -1 for an unclassified paper.
-    Journal codes cover the journal table and every journal that publishes;
-    only table journals (``in_table``) are scored.
+    ``by_cell`` orders the classified papers by (cell, citations), ``by_pair``
+    by (journal, cell).  Journal codes cover the journal table and every
+    journal that publishes; only table journals (``in_table``) are scored.
     """
 
     journal_ids: tuple[str, ...]
@@ -114,7 +116,7 @@ class RankKernel:
         classified = np.flatnonzero(self.cell >= 0)
         journal, cell, citations = self.journal[classified], self.cell[classified], self.citations[classified]
         self.by_cell = classified[np.lexsort((citations, cell))].astype(np.int32)
-        self.by_pair = classified[np.lexsort((citations, cell, journal))].astype(np.int32)
+        self.by_pair = classified[np.lexsort((cell, journal))].astype(np.int32)
 
         # runs of equal (cell, citations) along by_cell, grouped by cell
         cell = self.cell[self.by_cell]
@@ -128,19 +130,14 @@ class RankKernel:
         run_of_paper = np.empty(len(self.cell), dtype=np.int32)
         run_of_paper[self.by_cell] = _group_of(self._runs, len(self.by_cell))
 
-        # "own runs" of equal (journal, cell, citations) along by_pair, each
-        # matched to its run above, grouped by occupied (journal, cell) pair;
-        # pairs grouped by (journal, topic)
+        # occupied (journal, cell) pairs along by_pair, each paper matched to
+        # its run above; pairs grouped by (journal, topic)
+        self._run_of_paired = run_of_paper[self.by_pair]
         journal = self.journal[self.by_pair]
         cell = self.cell[self.by_pair]
-        self._own_runs = _run_starts(journal, cell, self.citations[self.by_pair])
-        self._own_run_citations = self.citations[self.by_pair[self._own_runs]]
-        self._run_of_own_run = run_of_paper[self.by_pair[self._own_runs]]
-        run_journal, run_cell = journal[self._own_runs], cell[self._own_runs]
-        self._pair_starts = _run_starts(run_journal, run_cell)
-        self._pair_of_own_run = _group_of(self._pair_starts, len(self._own_runs))
-        self.pair_journal = run_journal[self._pair_starts]
-        self.pair_cell = run_cell[self._pair_starts]
+        self._pair_starts = _run_starts(journal, cell)
+        self.pair_journal = journal[self._pair_starts]
+        self.pair_cell = cell[self._pair_starts]
         self._topic_starts = _run_starts(self.pair_journal, self.pair_cell >> 1)
         self._group_of_pair = _group_of(self._topic_starts, len(self._pair_starts))
         self._group_journal = self.pair_journal[self._topic_starts]
@@ -179,27 +176,29 @@ class RankKernel:
         cell_citations = np.zeros(n_cells, dtype=np.int64)
         cell_citations[self._cells] = np.add.reduceat(run_weight * self._run_citations, self._cell_starts)
 
-        # an own run's weight is every member's equal_in_own_group
-        own_run_weight = np.add.reduceat(weights[self.by_pair], self._own_runs)
-        before = np.cumsum(own_run_weight) - own_run_weight
-        below_in_own = before - before[self._pair_starts][self._pair_of_own_run]
-        wins = np.add.reduceat(own_run_weight * (below_in_cell[self._run_of_own_run] - below_in_own), self._pair_starts)
-        ties = np.add.reduceat(own_run_weight * (run_weight[self._run_of_own_run] - own_run_weight), self._pair_starts)
-        n_own = np.add.reduceat(own_run_weight, self._pair_starts)
-        own_citations = np.add.reduceat(own_run_weight * self._own_run_citations, self._pair_starts)
-        return cell_total, cell_citations, n_own, wins, ties, own_citations
+        # twice U: 2 per same-cell paper cited less, 1 per paper cited equally,
+        # less the n_own**2 that the pair's papers score against each other
+        paired_weight = weights[self.by_pair]
+        run = self._run_of_paired
+        n_own = np.add.reduceat(paired_weight, self._pair_starts)
+        rank_sum = np.add.reduceat(paired_weight * (2 * below_in_cell + run_weight)[run], self._pair_starts)
+        own_citations = np.add.reduceat(paired_weight * self._run_citations[run], self._pair_starts)
+        return cell_total, cell_citations, n_own, rank_sum - n_own * n_own, own_citations
 
     def evaluate(self, weights: np.ndarray | None = None) -> Scores:
         """Score every journal, each paper counted ``weights[i]`` times (default once)."""
-        weights = np.ones(len(self.journal), dtype=np.int64) if weights is None else np.asarray(weights, dtype=np.int64)
+        weights = np.ones(len(self.journal), dtype=np.int64) if weights is None else np.asarray(weights)
+        if weights.dtype.kind not in "iu" or weights.shape != self.journal.shape or (weights < 0).any():
+            raise ValueError(f"weights must be one non-negative integer per paper, not {weights.dtype} {weights.shape}")
+        weights = weights.astype(np.int64, copy=False)
         n_journals = len(self.journal_ids)
-        cell_total, cell_citations, n_own, wins, ties, own_citations = self._counts(weights)
+        cell_total, cell_citations, n_own, numerator, own_citations = self._counts(weights)
 
         # fncsi: cells without comparison papers drop out, weights renormalize
         n_other = cell_total[self.pair_cell] - n_own
         compared = (n_own > 0) & (n_other > 0)
         # integer numerator, one division: exact for pure ties and complements
-        probability = _divide(2 * wins + ties, 2 * n_own * n_other, compared)
+        probability = _divide(numerator, 2 * n_own * n_other, compared)
         n_groups = len(self._topic_starts)
         topic_sum = np.bincount(
             self._group_of_pair, weights=np.where(compared, n_own * probability, 0.0), minlength=n_groups

@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import A, R, cell_scores, corpus_of, pub, record, values
 from oracles import brute_expected_jif, brute_fncsi, brute_fnif, brute_jif, pairwise_score, random_corpus
 
 from jrank.corpus import Corpus, DocumentType
-from jrank.indicators import RankKernel, compute_all
+from jrank.indicators import INDICATOR_KEYS, RankKernel, compute_all
 
 
 def cell_score(journal_id, corpus, topic_id="t1", doc=A):
@@ -372,3 +375,68 @@ class TestProperties:
         corpus = corpus_of([pub("p1", "jA", 1, "t1")])
         with pytest.raises(ValueError):
             values(corpus, "h-index")
+
+
+def indicators_by_id(scores):
+    """Table journal id -> its four indicator values, None where undefined."""
+    kernel = scores.kernel
+    columns = [scores.column(key).tolist() for key in INDICATOR_KEYS]
+    return {
+        journal_id: tuple(None if math.isnan(column[code]) else column[code] for column in columns)
+        for code, journal_id in enumerate(kernel.journal_ids)
+        if kernel.in_table[code]
+    }
+
+
+def weights_for(kernel, data, low=0, high=3):
+    return data.draw(st.lists(st.integers(low, high), min_size=len(kernel.journal), max_size=len(kernel.journal)))
+
+
+class TestWeightedEvaluation:
+    @pytest.fixture
+    def kernel(self):
+        return RankKernel.from_corpus(cell_of([3, 1], [2, 2]))
+
+    @pytest.mark.parametrize(
+        "weights",
+        [[1, -3, 1, 1], [0.7] * 4, [1.0] * 4, [True] * 4, [1] * 3, [1] * 5, [[1, 1], [1, 1]], 1],
+        ids=["negative", "fractional", "float", "bool", "short", "long", "2-d", "scalar"],
+    )
+    def test_rejects_anything_but_one_non_negative_integer_per_paper(self, kernel, weights):
+        with pytest.raises(ValueError, match="one non-negative integer per paper"):
+            kernel.evaluate(weights)
+
+    def test_accepts_a_list_of_ints_and_bootstrap_counts(self, kernel):
+        assert indicators_by_id(kernel.evaluate([1, 1, 1, 1])) == indicators_by_id(kernel.evaluate())
+        counts = np.bincount([0, 0, 2, 3], minlength=4)
+        assert indicators_by_id(kernel.evaluate(counts)) == indicators_by_id(kernel.evaluate(counts.tolist()))
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), tie_heavy=st.booleans(), data=st.data())
+    def test_weights_score_as_repeated_papers(self, seed, tie_heavy, data):
+        corpus = random_corpus(np.random.default_rng(seed), max_journals=8, max_pubs=150, max_topics=4,
+                               tie_heavy=tie_heavy, unclassified_p=0.1)
+        kernel = RankKernel.from_corpus(corpus)
+        weights = weights_for(kernel, data)
+        rows = corpus.publications
+        expanded = [rows[row] for row, w in zip(kernel.rows.tolist(), weights) for _ in range(w)]
+        repeated = RankKernel.from_corpus(Corpus.of(expanded, corpus.journals, corpus.topics))
+        assert indicators_by_id(kernel.evaluate(weights)) == indicators_by_id(repeated.evaluate())
+
+    @settings(max_examples=300, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 6), min_size=2, max_size=4), citations=st.integers(0, 50), data=st.data())
+    def test_pure_tie_cell_is_exactly_half(self, sizes, citations, data):
+        pubs = [pub(f"p{j}_{i}", f"j{j}", citations, "t1") for j, size in enumerate(sizes) for i in range(size)]
+        kernel = RankKernel.from_corpus(corpus_of(pubs))
+        assert kernel.evaluate(weights_for(kernel, data, 1, 4)).pair_score.tolist() == [0.5] * len(sizes)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        own=st.lists(st.integers(0, 12), min_size=1, max_size=30),
+        others=st.lists(st.integers(0, 12), min_size=1, max_size=30),
+        data=st.data(),
+    )
+    def test_two_journal_complement_is_exact(self, own, others, data):
+        kernel = RankKernel.from_corpus(cell_of(own, others))
+        pa, pb = kernel.evaluate(weights_for(kernel, data, 1, 4)).pair_score.tolist()
+        assert pa + pb == 1.0
