@@ -58,22 +58,23 @@ def read_related(path: Path | str, errors: list[RowError]) -> Iterator[RelatedRe
     id are appended to ``errors`` as they are read, and not yielded.
     """
     seen: set[str] = set()
-    for lineno, (pub_id, related_ids) in _read_table(path, RELATED_COLUMNS):
-        related = tuple(filter(None, map(str.strip, related_ids.split(RELATED_SEPARATOR))))
-        if not pub_id:
-            errors.append(RowError(lineno, "empty pub_id"))
-            continue
-        if not related:
-            errors.append(RowError(lineno, f"no related ids for {pub_id!r}"))
-            continue
-        if pub_id in related:
-            errors.append(RowError(lineno, f"{pub_id!r} lists itself as a related record"))
-            continue
-        if pub_id in seen:
-            errors.append(RowError(lineno, f"duplicate related-record row for {pub_id!r}"))
-            continue
-        seen.add(pub_id)
-        yield RelatedRecords(pub_id, related)
+    for lines, block in _read_table(path, RELATED_COLUMNS):
+        for lineno, pub_id, related_ids in zip(lines, *block):
+            related = tuple(filter(None, map(str.strip, related_ids.split(RELATED_SEPARATOR))))
+            if not pub_id:
+                errors.append(RowError(lineno, "empty pub_id"))
+                continue
+            if not related:
+                errors.append(RowError(lineno, f"no related ids for {pub_id!r}"))
+                continue
+            if pub_id in related:
+                errors.append(RowError(lineno, f"{pub_id!r} lists itself as a related record"))
+                continue
+            if pub_id in seen:
+                errors.append(RowError(lineno, f"duplicate related-record row for {pub_id!r}"))
+                continue
+            seen.add(pub_id)
+            yield RelatedRecords(pub_id, related)
 
 
 def load_related(path: Path | str) -> RelatedFragment:

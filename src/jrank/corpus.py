@@ -7,6 +7,14 @@ as one tuple per field (:class:`Publication` is the row type for code that
 works row by row).  Corpora are immutable once built: topic assignment
 returns a new instance, and the bootstrap and the document-type flip reweight
 or recode the corpus's kernel encoding instead of copying it.
+
+Every table is read by :func:`_read_table`, in blocks of whole lines.  A
+clean block, one in which every line is a plain record with the header's
+number of fields, is split on the separator in one call, and
+:func:`load_publications` converts it column by column.  Any other block,
+and the rest of the file after it, goes through ``csv.reader`` with quoted
+fields, comments and blank lines; a block with a rejected row is parsed
+again row by row, so row errors are the same as a row loop's.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, repeat
 from operator import attrgetter, is_not, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
@@ -206,30 +214,43 @@ class CoverageReport:
 # ---------------------------------------------------------------------------
 
 
-def _read_table(path: Path | str, columns: tuple[str, ...]) -> Iterator[tuple[int, Iterator[str]]]:
-    """Yield ``(last physical line, fields)`` for each data record of a delimited file.
+_BLOCK_HINT = 16 * 1024  # characters of whole lines read per block
 
-    One ``csv.reader`` streams the whole file, so a quoted field may hold
-    delimiters, quotes and line breaks.  Blank and ``#`` comment lines are
-    skipped only where a record starts; the continuation lines of a quoted
-    field are kept as they are.  ``fields`` yields the values of ``columns``
-    (at least two), in that order and stripped; rows shorter than the header
-    read as empty strings, extra columns are ignored.  The separator comes
-    from the header line: tab if it holds one, else comma.
+
+def _read_table(path: Path | str, columns: tuple[str, ...]) -> Iterator[tuple[Sequence[int], list[list[str]]]]:
+    """Yield ``(lines, fields)`` for each block of data records of a delimited file.
+
+    ``fields`` holds one list per name in ``columns`` (at least two), in that
+    order, with the stripped values of the block's records; ``lines`` holds
+    the last physical line of each record.  Rows shorter than the header read
+    as empty strings, extra columns are ignored.  The separator comes from
+    the header line: tab if it holds one, else comma.
+
+    After the header, lines are read in blocks of about ``_BLOCK_HINT``
+    characters.  A block is clean when it holds no quote, ``#``, carriage
+    return or NUL, no line longer than the csv field limit and no line of
+    whitespace only, and every line has as many separators as the header:
+    then each line is one record, and the block is split on the separator in
+    one call.  Its records are those ``csv.reader`` would give.
+    From the first block that is not clean on, one ``csv.reader`` streams the
+    rest of the file, so a quoted field may hold delimiters, quotes and line
+    breaks.  There blank and ``#`` comment lines are skipped only where a
+    record starts; the continuation lines of a quoted field are kept as they
+    are.
 
     Raises :class:`SchemaError` when the header is missing or lacks one of
     ``columns``, or when a quoted field is never closed.
     """
     line = 0  # physical lines read so far
     start = 0  # the line that opened the current record
-    at_start = True  # the next line opens a record; set by the loop below
+    at_start = True  # the next line opens a record; set by records() below
     at_eof = False
 
-    def physical_lines(fh: TextIO) -> Iterator[str]:
+    def physical_lines(source: Iterable[str]) -> Iterator[str]:
         # csv.reader pulls one line at a time and none past a record's end,
         # so at_start is True exactly when it asks for a record's first line
         nonlocal line, start, at_start, at_eof
-        for text in fh:
+        for text in source:
             line += 1
             if at_start:
                 head = text.lstrip()
@@ -239,13 +260,9 @@ def _read_table(path: Path | str, columns: tuple[str, ...]) -> Iterator[tuple[in
             yield text
         at_eof = True
 
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        lines = physical_lines(fh)
-        first = next(lines, None)
-        if first is None:
-            raise SchemaError(f"{path}: empty file, expected a header row")
-        reader = csv.reader(chain([first], lines), delimiter="\t" if "\t" in first else ",")
-        pick = None
+    def records(lines: Iterator[str], delimiter: str) -> Iterator[tuple[int, list[str]]]:
+        nonlocal at_start
+        reader = csv.reader(lines, delimiter=delimiter)
         while True:
             try:
                 row = next(reader)
@@ -257,19 +274,50 @@ def _read_table(path: Path | str, columns: tuple[str, ...]) -> Iterator[tuple[in
                 # only an open quoted field makes the reader run out of lines mid-record
                 raise SchemaError(f"{path}: line {start}: quoted field is never closed")
             at_start = True
-            if pick is None:
-                header = [h.strip() for h in row]
-                missing = [col for col in columns if col not in header]
-                if missing:
-                    raise SchemaError(f"{path}: missing required column(s): {', '.join(missing)}")
-                index = {col: i for i, col in enumerate(header)}  # a repeated column: the last wins
-                positions = [index[col] for col in columns]
-                width = max(positions) + 1
-                pick = itemgetter(*positions)
-                continue
-            if len(row) < width:
-                row += [""] * (width - len(row))
-            yield line, map(str.strip, pick(row))
+            yield line, row
+
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        lines = physical_lines(fh)
+        first = next(lines, None)
+        if first is None:
+            raise SchemaError(f"{path}: empty file, expected a header row")
+        delimiter = "\t" if "\t" in first else ","
+        _, header = next(records(chain([first], lines), delimiter))
+        header = [h.strip() for h in header]
+        missing = [col for col in columns if col not in header]
+        if missing:
+            raise SchemaError(f"{path}: missing required column(s): {', '.join(missing)}")
+        index = {col: i for i, col in enumerate(header)}  # a repeated column: the last wins
+        positions = [index[col] for col in columns]
+
+        stride = len(header)
+        limit = csv.field_size_limit()
+        while block := fh.readlines(_BLOCK_HINT):
+            text = "".join(block)
+            if (
+                '"' in text
+                or "#" in text
+                or "\r" in text
+                or "\0" in text
+                or (len(text) > limit and max(map(len, block)) > limit)
+                or any(map(str.isspace, block))
+                or list(map(str.count, block, repeat(delimiter))).count(stride - 1) < len(block)
+            ):
+                break
+            fields = text.replace("\n", delimiter).split(delimiter)
+            del fields[len(block) * stride :]  # the empty string after a final line break
+            yield range(line + 1, line + len(block) + 1), [list(map(str.strip, fields[p::stride])) for p in positions]
+            line += len(block)
+        else:
+            return
+
+        width = max(positions) + 1
+        pick = itemgetter(*positions)
+        rest = records(physical_lines(chain(block, fh)), delimiter)
+        while batch := list(islice(rest, len(block))):  # as many records as a block has lines
+            ends, rows = zip(*batch)
+            padded = (row if len(row) >= width else row + [""] * (width - len(row)) for row in rows)
+            yield ends, [list(map(str.strip, column)) for column in zip(*map(pick, padded))]
 
 
 def load_publications(path: Path | str) -> CorpusFragment:
@@ -278,29 +326,70 @@ def load_publications(path: Path | str) -> CorpusFragment:
     Unparseable rows are collected in ``errors`` rather than dropped: bad
     integers, unknown document types, negative citation counts, and duplicate
     publication ids each produce a :class:`RowError` naming the line.  A
-    rejected row adds nothing to any column.
+    rejected row adds nothing to any column.  Each block of
+    :func:`_read_table` is converted column by column; a block in which any
+    row fails a check is parsed again row by row.
     """
     fragment = CorpusFragment(tuple([] for _ in PUBLICATION_COLUMNS), [])
     pub_ids, journal_ids, pub_years, doc_types, citations, topic_ids = fragment.columns
     seen: set[str] = set()
-    shared: dict[str | int | None, str | int | None] = {}  # one object per distinct journal id, year and topic id
-    for line, fields in _read_table(path, PUBLICATION_COLUMNS):
-        try:
-            pub_id, journal_id, year, kind, count, topic_id = _parse_publication(*fields)
-        except ValueError as exc:
-            fragment.errors.append(RowError(line, str(exc)))
+    # one object per distinct journal id, year and topic id; an empty topic id reads as None
+    shared: dict[str | int | None, str | int | None] = {"": None}
+    for lines, block in _read_table(path, PUBLICATION_COLUMNS):
+        parsed = _parse_block(block, seen)
+        if parsed is not None:
+            ids, journals, _, _, _, topics = block
+            years, kinds, counts = parsed
+            seen.update(ids)
+            pub_ids += ids
+            journal_ids += map(shared.setdefault, journals, journals)
+            pub_years += map(shared.setdefault, years, years)
+            doc_types += kinds
+            citations += counts
+            topic_ids += map(shared.setdefault, topics, topics)
             continue
-        if pub_id in seen:
-            fragment.errors.append(RowError(line, f"duplicate pub_id {pub_id!r}"))
-            continue
-        seen.add(pub_id)
-        pub_ids.append(pub_id)
-        journal_ids.append(shared.setdefault(journal_id, journal_id))
-        pub_years.append(shared.setdefault(year, year))
-        doc_types.append(kind)
-        citations.append(count)
-        topic_ids.append(shared.setdefault(topic_id, topic_id))
+        for line, *fields in zip(lines, *block):
+            try:
+                pub_id, journal_id, year, kind, count, topic_id = _parse_publication(*fields)
+            except ValueError as exc:
+                fragment.errors.append(RowError(line, str(exc)))
+                continue
+            if pub_id in seen:
+                fragment.errors.append(RowError(line, f"duplicate pub_id {pub_id!r}"))
+                continue
+            seen.add(pub_id)
+            pub_ids.append(pub_id)
+            journal_ids.append(shared.setdefault(journal_id, journal_id))
+            pub_years.append(shared.setdefault(year, year))
+            doc_types.append(kind)
+            citations.append(count)
+            topic_ids.append(shared.setdefault(topic_id, topic_id))
     return fragment
+
+
+def _parse_block(block: list[list[str]], seen: set[str]) -> tuple[list[int], list[DocumentType], list[int]] | None:
+    """The years, document types and citation counts of a block, as :func:`_parse_publication` reads them.
+
+    None when any row would be rejected: by :func:`_parse_publication`, or as
+    a duplicate of an id in ``seen`` or earlier in the block.
+    """
+    pub_ids, journal_ids, pub_years, doc_types, citations, _ = block
+    try:
+        years = list(map(int, pub_years))
+        counts = list(map(int, citations))
+    except ValueError:
+        return None
+    kinds = list(map(_DOCUMENT_TYPES.get, map(str.lower, doc_types)))
+    if (
+        min(counts) < 0
+        or None in kinds
+        or "" in pub_ids
+        or "" in journal_ids
+        or len(set(pub_ids)) < len(pub_ids)
+        or not seen.isdisjoint(pub_ids)
+    ):
+        return None
+    return years, kinds, counts
 
 
 def _parse_publication(
@@ -328,15 +417,16 @@ def _parse_publication(
 def load_journals(path: Path | str) -> JournalsFragment:
     """Load the journal table; categories are ``|``-separated in one column."""
     fragment = JournalsFragment()
-    for line, (journal_id, title, categories) in _read_table(path, JOURNAL_COLUMNS):
-        if not journal_id:
-            fragment.errors.append(RowError(line, "empty journal_id"))
-            continue
-        if journal_id in fragment.journals:
-            fragment.errors.append(RowError(line, f"duplicate journal_id {journal_id!r}"))
-            continue
-        labels = tuple(filter(None, map(str.strip, categories.split(CATEGORY_SEPARATOR))))
-        fragment.journals[journal_id] = Journal(journal_id, title, labels)
+    for lines, block in _read_table(path, JOURNAL_COLUMNS):
+        for line, journal_id, title, categories in zip(lines, *block):
+            if not journal_id:
+                fragment.errors.append(RowError(line, "empty journal_id"))
+                continue
+            if journal_id in fragment.journals:
+                fragment.errors.append(RowError(line, f"duplicate journal_id {journal_id!r}"))
+                continue
+            labels = tuple(filter(None, map(str.strip, categories.split(CATEGORY_SEPARATOR))))
+            fragment.journals[journal_id] = Journal(journal_id, title, labels)
     return fragment
 
 
@@ -381,20 +471,30 @@ def atomic_write(path: Path | str) -> Iterator[TextIO]:
         raise
 
 
+_WRITE_BATCH = 4096  # rows checked for quoting at once
+
+
 def write_table(fh: TextIO, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
     """Write a header and rows of strings as comma-separated text (LF line endings).
 
     A row is written with every field quoted when its first field starts
     with ``#`` (after whitespace), so that a reader does not take it for a
     comment, or when a field holds a carriage return, which the csv module
-    quotes only if it is part of the line terminator.
+    quotes only if it is part of the line terminator.  Rows go out in
+    batches: a batch with no ``#`` in any first field and no carriage return
+    anywhere is written in one call.
     """
     plain = csv.writer(fh, lineterminator="\n")
     quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
     plain.writerow(header)
-    for row in rows:
-        needs_quotes = row[0].lstrip().startswith("#") or "\r" in "".join(row)
-        (quoted if needs_quotes else plain).writerow(row)
+    rows = iter(rows)
+    while batch := list(islice(rows, _WRITE_BATCH)):
+        if "#" not in "".join(map(itemgetter(0), batch)) and "\r" not in "".join(chain.from_iterable(batch)):
+            plain.writerows(batch)
+            continue
+        for row in batch:
+            needs_quotes = row[0].lstrip().startswith("#") or "\r" in "".join(row)
+            (quoted if needs_quotes else plain).writerow(row)
 
 
 def write_publications(corpus: Corpus, path: Path | str) -> None:

@@ -10,17 +10,37 @@ reweighting: it scores every rebuilt resample with the package's own kernel
 ranks with :func:`order_journals`, a plain Python sort that checks the
 package's ordering rule.  :func:`flip_doc_type` is the reference for the
 kernel's document-type flip: it rewrites the corpus itself.
+
+The reference readers at the end (:func:`reference_load_publications`,
+:func:`reference_load_journals`, :func:`reference_load_related`) parse every
+table row by row through one ``csv.reader``, the way ingest did before it
+read clean blocks column-wise; :func:`reference_write_table` applies the
+writer's quoting rule one row at a time.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import replace
-from typing import Mapping
+from itertools import chain
+from operator import itemgetter
+from pathlib import Path
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from jrank.corpus import Corpus, DocumentType, Journal, Publication
+from jrank.classifier import RelatedFragment, RelatedRecords
+from jrank.corpus import (
+    Corpus,
+    CorpusFragment,
+    DocumentType,
+    Journal,
+    JournalsFragment,
+    Publication,
+    RowError,
+    SchemaError,
+)
 from jrank.indicators import RankKernel
 from jrank.robustness import RankingSamples
 
@@ -229,3 +249,139 @@ def random_corpus(
     journals = {j: Journal(j, f"Journal {j}") for j in journal_ids}
     observed_topics = frozenset(p.topic_id for p in pubs if p.topic_id is not None)
     return Corpus.of(pubs, journals, observed_topics)
+
+
+def reference_rows(path: Path | str, columns: tuple[str, ...]) -> Iterator[tuple[int, tuple[str, ...]]]:
+    """``(last physical line, stripped values of columns)`` for each data record, one ``csv.reader`` throughout.
+
+    Blank and ``#`` lines are skipped only where a record starts; short rows
+    read as empty strings; the separator is tab if the header line holds one.
+    """
+    line = 0
+    start = 0
+    at_start = True
+    at_eof = False
+
+    def physical_lines(fh: TextIO) -> Iterator[str]:
+        nonlocal line, start, at_start, at_eof
+        for text in fh:
+            line += 1
+            if at_start:
+                head = text.lstrip()
+                if not head or head[0] == "#":
+                    continue
+                start, at_start = line, False
+            yield text
+        at_eof = True
+
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        lines = physical_lines(fh)
+        first = next(lines, None)
+        if first is None:
+            raise SchemaError(f"{path}: empty file, expected a header row")
+        reader = csv.reader(chain([first], lines), delimiter="\t" if "\t" in first else ",")
+        pick = None
+        while True:
+            try:
+                row = next(reader)
+            except StopIteration:
+                return
+            except csv.Error as exc:
+                raise SchemaError(f"{path}: line {line}: {exc}") from None
+            if at_eof:
+                raise SchemaError(f"{path}: line {start}: quoted field is never closed")
+            at_start = True
+            if pick is None:
+                header = [h.strip() for h in row]
+                missing = [col for col in columns if col not in header]
+                if missing:
+                    raise SchemaError(f"{path}: missing required column(s): {', '.join(missing)}")
+                index = {col: i for i, col in enumerate(header)}
+                positions = [index[col] for col in columns]
+                width = max(positions) + 1
+                pick = itemgetter(*positions)
+                continue
+            if len(row) < width:
+                row += [""] * (width - len(row))
+            yield line, tuple(map(str.strip, pick(row)))
+
+
+def reference_parse_publication(
+    pub_id: str, journal_id: str, pub_year: str, doc_type: str, citations: str, topic_id: str
+) -> tuple[str, str, int, DocumentType, int, str | None]:
+    if not pub_id:
+        raise ValueError("empty pub_id")
+    if not journal_id:
+        raise ValueError("empty journal_id")
+    try:
+        year = int(pub_year)
+    except ValueError:
+        raise ValueError(f"pub_year {pub_year!r} is not an integer") from None
+    try:
+        count = int(citations)
+    except ValueError:
+        raise ValueError(f"citations {citations!r} is not an integer") from None
+    if count < 0:
+        raise ValueError(f"citations must be >= 0, got {count}")
+    return pub_id, journal_id, year, DocumentType.parse(doc_type), count, topic_id or None
+
+
+def reference_load_publications(path: Path | str) -> CorpusFragment:
+    """Publications parsed and appended one row at a time; rejected rows become :class:`RowError` s."""
+    fragment = CorpusFragment(tuple([] for _ in range(6)), [])
+    seen: set[str] = set()
+    for line, fields in reference_rows(path, ("pub_id", "journal_id", "pub_year", "doc_type", "citations", "topic_id")):
+        try:
+            values = reference_parse_publication(*fields)
+        except ValueError as exc:
+            fragment.errors.append(RowError(line, str(exc)))
+            continue
+        if values[0] in seen:
+            fragment.errors.append(RowError(line, f"duplicate pub_id {values[0]!r}"))
+            continue
+        seen.add(values[0])
+        for column, value in zip(fragment.columns, values):
+            column.append(value)
+    return fragment
+
+
+def reference_load_journals(path: Path | str) -> JournalsFragment:
+    fragment = JournalsFragment()
+    for line, (journal_id, title, categories) in reference_rows(path, ("journal_id", "title", "categories")):
+        if not journal_id:
+            fragment.errors.append(RowError(line, "empty journal_id"))
+        elif journal_id in fragment.journals:
+            fragment.errors.append(RowError(line, f"duplicate journal_id {journal_id!r}"))
+        else:
+            labels = tuple(label.strip() for label in categories.split("|") if label.strip())
+            fragment.journals[journal_id] = Journal(journal_id, title, labels)
+    return fragment
+
+
+def reference_load_related(path: Path | str) -> RelatedFragment:
+    fragment = RelatedFragment()
+    seen: set[str] = set()
+    for line, (pub_id, related_ids) in reference_rows(path, ("pub_id", "related_ids")):
+        related = tuple(rid.strip() for rid in related_ids.split("|") if rid.strip())
+        if not pub_id:
+            fragment.errors.append(RowError(line, "empty pub_id"))
+        elif not related:
+            fragment.errors.append(RowError(line, f"no related ids for {pub_id!r}"))
+        elif pub_id in related:
+            fragment.errors.append(RowError(line, f"{pub_id!r} lists itself as a related record"))
+        elif pub_id in seen:
+            fragment.errors.append(RowError(line, f"duplicate related-record row for {pub_id!r}"))
+        else:
+            seen.add(pub_id)
+            fragment.records.append(RelatedRecords(pub_id, related))
+    return fragment
+
+
+def reference_write_table(fh: TextIO, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+    """Comma-separated text, each row quoted in full when its first field starts with ``#`` or a field holds ``\\r``."""
+    plain = csv.writer(fh, lineterminator="\n")
+    quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    plain.writerow(header)
+    for row in rows:
+        needs_quotes = row[0].lstrip().startswith("#") or any("\r" in value for value in row)
+        (quoted if needs_quotes else plain).writerow(row)

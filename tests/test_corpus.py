@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,11 +13,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import corpus_of, coverage_9998_corpus, pub
-from oracles import random_corpus
+from oracles import (
+    random_corpus,
+    reference_load_journals,
+    reference_load_publications,
+    reference_load_related,
+    reference_write_table,
+)
 
+from jrank import corpus as corpus_module
+from jrank.classifier import RELATED_COLUMNS, load_related
 from jrank.corpus import (
     Corpus,
     DocumentType,
+    JOURNAL_COLUMNS,
+    PUBLICATION_COLUMNS,
     Finding,
     Journal,
     Publication,
@@ -26,6 +39,7 @@ from jrank.corpus import (
     validate_corpus,
     write_journals,
     write_publications,
+    write_table,
 )
 
 HEADER = "pub_id,journal_id,pub_year,doc_type,citations,topic_id\n"
@@ -220,9 +234,166 @@ class TestRecords:
         with pytest.raises(SchemaError, match="line 3: field larger than field limit"):
             load_publications(write(tmp_path, "p.csv", text))
 
+    def test_oversized_unquoted_field_is_schema_error_naming_its_line(self, tmp_path):
+        text = HEADER + "p1,jA,2018,Article,3,t1\n" + "p2,jA,2018,Article,3," + "x" * 200_000 + "\n"
+        with pytest.raises(SchemaError, match="line 3: field larger than field limit"):
+            load_publications(write(tmp_path, "p.csv", text))
+
     def test_comment_only_file_is_schema_error(self, tmp_path):
         with pytest.raises(SchemaError, match="empty file"):
             load_publications(write(tmp_path, "p.csv", "# nothing here\n\n"))
+
+
+def outcome(load, path):
+    """What a loader makes of a file: its fragment, or the text of the SchemaError it raises."""
+    try:
+        return load(path)
+    except SchemaError as exc:
+        return str(exc)
+
+
+class TestBlocks:
+    """Clean blocks are split column-wise; from the first other block on, csv.reader reads the rest."""
+
+    ROWS = "".join(f"p{i},jA,2018,Article,{i},t1\n" for i in range(12))  # about 25 characters a line
+
+    def load_in_blocks(self, tmp_path, text, hint=60):
+        path = write(tmp_path, "p.csv", text)
+        with mock.patch.object(corpus_module, "_BLOCK_HINT", hint):
+            fragment = load_publications(path)
+        assert fragment == reference_load_publications(path)
+        return fragment
+
+    def test_clean_file_reads_only_its_header_through_csv(self, tmp_path):
+        rows = []
+        csv_reader = csv.reader
+
+        def reader(lines, **kwargs):
+            for row in csv_reader(lines, **kwargs):
+                rows.append(row)
+                yield row
+
+        path = write(tmp_path, "p.csv", HEADER + self.ROWS)
+        with mock.patch.object(corpus_module, "_BLOCK_HINT", 60), mock.patch.object(csv, "reader", reader):
+            frag = load_publications(path)
+        assert len(frag.publications) == 12 and not frag.errors
+        assert rows == [list(PUBLICATION_COLUMNS)]
+
+    def test_quoted_field_across_a_block_boundary(self, tmp_path):
+        text = HEADER + self.ROWS + 'p20,jA,2018,Article,1,"t\n1"\np21,jA,2018,Letter,1,t1\n' + self.ROWS
+        frag = self.load_in_blocks(tmp_path, text)
+        assert frag.columns[0][12:13] == ["p20"] and frag.columns[5][12] == "t\n1"
+        assert [e.line for e in frag.errors] == [16] + list(range(17, 29))
+
+    def test_comment_after_clean_blocks(self, tmp_path):
+        text = HEADER + self.ROWS + "# a comment\n\n" + "p30,jA,2018,Article,-1,t1\np31,jA,2018,Article,1,\n"
+        frag = self.load_in_blocks(tmp_path, text)
+        assert [(e.line, e.message) for e in frag.errors] == [(16, "citations must be >= 0, got -1")]
+        assert frag.columns[0][-1] == "p31" and frag.columns[5][-1] is None
+
+    def test_duplicate_of_an_earlier_block_is_a_row_error(self, tmp_path):
+        frag = self.load_in_blocks(tmp_path, HEADER + self.ROWS + "p3,jB,2019,Review,0,t2\np40,jB,2019,Review,0,t2\n")
+        assert [(e.line, e.message) for e in frag.errors] == [(14, "duplicate pub_id 'p3'")]
+        assert frag.columns[0][-1] == "p40"
+
+
+# Values for the cells of generated tables: valid ones per table, and others
+# that every table must survive: quotes, comment marks, padding, NUL, a BOM,
+# bad integers, unknown document types, negative counts.
+_VALID = {
+    PUBLICATION_COLUMNS: {
+        "pub_id": st.sampled_from([f"p{i}" for i in range(12)]),
+        "journal_id": st.sampled_from(["jA", "jB", " jC "]),
+        "pub_year": st.sampled_from(["2018", "2019", " 2020"]),
+        "doc_type": st.sampled_from(["Article", "review", "REVIEW "]),
+        "citations": st.sampled_from(["0", "3", "17"]),
+        "topic_id": st.sampled_from(["t1", "t2", ""]),
+    },
+    JOURNAL_COLUMNS: {
+        "journal_id": st.sampled_from([f"j{i}" for i in range(8)]),
+        "title": st.sampled_from(["Title", " Padded title ", ""]),
+        "categories": st.sampled_from(["A|B", "A", "", " | C"]),
+    },
+    RELATED_COLUMNS: {
+        "pub_id": st.sampled_from([f"p{i}" for i in range(8)]),
+        "related_ids": st.sampled_from(["p1|p2", "x9", "p3| |p4", ""]),
+    },
+}
+# odd cells that leave a line clean, and ones that send the rest of the file through csv.reader
+_ODD = st.sampled_from(["", "  ", "19x9", "1.5", "-1", "Letter", "#p", " # p", "\ufeffp", "x\u2028y", "a\x00b", "p1|p1"])
+_UNCLEAN = st.sampled_from(['"p1"', '"a,b"', '"multi\nline"', '"half', 'a"b', "a\rb", "\tp\t"])
+_EXTRA_LINES = st.sampled_from(["", "   ", "\t\t", "# comment", "  # indented", "\x0c"])
+
+
+@st.composite
+def _table_texts(draw, columns):
+    """A table of mostly valid rows, some with one odd cell, some short or long, with stray lines between."""
+    delimiter = draw(st.sampled_from([",", "\t"]))
+    header = list(columns)
+    if draw(st.booleans()):
+        header.append("extra")
+    if draw(st.booleans()):
+        header.insert(0, draw(st.sampled_from(columns)))  # a repeated column: the last wins
+    if draw(st.integers(0, 9)) == 0:
+        header.remove(draw(st.sampled_from(columns)))  # the file is refused
+    header = draw(st.permutations(header))
+    lines = [delimiter.join(header if draw(st.booleans()) else [f" {name} " for name in header])]
+    for _ in range(draw(st.integers(0, 25))):
+        values = [draw(_VALID[columns].get(name, st.just("x"))) for name in header]
+        kind = draw(st.integers(0, 19))
+        if kind < 5:
+            values[draw(st.integers(0, len(values) - 1))] = draw(_ODD)
+        elif kind == 5:
+            values[draw(st.integers(0, len(values) - 1))] = draw(_UNCLEAN)
+        elif kind == 6:
+            values = values[: draw(st.integers(0, len(values) - 1))] if draw(st.booleans()) else values + ["more"]
+        elif kind == 7:
+            values = [draw(_EXTRA_LINES)] if draw(st.booleans()) else [" "] * len(header)
+        lines.append(delimiter.join(values))
+    if draw(st.booleans()):
+        lines.insert(0, draw(_EXTRA_LINES.filter(lambda text: not text.strip() or "#" in text)))
+    ending = draw(st.sampled_from(["\n", "\n", "\r\n", None]))
+    endings = [ending or draw(st.sampled_from(["\n", "\n", "\r\n", "\r"])) for _ in lines]
+    text = "".join(map(str.__add__, lines, endings))
+    if draw(st.booleans()):
+        text = text.rstrip("\n")  # no final line break
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_block_reader_matches_the_row_reader(tmp_path_factory, data):
+    columns, load, reference = data.draw(
+        st.sampled_from(
+            [
+                (PUBLICATION_COLUMNS, load_publications, reference_load_publications),
+                (JOURNAL_COLUMNS, load_journals, reference_load_journals),
+                (RELATED_COLUMNS, load_related, reference_load_related),
+            ]
+        )
+    )
+    path = tmp_path_factory.mktemp("blocks") / "table.csv"
+    path.write_bytes(data.draw(_table_texts(columns)).encode("utf-8"))
+    with mock.patch.object(corpus_module, "_BLOCK_HINT", data.draw(st.integers(1, 120))):
+        got = outcome(load, path)
+    assert got == outcome(reference, path)
+
+
+_cells = st.one_of(
+    st.sampled_from(["#", " #x", "a\rb", "\r", "x", "", '"', ",", "\n"]),
+    st.text(st.sampled_from("ab #\r\n,\"\t"), max_size=5),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.lists(_cells, min_size=1, max_size=4), max_size=20), batch=st.integers(1, 6))
+def test_write_table_matches_the_row_by_row_rule(rows, batch):
+    expected = io.StringIO(newline="")
+    reference_write_table(expected, ("a", "b"), rows)
+    written = io.StringIO(newline="")
+    with mock.patch.object(corpus_module, "_WRITE_BATCH", batch):
+        write_table(written, ("a", "b"), rows)
+    assert written.getvalue() == expected.getvalue()
 
 
 class TestWriteReadBack:
