@@ -4,17 +4,22 @@ Unclassified publications inherit the topic that occurs most often among
 their related records' topics.  Assignment is a single pass: every majority
 is taken over the topic labels present in the *input* corpus, so freshly
 assigned topics never feed later decisions and the result is independent of
-processing order.
+processing order.  Related records are read a block at a time and voted on
+in batches of ``_VOTE_BATCH`` with NumPy, so a pass over a streamed file
+holds one batch of records, not the file.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field, replace
+from itertools import chain, islice, repeat
+from operator import attrgetter, eq
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .corpus import Corpus, RowError, _read_table
+import numpy as np
+
+from .corpus import Corpus, RowError, _read_table, _unpadded
 
 RELATED_COLUMNS = ("pub_id", "related_ids")
 RELATED_SEPARATOR = "|"
@@ -52,13 +57,29 @@ class AssignmentReport:
 
 
 def read_related(path: Path | str, errors: list[RowError]) -> Iterator[RelatedRecords]:
-    """Yield related records one at a time; related_ids are ``|``-separated.
+    """Yield related records in file order; related_ids are ``|``-separated.
 
     Rows with an empty related list, a self-reference, or a duplicate subject
-    id are appended to ``errors`` as they are read, and not yielded.
+    id are appended to ``errors`` as they are read, and not yielded.  Each
+    block of :func:`_read_table` is checked at once; a block that fails a
+    check is read again row by row, so the errors are those of a row loop.
     """
     seen: set[str] = set()
     for lines, block in _read_table(path, RELATED_COLUMNS):
+        subjects, lists = block
+        split = [text.split(RELATED_SEPARATOR) for text in lists]
+        ids = list(chain.from_iterable(split))
+        if (
+            "" not in subjects
+            and "" not in ids
+            and _unpadded(RELATED_SEPARATOR.join(lists))
+            and len(set(subjects)) == len(subjects)
+            and seen.isdisjoint(subjects)
+            and not any(map(eq, chain.from_iterable(map(repeat, subjects, map(len, split))), ids))
+        ):
+            seen.update(subjects)
+            yield from map(RelatedRecords, subjects, map(tuple, split))
+            continue
         for lineno, pub_id, related_ids in zip(lines, *block):
             related = tuple(filter(None, map(str.strip, related_ids.split(RELATED_SEPARATOR))))
             if not pub_id:
@@ -84,6 +105,9 @@ def load_related(path: Path | str) -> RelatedFragment:
     return fragment
 
 
+_VOTE_BATCH = 256  # related records voted on at once
+
+
 def assign_majority(corpus: Corpus, related: Iterable[RelatedRecords]) -> tuple[Corpus, AssignmentReport]:
     """Assign topics to unclassified publications by majority over related records.
 
@@ -92,30 +116,47 @@ def assign_majority(corpus: Corpus, related: Iterable[RelatedRecords]) -> tuple[
     corpus; the most frequent wins, ties broken by the lexicographically
     smallest topic id.  Related ids not present in the corpus are ignored and
     counted.  Publications that already carry a topic are never modified.
-    ``related`` is read once, so it may be a stream such as :func:`read_related`.
+    ``related`` is read once, in batches of ``_VOTE_BATCH`` records, so it
+    may be a stream such as :func:`read_related`; a subject with more than
+    one record takes the vote of its last record that has one.
     """
     # None: in the corpus but unclassified; a repeated id keeps its last topic, if any
     topic_of = dict(zip(corpus.pub_ids, corpus.topic_ids))
     if len(topic_of) < len(corpus.pub_ids):
         topic_of.update((p, t) for p, t in zip(corpus.pub_ids, corpus.topic_ids) if t is not None)
+    # a topic's rank in sorted order, then one code for unclassified and one for outside the corpus
+    topics = sorted(set(corpus.topic_ids) - {None})
+    n_topics = len(topics)
+    rank = dict(zip(topics, range(n_topics)))
+    outside = object()
+    rank[None], rank[outside] = n_topics, n_topics + 1
 
     assignments: dict[str, str] = {}
     external = 0
     already = 0
-    for record in related:
-        if record.pub_id not in topic_of:
+    related = iter(related)
+    while batch := list(islice(related, _VOTE_BATCH)):
+        subjects = [record.pub_id for record in batch]
+        lists = [record.related_ids for record in batch]
+        row = np.repeat(np.arange(len(batch)), np.fromiter(map(len, lists), np.intp, len(batch)))  # each id's record
+        ids = chain(subjects, chain.from_iterable(lists))
+        codes = np.fromiter(
+            map(rank.__getitem__, map(topic_of.get, ids, repeat(outside))), np.intp, len(batch) + len(row)
+        )
+        subject_codes, id_codes = codes[: len(batch)], codes[len(batch) :]
+        subject_of_id = subject_codes[row]
+        external += int(np.count_nonzero((id_codes == n_topics + 1) & (subject_of_id <= n_topics)))
+        already += int(np.count_nonzero(subject_codes < n_topics))
+        voting = (subject_of_id == n_topics) & (id_codes < n_topics)
+        if not voting.any():
             continue
-        in_corpus = [rid for rid in record.related_ids if rid in topic_of]
-        external += len(record.related_ids) - len(in_corpus)
-        if topic_of[record.pub_id] is not None:
-            already += 1
-            continue
-        votes = Counter(map(topic_of.__getitem__, in_corpus))
-        votes.pop(None, None)
-        if not votes:
-            continue
-        top = max(votes.values())
-        assignments[record.pub_id] = min(t for t, n in votes.items() if n == top)
+        votes, counts = np.unique(row[voting] * n_topics + id_codes[voting], return_counts=True)
+        rows, votes = np.divmod(votes, n_topics)
+        order = np.lexsort((votes, -counts, rows))  # by record, then most votes, then smallest rank
+        _, first = np.unique(rows[order], return_index=True)
+        winners = order[first]
+        assignments.update(zip(map(subjects.__getitem__, rows[winners].tolist()),
+                               map(topics.__getitem__, votes[winners].tolist())))
 
     # only unclassified papers have an assignment; every other keeps its topic
     topic_ids = tuple(map(assignments.get, corpus.pub_ids, corpus.topic_ids))

@@ -383,7 +383,7 @@ def _load_checked(config: RunConfig) -> tuple[Corpus, bool]:
 def _classified(config: RunConfig, corpus: Corpus) -> tuple[Corpus, AssignmentReport] | None:
     """Assign topics to ``corpus`` from the related records; None, after printing them, if a row is bad.
 
-    The records are voted on as they are read, so one is alive at a time.
+    The records are voted on as they are read, so one batch is alive at a time.
     """
     errors: list[RowError] = []
     records = read_related(config.related_records_path, errors)

@@ -10,11 +10,14 @@ or recode the corpus's kernel encoding instead of copying it.
 
 Every table is read by :func:`_read_table`, in blocks of whole lines.  A
 clean block, one in which every line is a plain record with the header's
-number of fields, is split on the separator in one call, and
-:func:`load_publications` converts it column by column.  Any other block,
-and the rest of the file after it, goes through ``csv.reader`` with quoted
-fields, comments and blank lines; a block with a rejected row is parsed
-again row by row, so row errors are the same as a row loop's.
+number of fields and an LF or CRLF ending, is split on the separator in one
+call, and :func:`load_publications` converts it column by column.  Any other
+block, and the rest of the file after it, goes through ``csv.reader`` with
+quoted fields, comments and blank lines; a block with a rejected row is
+parsed again row by row, so row errors are the same as a row loop's.  Every
+table is written by :func:`write_table`, which joins a batch of rows that
+needs no quoting into one string; :func:`write_publications` converts the
+corpus column by column.
 """
 
 from __future__ import annotations
@@ -215,6 +218,16 @@ class CoverageReport:
 
 
 _BLOCK_HINT = 16 * 1024  # characters of whole lines read per block
+_ASCII_WHITESPACE = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"  # every ASCII character that str.strip removes
+
+
+def _unpadded(text: str, separators: str = "") -> bool:
+    """Whether ``str.strip`` would change no field of ``text`` split at ``separators``.
+
+    True only for ASCII text that holds no whitespace but ``separators``; a
+    False may still mean that no field is padded.
+    """
+    return text.isascii() and not any(char in text for char in _ASCII_WHITESPACE if char not in separators)
 
 
 def _read_table(path: Path | str, columns: tuple[str, ...]) -> Iterator[tuple[Sequence[int], list[list[str]]]]:
@@ -227,11 +240,13 @@ def _read_table(path: Path | str, columns: tuple[str, ...]) -> Iterator[tuple[Se
     the header line: tab if it holds one, else comma.
 
     After the header, lines are read in blocks of about ``_BLOCK_HINT``
-    characters.  A block is clean when it holds no quote, ``#``, carriage
-    return or NUL, no line longer than the csv field limit and no line of
-    whitespace only, and every line has as many separators as the header:
-    then each line is one record, and the block is split on the separator in
-    one call.  Its records are those ``csv.reader`` would give.
+    characters.  A block is clean when it holds no quote, ``#`` or NUL, no
+    carriage return but in a CRLF line ending, no line longer than the csv
+    field limit and no line of whitespace only, and every line has as many
+    separators as the header: then each line is one record, and the block is
+    split on the separator in one call.  Its records are those ``csv.reader``
+    would give.  Its fields are stripped unless no field can need it
+    (:func:`_unpadded`).
     From the first block that is not clean on, one ``csv.reader`` streams the
     rest of the file, so a quoted field may hold delimiters, quotes and line
     breaks.  There blank and ``#`` comment lines are skipped only where a
@@ -297,16 +312,20 @@ def _read_table(path: Path | str, columns: tuple[str, ...]) -> Iterator[tuple[Se
             if (
                 '"' in text
                 or "#" in text
-                or "\r" in text
+                or ("\r" in text and text.count("\r") != text.count("\r\n"))
                 or "\0" in text
                 or (len(text) > limit and max(map(len, block)) > limit)
                 or any(map(str.isspace, block))
                 or list(map(str.count, block, repeat(delimiter))).count(stride - 1) < len(block)
             ):
                 break
+            text = text.replace("\r\n", "\n")
             fields = text.replace("\n", delimiter).split(delimiter)
             del fields[len(block) * stride :]  # the empty string after a final line break
-            yield range(line + 1, line + len(block) + 1), [list(map(str.strip, fields[p::stride])) for p in positions]
+            columns = [fields[p::stride] for p in positions]
+            if not _unpadded(text, "\n" + delimiter):
+                columns = [list(map(str.strip, column)) for column in columns]
+            yield range(line + 1, line + len(block) + 1), columns
             line += len(block)
         else:
             return
@@ -481,16 +500,29 @@ def write_table(fh: TextIO, header: Sequence[str], rows: Iterable[Sequence[str]]
     with ``#`` (after whitespace), so that a reader does not take it for a
     comment, or when a field holds a carriage return, which the csv module
     quotes only if it is part of the line terminator.  Rows go out in
-    batches: a batch with no ``#`` in any first field and no carriage return
-    anywhere is written in one call.
+    batches of ``_WRITE_BATCH``.  A batch that the csv module would write
+    with no quote at all is joined and written in one call: it holds no
+    quote or carriage return, no ``#`` in a first field, no comma or line
+    break inside a field, and no row that joins to an empty line.  Any other
+    batch is written row by row.
     """
     plain = csv.writer(fh, lineterminator="\n")
     quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
     plain.writerow(header)
     rows = iter(rows)
     while batch := list(islice(rows, _WRITE_BATCH)):
-        if "#" not in "".join(map(itemgetter(0), batch)) and "\r" not in "".join(chain.from_iterable(batch)):
-            plain.writerows(batch)
+        lines = list(map(",".join, batch))
+        text = "\n".join(lines)
+        if (
+            '"' not in text
+            and "\r" not in text
+            and "#" not in "".join(map(itemgetter(0), batch))
+            and text.count(",") == sum(map(len, batch)) - len(batch)
+            and text.count("\n") == len(batch) - 1
+            and "" not in lines
+        ):
+            fh.write(text)
+            fh.write("\n")
             continue
         for row in batch:
             needs_quotes = row[0].lstrip().startswith("#") or "\r" in "".join(row)
@@ -498,15 +530,22 @@ def write_table(fh: TextIO, header: Sequence[str], rows: Iterable[Sequence[str]]
 
 
 def write_publications(corpus: Corpus, path: Path | str) -> None:
-    """Write a corpus's publications as canonical comma-separated text (LF line endings)."""
-    columns = corpus.pub_ids, corpus.journal_ids, corpus.pub_years, corpus.doc_types, corpus.citations, corpus.topic_ids
+    """Write a corpus's publications as canonical comma-separated text (LF line endings).
+
+    Each field is converted column by column; a row is only the tuple that
+    joins them for :func:`write_table`.
+    """
     with atomic_write(path) as fh:
         write_table(
             fh,
             PUBLICATION_COLUMNS,
-            (
-                (pub_id, journal_id, str(year), kind.value, str(count), topic_id or "")
-                for pub_id, journal_id, year, kind, count, topic_id in zip(*columns)
+            zip(
+                corpus.pub_ids,
+                corpus.journal_ids,
+                map(str, corpus.pub_years),
+                map(attrgetter("_value_"), corpus.doc_types),  # a plain attribute: ``value`` is a Python property
+                map(str, corpus.citations),
+                map({None: ""}.get, corpus.topic_ids, corpus.topic_ids),
             ),
         )
 

@@ -10,6 +10,8 @@ reweighting: it scores every rebuilt resample with the package's own kernel
 ranks with :func:`order_journals`, a plain Python sort that checks the
 package's ordering rule.  :func:`flip_doc_type` is the reference for the
 kernel's document-type flip: it rewrites the corpus itself.
+:func:`reference_assign_majority` votes one related record at a time with a
+``Counter``, the way the classifier did before it voted in batches.
 
 The reference readers at the end (:func:`reference_load_publications`,
 :func:`reference_load_journals`, :func:`reference_load_related`) parse every
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import replace
 from itertools import chain
 from operator import itemgetter
@@ -30,7 +33,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from jrank.classifier import RelatedFragment, RelatedRecords
+from jrank.classifier import AssignmentReport, RelatedFragment, RelatedRecords
 from jrank.corpus import (
     Corpus,
     CorpusFragment,
@@ -249,6 +252,43 @@ def random_corpus(
     journals = {j: Journal(j, f"Journal {j}") for j in journal_ids}
     observed_topics = frozenset(p.topic_id for p in pubs if p.topic_id is not None)
     return Corpus.of(pubs, journals, observed_topics)
+
+
+def reference_assign_majority(
+    corpus: Corpus, related: Iterable[RelatedRecords]
+) -> tuple[Corpus, AssignmentReport]:
+    """Majority topic per unclassified subject, one record and one ``Counter`` at a time.
+
+    Topics are those of the input corpus (a repeated id keeps its last
+    topic, if any); ties go to the smallest topic id; a subject's later
+    record with a vote replaces its earlier one.
+    """
+    topic_of: dict[str, str | None] = {}
+    for pub_id, topic_id in zip(corpus.pub_ids, corpus.topic_ids):
+        if topic_id is not None or pub_id not in topic_of:
+            topic_of[pub_id] = topic_id
+    assignments: dict[str, str] = {}
+    external = already = 0
+    for record in related:
+        if record.pub_id not in topic_of:
+            continue
+        in_corpus = [rid for rid in record.related_ids if rid in topic_of]
+        external += len(record.related_ids) - len(in_corpus)
+        if topic_of[record.pub_id] is not None:
+            already += 1
+            continue
+        votes = Counter(topic_of[rid] for rid in in_corpus if topic_of[rid] is not None)
+        if votes:
+            top = max(votes.values())
+            assignments[record.pub_id] = min(t for t, n in votes.items() if n == top)
+    topic_ids = tuple(assignments.get(p, t) for p, t in zip(corpus.pub_ids, corpus.topic_ids))
+    report = AssignmentReport(
+        assigned=len(assignments),
+        still_unclassified=topic_ids.count(None),
+        external_ignored=external,
+        already_classified=already,
+    )
+    return replace(corpus, topic_ids=topic_ids), report
 
 
 def reference_rows(path: Path | str, columns: tuple[str, ...]) -> Iterator[tuple[int, tuple[str, ...]]]:

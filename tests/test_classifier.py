@@ -5,14 +5,19 @@ from __future__ import annotations
 import itertools
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import corpus_of, pub
+from oracles import reference_assign_majority, reference_load_related
 
+from jrank import classifier as classifier_module
 from jrank import cli
+from jrank import corpus as corpus_module
 from jrank.classifier import RelatedRecords, assign_majority, load_related, read_related
 from jrank.corpus import load_corpus
 from jrank.synth import SyntheticProfile, generate_corpus, write_corpus_files
@@ -155,6 +160,55 @@ class TestLoadRelated:
         frag = load_related(path)
         assert frag.records == [RelatedRecords("p1", ("r1", "# r2", "r3")), RelatedRecords("p3", ("r1\tr2", "r4"))]
         assert [(e.line, e.message) for e in frag.errors] == [(6, "no related ids for 'p2'")]
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"])
+    def test_a_block_that_fails_a_check_is_read_row_by_row(self, tmp_path, ending):
+        rows = [f"s{i},r{i}|r{i + 1}|r{i}" for i in range(24)]
+        rows[3] = "s3, r3 |\xa0r4\u3000"  # padded ids
+        rows[8] = "s8,r8||r9|"
+        rows[12] = "s12,r12|s12"
+        rows[17] = "s2,r1"  # a subject of an earlier block
+        rows[21] = ",r1"
+        path = tmp_path / "r.csv"
+        path.write_bytes(ending.join(["pub_id,related_ids", *rows, ""]).encode("utf-8"))
+        with mock.patch.object(corpus_module, "_BLOCK_HINT", 40):
+            frag = load_related(path)
+        assert frag == reference_load_related(path)
+        assert frag.records[3] == RelatedRecords("s3", ("r3", "r4")) and frag.records[8].related_ids == ("r8", "r9")
+        assert [e.line for e in frag.errors] == [14, 19, 23]
+
+
+@st.composite
+def _vote_cases(draw):
+    """A corpus and related records with ties, repeated ids, unknown subjects and external ids.
+
+    Topic names sort differently as text and as numbers (``t10`` < ``t2``);
+    with 300 topics one filler paper per topic gives more than 256 ranks,
+    and with none the corpus has no topic at all.
+    """
+    n_topics = draw(st.sampled_from([0, 1, 2, 3, 12, 300]))
+    topics = [f"t{i}" for i in range(n_topics)]
+    topic = st.one_of(st.none(), st.sampled_from(topics)) if topics else st.none()
+    ids = [f"p{i}" for i in range(draw(st.integers(1, 8)))]
+    # drawn with replacement, so a corpus id may repeat with the same or another topic
+    papers = [pub(pid, "jA", 1, draw(topic)) for pid in draw(st.lists(st.sampled_from(ids), min_size=1, max_size=12))]
+    fillers = [f"f{i}" for i in range(n_topics)] if n_topics > 12 else []
+    papers += [pub(fid, "jB", 0, t) for fid, t in zip(fillers, topics)]
+    related_id = st.sampled_from(ids + ["x1", "x2"] + fillers[:3] + fillers[-3:])
+    records = draw(st.lists(
+        st.builds(RelatedRecords, st.sampled_from(ids + ["ghost"]), st.lists(related_id, max_size=7).map(tuple)),
+        max_size=10,
+    ))
+    return corpus_of(draw(st.permutations(papers))), records
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_vote_cases(), batch=st.integers(1, 3))
+def test_batched_vote_matches_the_record_by_record_vote(case, batch):
+    corpus, records = case
+    with mock.patch.object(classifier_module, "_VOTE_BATCH", batch):
+        got = assign_majority(corpus, iter(records))
+    assert got == reference_assign_majority(corpus, records)
 
 
 # rows of a related file: good records with ids in and outside the corpus,

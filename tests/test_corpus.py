@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import corpus_of, coverage_9998_corpus, pub
+from conftest import R, corpus_of, coverage_9998_corpus, pub
 from oracles import (
     random_corpus,
     reference_load_journals,
@@ -296,6 +296,35 @@ class TestBlocks:
         assert [(e.line, e.message) for e in frag.errors] == [(14, "duplicate pub_id 'p3'")]
         assert frag.columns[0][-1] == "p40"
 
+    @pytest.mark.parametrize("pad", ["\xa0", "\u3000", "\x85", "\x1c"])
+    def test_padding_in_an_otherwise_clean_block_is_stripped(self, tmp_path, pad):
+        padded = f"{pad}p50,jA{pad},{pad}2018,Article{pad},{pad}1{pad},{pad}t1\n"
+        frag = self.load_in_blocks(tmp_path, HEADER + self.ROWS + padded + self.ROWS.replace("p", "q"))
+        assert not frag.errors
+        assert [column[12] for column in frag.columns] == ["p50", "jA", 2018, DocumentType.ARTICLE, 1, "t1"]
+
+    def test_crlf_file_is_read_column_wise_as_its_lf_copy(self, tmp_path):
+        rows = []
+        csv_reader = csv.reader
+
+        def reader(lines, **kwargs):
+            for row in csv_reader(lines, **kwargs):
+                rows.append(row)
+                yield row
+
+        text = HEADER + self.ROWS + "p3,jB,2019,Review,0,t2\np40,jB,x,Review,0,t2\n" + self.ROWS.replace("p", "q")
+        lf = self.load_in_blocks(tmp_path, text)
+        crlf = self.load_in_blocks(tmp_path, text.replace("\n", "\r\n"))
+        assert crlf == lf and [e.line for e in crlf.errors] == [14, 15]
+        with mock.patch.object(corpus_module, "_BLOCK_HINT", 60), mock.patch.object(csv, "reader", reader):
+            clean = load_publications(write(tmp_path, "p.csv", (HEADER + self.ROWS).replace("\n", "\r\n")))
+        assert len(clean.publications) == 12 and rows == [list(PUBLICATION_COLUMNS)]
+
+    def test_a_lone_carriage_return_in_a_crlf_file(self, tmp_path):
+        text = HEADER + self.ROWS + "p50,jA,2018,\rArticle,1,t1\n" + self.ROWS.replace("p", "q")
+        frag = self.load_in_blocks(tmp_path, text.replace("\n", "\r\n"))
+        assert [e.line for e in frag.errors] == [14, 15]
+
 
 # Values for the cells of generated tables: valid ones per table, and others
 # that every table must survive: quotes, comment marks, padding, NUL, a BOM,
@@ -394,6 +423,43 @@ def test_write_table_matches_the_row_by_row_rule(rows, batch):
     with mock.patch.object(corpus_module, "_WRITE_BATCH", batch):
         write_table(written, ("a", "b"), rows)
     assert written.getvalue() == expected.getvalue()
+
+
+# rows a csv writer leaves unquoted, ragged, and rows it must quote or treat apart
+_plain_rows = st.lists(st.sampled_from(["a", "b c", " x ", "", "2018", "a#b"]), min_size=1, max_size=4).filter(
+    lambda row: row != [""]
+)
+_odd_rows = st.one_of(
+    st.sampled_from([[""], ("",), ["#a", "b"], [" #", ""], ["a,b"], ["x", 'a"b'], ["a\nb", "c"], ["a", "b\r"]]),
+    st.lists(_cells, min_size=1, max_size=4),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.one_of(_plain_rows, _plain_rows.map(tuple), _odd_rows), max_size=24), batch=st.integers(1, 4))
+def test_joined_batches_match_the_row_by_row_rule(rows, batch):
+    expected = io.StringIO(newline="")
+    reference_write_table(expected, ("a", "b"), rows)
+    written = io.StringIO(newline="")
+    with mock.patch.object(corpus_module, "_WRITE_BATCH", batch):
+        write_table(written, ("a", "b"), rows)
+    assert written.getvalue() == expected.getvalue()
+
+
+def test_write_publications_matches_rows_built_one_at_a_time(tmp_path):
+    corpus = corpus_of(
+        [pub("p1", "jA", 10**30), pub("p2", "jB", 0, "t1", doc=R, year=1999), pub("#p3", "jA", 2**70, "t,2", doc=R),
+         pub("p4", "j\r", 5), pub("p5", "jB", 7, "t1"), pub("p6", "jA", 1, None, doc=R, year=-3)]
+    )
+    rows = (
+        (p.pub_id, p.journal_id, str(p.pub_year), p.doc_type.value, str(p.citations), p.topic_id or "")
+        for p in corpus.publications
+    )
+    expected = io.StringIO(newline="")
+    reference_write_table(expected, PUBLICATION_COLUMNS, rows)
+    with mock.patch.object(corpus_module, "_WRITE_BATCH", 2):
+        write_publications(corpus, tmp_path / "p.csv")
+    assert (tmp_path / "p.csv").read_bytes().decode("utf-8") == expected.getvalue()
 
 
 class TestWriteReadBack:
