@@ -13,13 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import chain, islice, repeat
-from operator import attrgetter, eq
 from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .corpus import Corpus, RowError, _read_table, _unpadded
+from .corpus import Corpus, RowError, _read_table
 
 RELATED_COLUMNS = ("pub_id", "related_ids")
 RELATED_SEPARATOR = "|"
@@ -57,29 +56,13 @@ class AssignmentReport:
 
 
 def read_related(path: Path | str, errors: list[RowError]) -> Iterator[RelatedRecords]:
-    """Yield related records in file order; related_ids are ``|``-separated.
+    """Yield related records one at a time; related_ids are ``|``-separated.
 
     Rows with an empty related list, a self-reference, or a duplicate subject
-    id are appended to ``errors`` as they are read, and not yielded.  Each
-    block of :func:`_read_table` is checked at once; a block that fails a
-    check is read again row by row, so the errors are those of a row loop.
+    id are appended to ``errors`` as they are read, and not yielded.
     """
     seen: set[str] = set()
     for lines, block in _read_table(path, RELATED_COLUMNS):
-        subjects, lists = block
-        split = [text.split(RELATED_SEPARATOR) for text in lists]
-        ids = list(chain.from_iterable(split))
-        if (
-            "" not in subjects
-            and "" not in ids
-            and _unpadded(RELATED_SEPARATOR.join(lists))
-            and len(set(subjects)) == len(subjects)
-            and seen.isdisjoint(subjects)
-            and not any(map(eq, chain.from_iterable(map(repeat, subjects, map(len, split))), ids))
-        ):
-            seen.update(subjects)
-            yield from map(RelatedRecords, subjects, map(tuple, split))
-            continue
         for lineno, pub_id, related_ids in zip(lines, *block):
             related = tuple(filter(None, map(str.strip, related_ids.split(RELATED_SEPARATOR))))
             if not pub_id:
@@ -120,16 +103,16 @@ def assign_majority(corpus: Corpus, related: Iterable[RelatedRecords]) -> tuple[
     may be a stream such as :func:`read_related`; a subject with more than
     one record takes the vote of its last record that has one.
     """
-    # None: in the corpus but unclassified; a repeated id keeps its last topic, if any
-    topic_of = dict(zip(corpus.pub_ids, corpus.topic_ids))
-    if len(topic_of) < len(corpus.pub_ids):
-        topic_of.update((p, t) for p, t in zip(corpus.pub_ids, corpus.topic_ids) if t is not None)
-    # a topic's rank in sorted order, then one code for unclassified and one for outside the corpus
+    # a topic's rank in sorted topic-id order, so the smallest rank is the smallest id;
+    # past the ranks, one code for unclassified papers and one for ids outside the corpus
     topics = sorted(set(corpus.topic_ids) - {None})
-    n_topics = len(topics)
-    rank = dict(zip(topics, range(n_topics)))
-    outside = object()
-    rank[None], rank[outside] = n_topics, n_topics + 1
+    unclassified, outside = len(topics), len(topics) + 1
+    rank = dict(zip(topics, range(unclassified)))
+    rank[None] = unclassified
+    # a repeated id keeps its last topic, if any
+    code_of = dict(zip(corpus.pub_ids, map(rank.__getitem__, corpus.topic_ids)))
+    if len(code_of) < len(corpus.pub_ids):
+        code_of.update((p, rank[t]) for p, t in zip(corpus.pub_ids, corpus.topic_ids) if t is not None)
 
     assignments: dict[str, str] = {}
     external = 0
@@ -140,23 +123,22 @@ def assign_majority(corpus: Corpus, related: Iterable[RelatedRecords]) -> tuple[
         lists = [record.related_ids for record in batch]
         row = np.repeat(np.arange(len(batch)), np.fromiter(map(len, lists), np.intp, len(batch)))  # each id's record
         ids = chain(subjects, chain.from_iterable(lists))
-        codes = np.fromiter(
-            map(rank.__getitem__, map(topic_of.get, ids, repeat(outside))), np.intp, len(batch) + len(row)
-        )
+        codes = np.fromiter(map(code_of.get, ids, repeat(outside)), np.intp, len(batch) + len(row))
         subject_codes, id_codes = codes[: len(batch)], codes[len(batch) :]
         subject_of_id = subject_codes[row]
-        external += int(np.count_nonzero((id_codes == n_topics + 1) & (subject_of_id <= n_topics)))
-        already += int(np.count_nonzero(subject_codes < n_topics))
-        voting = (subject_of_id == n_topics) & (id_codes < n_topics)
+        external += int(np.count_nonzero((id_codes == outside) & (subject_of_id != outside)))
+        already += int(np.count_nonzero(subject_codes < unclassified))
+        voting = (subject_of_id == unclassified) & (id_codes < unclassified)
         if not voting.any():
             continue
-        votes, counts = np.unique(row[voting] * n_topics + id_codes[voting], return_counts=True)
-        rows, votes = np.divmod(votes, n_topics)
+        votes, counts = np.unique(row[voting] * unclassified + id_codes[voting], return_counts=True)
+        rows, votes = np.divmod(votes, unclassified)
         order = np.lexsort((votes, -counts, rows))  # by record, then most votes, then smallest rank
         _, first = np.unique(rows[order], return_index=True)
         winners = order[first]
-        assignments.update(zip(map(subjects.__getitem__, rows[winners].tolist()),
-                               map(topics.__getitem__, votes[winners].tolist())))
+        assignments.update(
+            zip(map(subjects.__getitem__, rows[winners].tolist()), map(topics.__getitem__, votes[winners].tolist()))
+        )
 
     # only unclassified papers have an assignment; every other keeps its topic
     topic_ids = tuple(map(assignments.get, corpus.pub_ids, corpus.topic_ids))

@@ -10,11 +10,11 @@ or recode the corpus's kernel encoding instead of copying it.
 
 Every table is read by :func:`_read_table`, in blocks of whole lines.  A
 clean block, one in which every line is a plain record with the header's
-number of fields and an LF or CRLF ending, is split on the separator in one
-call, and :func:`load_publications` converts it column by column.  Any other
-block, and the rest of the file after it, goes through ``csv.reader`` with
-quoted fields, comments and blank lines; a block with a rejected row is
-parsed again row by row, so row errors are the same as a row loop's.  Every
+number of fields, is split on the separator in one call, and
+:func:`load_publications` converts it column by column.  Any other block,
+and the rest of the file after it, goes through ``csv.reader`` with quoted
+fields, comments and blank lines; a block with a rejected row is parsed
+again row by row, so row errors are the same as a row loop's.  Every
 table is written by :func:`write_table`, which joins a batch of rows that
 needs no quoting into one string; :func:`write_publications` converts the
 corpus column by column.
@@ -218,16 +218,6 @@ class CoverageReport:
 
 
 _BLOCK_HINT = 16 * 1024  # characters of whole lines read per block
-_ASCII_WHITESPACE = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"  # every ASCII character that str.strip removes
-
-
-def _unpadded(text: str, separators: str = "") -> bool:
-    """Whether ``str.strip`` would change no field of ``text`` split at ``separators``.
-
-    True only for ASCII text that holds no whitespace but ``separators``; a
-    False may still mean that no field is padded.
-    """
-    return text.isascii() and not any(char in text for char in _ASCII_WHITESPACE if char not in separators)
 
 
 def _read_table(path: Path | str, columns: tuple[str, ...]) -> Iterator[tuple[Sequence[int], list[list[str]]]]:
@@ -240,13 +230,11 @@ def _read_table(path: Path | str, columns: tuple[str, ...]) -> Iterator[tuple[Se
     the header line: tab if it holds one, else comma.
 
     After the header, lines are read in blocks of about ``_BLOCK_HINT``
-    characters.  A block is clean when it holds no quote, ``#`` or NUL, no
-    carriage return but in a CRLF line ending, no line longer than the csv
-    field limit and no line of whitespace only, and every line has as many
-    separators as the header: then each line is one record, and the block is
-    split on the separator in one call.  Its records are those ``csv.reader``
-    would give.  Its fields are stripped unless no field can need it
-    (:func:`_unpadded`).
+    characters.  A block is clean when it holds no quote, ``#``, carriage
+    return or NUL, no line longer than the csv field limit and no line of
+    whitespace only, and every line has as many separators as the header:
+    then each line is one record, and the block is split on the separator in
+    one call.  Its records are those ``csv.reader`` would give.
     From the first block that is not clean on, one ``csv.reader`` streams the
     rest of the file, so a quoted field may hold delimiters, quotes and line
     breaks.  There blank and ``#`` comment lines are skipped only where a
@@ -312,20 +300,16 @@ def _read_table(path: Path | str, columns: tuple[str, ...]) -> Iterator[tuple[Se
             if (
                 '"' in text
                 or "#" in text
-                or ("\r" in text and text.count("\r") != text.count("\r\n"))
+                or "\r" in text
                 or "\0" in text
                 or (len(text) > limit and max(map(len, block)) > limit)
                 or any(map(str.isspace, block))
                 or list(map(str.count, block, repeat(delimiter))).count(stride - 1) < len(block)
             ):
                 break
-            text = text.replace("\r\n", "\n")
             fields = text.replace("\n", delimiter).split(delimiter)
             del fields[len(block) * stride :]  # the empty string after a final line break
-            columns = [fields[p::stride] for p in positions]
-            if not _unpadded(text, "\n" + delimiter):
-                columns = [list(map(str.strip, column)) for column in columns]
-            yield range(line + 1, line + len(block) + 1), columns
+            yield range(line + 1, line + len(block) + 1), [list(map(str.strip, fields[p::stride])) for p in positions]
             line += len(block)
         else:
             return

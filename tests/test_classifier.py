@@ -162,7 +162,7 @@ class TestLoadRelated:
         assert [(e.line, e.message) for e in frag.errors] == [(6, "no related ids for 'p2'")]
 
     @pytest.mark.parametrize("ending", ["\n", "\r\n"])
-    def test_a_block_that_fails_a_check_is_read_row_by_row(self, tmp_path, ending):
+    def test_rejected_and_padded_rows_match_the_row_by_row_reader(self, tmp_path, ending):
         rows = [f"s{i},r{i}|r{i + 1}|r{i}" for i in range(24)]
         rows[3] = "s3, r3 |\xa0r4\u3000"  # padded ids
         rows[8] = "s8,r8||r9|"
