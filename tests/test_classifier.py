@@ -8,16 +8,14 @@ import tracemalloc
 from unittest import mock
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import corpus_of, pub
-from oracles import reference_assign_majority, reference_load_related
+from oracles import reference_assign_majority
 
 from jrank import classifier as classifier_module
 from jrank import cli
-from jrank import corpus as corpus_module
 from jrank.classifier import RelatedRecords, assign_majority, load_related, read_related
 from jrank.corpus import load_corpus
 from jrank.synth import SyntheticProfile, generate_corpus, write_corpus_files
@@ -160,22 +158,6 @@ class TestLoadRelated:
         frag = load_related(path)
         assert frag.records == [RelatedRecords("p1", ("r1", "# r2", "r3")), RelatedRecords("p3", ("r1\tr2", "r4"))]
         assert [(e.line, e.message) for e in frag.errors] == [(6, "no related ids for 'p2'")]
-
-    @pytest.mark.parametrize("ending", ["\n", "\r\n"])
-    def test_rejected_and_padded_rows_match_the_row_by_row_reader(self, tmp_path, ending):
-        rows = [f"s{i},r{i}|r{i + 1}|r{i}" for i in range(24)]
-        rows[3] = "s3, r3 |\xa0r4\u3000"  # padded ids
-        rows[8] = "s8,r8||r9|"
-        rows[12] = "s12,r12|s12"
-        rows[17] = "s2,r1"  # a subject of an earlier block
-        rows[21] = ",r1"
-        path = tmp_path / "r.csv"
-        path.write_bytes(ending.join(["pub_id,related_ids", *rows, ""]).encode("utf-8"))
-        with mock.patch.object(corpus_module, "_BLOCK_HINT", 40):
-            frag = load_related(path)
-        assert frag == reference_load_related(path)
-        assert frag.records[3] == RelatedRecords("s3", ("r3", "r4")) and frag.records[8].related_ids == ("r8", "r9")
-        assert [e.line for e in frag.errors] == [14, 19, 23]
 
 
 @st.composite

@@ -303,17 +303,6 @@ class TestBlocks:
         assert not frag.errors
         assert [column[12] for column in frag.columns] == ["p50", "jA", 2018, DocumentType.ARTICLE, 1, "t1"]
 
-    def test_crlf_file_reads_as_its_lf_copy(self, tmp_path):
-        text = HEADER + self.ROWS + "p3,jB,2019,Review,0,t2\np40,jB,x,Review,0,t2\n" + self.ROWS.replace("p", "q")
-        lf = self.load_in_blocks(tmp_path, text)
-        crlf = self.load_in_blocks(tmp_path, text.replace("\n", "\r\n"))
-        assert crlf == lf and [e.line for e in crlf.errors] == [14, 15]
-
-    def test_a_lone_carriage_return_in_a_crlf_file(self, tmp_path):
-        text = HEADER + self.ROWS + "p50,jA,2018,\rArticle,1,t1\n" + self.ROWS.replace("p", "q")
-        frag = self.load_in_blocks(tmp_path, text.replace("\n", "\r\n"))
-        assert [e.line for e in frag.errors] == [14, 15]
-
 
 # Values for the cells of generated tables: valid ones per table, and others
 # that every table must survive: quotes, comment marks, padding, NUL, a BOM,
