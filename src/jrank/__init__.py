@@ -6,7 +6,7 @@ jif), turns them into deterministic rankings, and quantifies how stable those
 rankings are under bootstrap resampling and document-type mislabeling.
 """
 
-from .classifier import AssignmentReport, RelatedRecords, assign_majority, load_related, read_related
+from .classifier import AssignmentReport, RelatedRecords, assign_majority, read_related
 from .corpus import (
     Corpus,
     CoverageReport,
@@ -16,7 +16,6 @@ from .corpus import (
     SchemaError,
     ValidationReport,
     coverage_stats,
-    load_corpus,
     load_journals,
     load_publications,
     validate_corpus,
@@ -72,10 +71,8 @@ __all__ = [
     "correlate",
     "coverage_stats",
     "generate_corpus",
-    "load_corpus",
     "load_journals",
     "load_publications",
-    "load_related",
     "perturbation_comparison",
     "rank",
     "read_related",

@@ -81,13 +81,6 @@ def read_related(path: Path | str, errors: list[RowError]) -> Iterator[RelatedRe
             yield RelatedRecords(pub_id, related)
 
 
-def load_related(path: Path | str) -> RelatedFragment:
-    """Every record of :func:`read_related` in a list, plus the rows that failed to parse."""
-    fragment = RelatedFragment()
-    fragment.records.extend(read_related(path, fragment.errors))
-    return fragment
-
-
 _VOTE_BATCH = 256  # related records voted on at once
 
 

@@ -39,6 +39,8 @@ JOURNAL_COLUMNS = ("journal_id", "title", "categories")
 
 CATEGORY_SEPARATOR = "|"
 
+_MAX_CITATIONS = 2**63 - 1  # the indicator kernel holds citation counts as int64
+
 
 class SchemaError(Exception):
     """The file cannot be interpreted at all: no header, or required columns missing."""
@@ -327,11 +329,11 @@ def load_publications(path: Path | str) -> CorpusFragment:
     """Load publications from delimited text (separator auto-detected).
 
     Unparseable rows are collected in ``errors`` rather than dropped: bad
-    integers, unknown document types, negative citation counts, and duplicate
-    publication ids each produce a :class:`RowError` naming the line.  A
-    rejected row adds nothing to any column.  Each block of
-    :func:`_read_table` is converted column by column; a block in which any
-    row fails a check is parsed again row by row.
+    integers, unknown document types, citation counts below 0 or above
+    2**63 - 1 (the kernel's int64 limit), and duplicate publication ids each
+    produce a :class:`RowError` naming the line.  A rejected row adds nothing
+    to any column.  Each block of :func:`_read_table` is converted column by
+    column; a block in which any row fails a check is parsed again row by row.
     """
     fragment = CorpusFragment(tuple([] for _ in PUBLICATION_COLUMNS), [])
     pub_ids, journal_ids, pub_years, doc_types, citations, topic_ids = fragment.columns
@@ -385,6 +387,7 @@ def _parse_block(block: list[list[str]], seen: set[str]) -> tuple[list[int], lis
     kinds = list(map(_DOCUMENT_TYPES.get, map(str.lower, doc_types)))
     if (
         min(counts) < 0
+        or max(counts) > _MAX_CITATIONS
         or None in kinds
         or "" in pub_ids
         or "" in journal_ids
@@ -412,6 +415,8 @@ def _parse_publication(
         raise ValueError(f"citations {citations!r} is not an integer") from None
     if count < 0:
         raise ValueError(f"citations must be >= 0, got {count}")
+    if count > _MAX_CITATIONS:
+        raise ValueError(f"citations must be <= {_MAX_CITATIONS}, got {count}")
     # DocumentType.parse raises the error for an unknown tag
     kind = _DOCUMENT_TYPES.get(doc_type.lower()) or DocumentType.parse(doc_type)
     return pub_id, journal_id, year, kind, count, topic_id or None
@@ -437,18 +442,6 @@ def corpus_from_fragments(pubs: CorpusFragment, journals: JournalsFragment) -> C
     """The corpus of loaded fragments; its topics are those observed in the publications."""
     *_, topic_ids = pubs.columns
     return Corpus(*map(tuple, pubs.columns), journals.journals, frozenset(topic_ids) - {None})
-
-
-def load_corpus(pubs_path: Path | str, journals_path: Path | str) -> tuple[Corpus, list[RowError]]:
-    """Assemble a corpus from a publications file and a journals file.
-
-    The topic universe is the set of topic ids observed in the publications.
-    Row-level problems are returned alongside the corpus; header-level
-    problems raise :class:`SchemaError`.
-    """
-    pubs = load_publications(pubs_path)
-    journals = load_journals(journals_path)
-    return corpus_from_fragments(pubs, journals), pubs.errors + journals.errors
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, DocumentType, Journal, Publication, write_journals, write_publications
+from .corpus import Corpus, DocumentType, Journal, write_journals, write_publications
 
 CITATION_DISTRIBUTIONS = ("lognormal", "uniform")
 
@@ -68,9 +68,18 @@ class SyntheticProfile:
 
 
 def generate_corpus(profile: SyntheticProfile, seed: int) -> Corpus:
-    """Generate a corpus matching the profile; identical for identical seeds."""
+    """Generate a corpus matching the profile; identical for identical seeds.
+
+    Each paper's draws are appended to the corpus columns as they are made:
+    per journal, its size and then its citation counts; per paper, its topic,
+    whether it is unclassified (only when ``unclassified_fraction`` is set),
+    its document type and its year.  That order is the random stream, so the
+    per-paper draws stay scalar calls.  Counts are converted with ``int()``,
+    which raises on an infinite draw and keeps a huge one exact.
+    """
     profile.validate()
     rng = np.random.default_rng(seed)
+    integers, random = rng.integers, rng.random
     topics = [f"t{i + 1:02d}" for i in range(profile.n_topics)]
     categories = [f"C{i + 1}" for i in range(profile.n_categories)]
 
@@ -80,31 +89,23 @@ def generate_corpus(profile: SyntheticProfile, seed: int) -> Corpus:
 
     journals: dict[str, Journal] = {}
     for journal_id in journal_ids:
-        cats = [categories[rng.integers(len(categories))]]
-        if len(categories) > 1 and rng.random() < 0.2:
-            extra = categories[rng.integers(len(categories))]
+        cats = [categories[integers(len(categories))]]
+        if len(categories) > 1 and random() < 0.2:
+            extra = categories[integers(len(categories))]
             if extra not in cats:
                 cats.append(extra)
         journals[journal_id] = Journal(journal_id, f"Journal {journal_id.upper()}", tuple(cats))
 
-    publications: list[Publication] = []
-    counter = 0
-
-    def next_id() -> str:
-        nonlocal counter
-        counter += 1
-        return f"p{counter:06d}"
-
-    def draw_common(journal_id: str, citations: int) -> Publication:
-        topic = topics[rng.integers(profile.n_topics)]
-        if profile.unclassified_fraction and rng.random() < profile.unclassified_fraction:
-            topic = None
-        doc = DocumentType.REVIEW if rng.random() < profile.review_fraction else DocumentType.ARTICLE
-        year = profile.base_year - int(rng.integers(2))
-        return Publication(next_id(), journal_id, year, doc, citations, topic)
-
+    paper_journals: list[str] = []
+    pub_years: list[int] = []
+    doc_types: list[DocumentType] = []
+    citations: list[int] = []
+    topic_ids: list[str | None] = []
+    n_topics, unclassified, review = profile.n_topics, profile.unclassified_fraction, profile.review_fraction
+    years = (profile.base_year, profile.base_year - 1)  # indexed by the year draw
+    article, review_type = DocumentType.ARTICLE, DocumentType.REVIEW
     for position, journal_id in enumerate(journal_ids):
-        n_pubs = int(rng.integers(profile.pubs_min, profile.pubs_max + 1))
+        n_pubs = int(integers(profile.pubs_min, profile.pubs_max + 1))
         if journal_id.startswith(SKEWED_PREFIX):
             n_zero = round(profile.outlier_zero_fraction * n_pubs)
             n_tail = max(0, n_pubs - n_zero - 1)
@@ -118,13 +119,21 @@ def generate_corpus(profile: SyntheticProfile, seed: int) -> Corpus:
             else:
                 quality = 0.0
             if profile.citation_dist == "lognormal":
-                counts = [int(c) for c in rng.lognormal(1.0 + quality, profile.lognormal_sigma, n_pubs)]
+                counts = list(map(int, rng.lognormal(1.0 + quality, profile.lognormal_sigma, n_pubs).tolist()))
             else:
                 high = max(2, round(12.0 * float(np.exp(quality))))
-                counts = [int(c) for c in rng.integers(0, high, size=n_pubs)]
-        publications.extend(draw_common(journal_id, c) for c in counts)
+                counts = rng.integers(0, high, size=n_pubs).tolist()
+        citations += counts
+        paper_journals += [journal_id] * len(counts)
+        for _ in counts:
+            topic = topics[integers(n_topics)]
+            topic_ids.append(None if unclassified and random() < unclassified else topic)
+            doc_types.append(review_type if random() < review else article)
+            pub_years.append(years[integers(2)])
 
-    return Corpus.of(publications, journals, frozenset(topics))
+    pub_ids = [f"p{i:06d}" for i in range(1, len(citations) + 1)]
+    columns = pub_ids, paper_journals, pub_years, doc_types, citations, topic_ids
+    return Corpus(*map(tuple, columns), journals, frozenset(topics))
 
 
 def write_corpus_files(corpus: Corpus, out_dir: Path | str) -> tuple[Path, Path]:

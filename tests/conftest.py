@@ -3,12 +3,23 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import pytest
 
 from oracles import values  # re-exported: the test modules import it from here
 
-from jrank.corpus import Corpus, DocumentType, Journal, Publication
+from jrank.classifier import RelatedFragment, read_related
+from jrank.corpus import (
+    Corpus,
+    DocumentType,
+    Journal,
+    Publication,
+    RowError,
+    corpus_from_fragments,
+    load_journals,
+    load_publications,
+)
 from jrank.indicators import JournalIndicator, RankKernel, compute_all
 
 
@@ -37,6 +48,20 @@ def corpus_of(pubs, journals=None, topics=None) -> Corpus:
     if topics is None:
         topics = {p.topic_id for p in pubs if p.topic_id is not None}
     return Corpus.of(pubs, journals, frozenset(topics))
+
+
+def load_corpus(pubs_path: Path | str, journals_path: Path | str) -> tuple[Corpus, list[RowError]]:
+    """The corpus of a publications file and a journals file, plus the row errors of both."""
+    pubs = load_publications(pubs_path)
+    journals = load_journals(journals_path)
+    return corpus_from_fragments(pubs, journals), pubs.errors + journals.errors
+
+
+def load_related(path: Path | str) -> RelatedFragment:
+    """Every record of ``read_related`` in a list, plus the rows that failed to parse."""
+    fragment = RelatedFragment()
+    fragment.records.extend(read_related(path, fragment.errors))
+    return fragment
 
 
 def record(journal_id: str, corpus: Corpus) -> JournalIndicator:

@@ -17,7 +17,9 @@ The reference readers at the end (:func:`reference_load_publications`,
 :func:`reference_load_journals`, :func:`reference_load_related`) parse every
 table row by row through one ``csv.reader``, the way ingest did before it
 read clean blocks column-wise; :func:`reference_write_table` applies the
-writer's quoting rule one row at a time.
+writer's quoting rule one row at a time.  :func:`reference_generate_corpus`
+is the synthetic generator as it was before it appended to columns: one
+:class:`Publication` per paper, transposed by ``Corpus.of``.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from jrank.corpus import (
 )
 from jrank.indicators import RankKernel
 from jrank.robustness import RankingSamples
+from jrank.synth import SKEWED_PREFIX, SyntheticProfile
 
 
 def naive_cells(corpus: Corpus) -> dict[tuple[str, DocumentType], list[tuple[str, int]]]:
@@ -363,6 +366,8 @@ def reference_parse_publication(
         raise ValueError(f"citations {citations!r} is not an integer") from None
     if count < 0:
         raise ValueError(f"citations must be >= 0, got {count}")
+    if count > 2**63 - 1:
+        raise ValueError(f"citations must be <= {2**63 - 1}, got {count}")
     return pub_id, journal_id, year, DocumentType.parse(doc_type), count, topic_id or None
 
 
@@ -425,3 +430,68 @@ def reference_write_table(fh: TextIO, header: Sequence[str], rows: Iterable[Sequ
     for row in rows:
         needs_quotes = row[0].lstrip().startswith("#") or any("\r" in value for value in row)
         (quoted if needs_quotes else plain).writerow(row)
+
+
+def reference_generate_corpus(profile: SyntheticProfile, seed: int) -> Corpus:
+    """The synthetic generator one :class:`Publication` at a time, with a ``next_id`` call per paper.
+
+    It makes the same random draws in the same order as ``generate_corpus``:
+    per journal its size, then its citation counts; per paper its topic, the
+    unclassified draw (only when ``unclassified_fraction`` is set), its
+    document type and its year.
+    """
+    profile.validate()
+    rng = np.random.default_rng(seed)
+    topics = [f"t{i + 1:02d}" for i in range(profile.n_topics)]
+    categories = [f"C{i + 1}" for i in range(profile.n_categories)]
+
+    n_ordinary = profile.n_journals - profile.skewed_journals
+    journal_ids = [f"j{i + 1:03d}" for i in range(n_ordinary)]
+    journal_ids += [f"{SKEWED_PREFIX}{i + 1:02d}" for i in range(profile.skewed_journals)]
+
+    journals: dict[str, Journal] = {}
+    for journal_id in journal_ids:
+        cats = [categories[rng.integers(len(categories))]]
+        if len(categories) > 1 and rng.random() < 0.2:
+            extra = categories[rng.integers(len(categories))]
+            if extra not in cats:
+                cats.append(extra)
+        journals[journal_id] = Journal(journal_id, f"Journal {journal_id.upper()}", tuple(cats))
+
+    publications: list[Publication] = []
+    counter = 0
+
+    def next_id() -> str:
+        nonlocal counter
+        counter += 1
+        return f"p{counter:06d}"
+
+    def draw_common(journal_id: str, citations: int) -> Publication:
+        topic = topics[rng.integers(profile.n_topics)]
+        if profile.unclassified_fraction and rng.random() < profile.unclassified_fraction:
+            topic = None
+        doc = DocumentType.REVIEW if rng.random() < profile.review_fraction else DocumentType.ARTICLE
+        year = profile.base_year - int(rng.integers(2))
+        return Publication(next_id(), journal_id, year, doc, citations, topic)
+
+    for position, journal_id in enumerate(journal_ids):
+        n_pubs = int(rng.integers(profile.pubs_min, profile.pubs_max + 1))
+        if journal_id.startswith(SKEWED_PREFIX):
+            n_zero = round(profile.outlier_zero_fraction * n_pubs)
+            n_tail = max(0, n_pubs - n_zero - 1)
+            counts = [profile.outlier_citations]
+            counts += [0] * n_zero
+            counts += [int(rng.lognormal(0.5, 1.0)) for _ in range(n_tail)]
+        else:
+            if n_ordinary > 1:
+                quality = profile.quality_spread * (position / (n_ordinary - 1) - 0.5)
+            else:
+                quality = 0.0
+            if profile.citation_dist == "lognormal":
+                counts = [int(c) for c in rng.lognormal(1.0 + quality, profile.lognormal_sigma, n_pubs)]
+            else:
+                high = max(2, round(12.0 * float(np.exp(quality))))
+                counts = [int(c) for c in rng.integers(0, high, size=n_pubs)]
+        publications.extend(draw_common(journal_id, c) for c in counts)
+
+    return Corpus.of(publications, journals, frozenset(topics))

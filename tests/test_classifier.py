@@ -11,13 +11,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import corpus_of, pub
+from conftest import corpus_of, load_corpus, load_related, pub
 from oracles import reference_assign_majority
 
 from jrank import classifier as classifier_module
 from jrank import cli
-from jrank.classifier import RelatedRecords, assign_majority, load_related, read_related
-from jrank.corpus import load_corpus
+from jrank.classifier import RelatedRecords, assign_majority, read_related
 from jrank.synth import SyntheticProfile, generate_corpus, write_corpus_files
 
 

@@ -14,10 +14,13 @@ from pathlib import Path
 
 import pytest
 
+from oracles import reference_generate_corpus
+
 import jrank
 from jrank import cli
 from jrank.cli import _write_csv, main
 from jrank.indicators import RankKernel, compute_all
+from jrank.synth import SyntheticProfile
 
 HEADER = "pub_id,journal_id,pub_year,doc_type,citations,topic_id\n"
 JHEADER = "journal_id,title,categories\n"
@@ -91,6 +94,23 @@ class TestGenerate:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    def test_infinite_citation_draw_fails_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["generate", "--out", str(out), "--sigma", "1000", "--journals-count", "3"]) == 1
+        assert capsys.readouterr().err == "error: cannot convert float infinity to integer\n"
+        assert not out.exists()
+
+    def test_huge_citation_counts_are_written_exactly(self, tmp_path):
+        out = tmp_path / "out"
+        args = ["--seed", "42", "--sigma", "60", "--journals-count", "3", "--pubs-min", "200", "--pubs-max", "200"]
+        assert main(["generate", "--out", str(out), *args]) == 0
+        profile = SyntheticProfile(n_journals=3, lognormal_sigma=60.0, pubs_min=200, pubs_max=200)
+        expected = [str(count) for count in reference_generate_corpus(profile, seed=42).citations]
+        with open(out / "publications.csv", encoding="utf-8", newline="") as fh:
+            written = [row["citations"] for row in csv.DictReader(fh)]
+        assert written == expected
+        assert max(map(int, written)) > 2**64
+
 
 class TestValidate:
     def test_clean_corpus_exits_zero(self, tmp_path):
@@ -102,6 +122,20 @@ class TestValidate:
         assert main(["validate", "--pubs", str(pubs), "--journals", str(journals)]) == 1
         err = capsys.readouterr().err
         assert "line 2" in err
+
+    def test_citation_count_beyond_int64_is_a_row_error(self, tmp_path, capsys):
+        pubs, journals = write_tiny_corpus(
+            tmp_path,
+            rows="a1,jA,2018,Article,9223372036854775807,t1\na2,jA,2018,Article,9223372036854775808,t1\n"
+            "b1,jB,2018,Article,2,t1\n",
+        )
+        assert main(["validate", "--pubs", str(pubs), "--journals", str(journals)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {pubs}: line 3: citations must be <= 9223372036854775807, got 9223372036854775808\n"
+        )
+        out = tmp_path / "out"
+        assert main(["compute", "--pubs", str(pubs), "--journals", str(journals), "--out", str(out)]) == 1
+        assert not out.exists()
 
     def test_dangling_journal_exits_one(self, tmp_path, capsys):
         pubs, journals = write_tiny_corpus(tmp_path, rows="a1,jZ,2018,Article,4,t1\n")

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import R, corpus_of, coverage_9998_corpus, pub
+from conftest import R, corpus_of, coverage_9998_corpus, load_corpus, load_related, pub
 from oracles import (
     random_corpus,
     reference_load_journals,
@@ -22,7 +22,7 @@ from oracles import (
 )
 
 from jrank import corpus as corpus_module
-from jrank.classifier import RELATED_COLUMNS, load_related
+from jrank.classifier import RELATED_COLUMNS
 from jrank.corpus import (
     Corpus,
     DocumentType,
@@ -33,7 +33,6 @@ from jrank.corpus import (
     Publication,
     SchemaError,
     coverage_stats,
-    load_corpus,
     load_journals,
     load_publications,
     validate_corpus,
@@ -327,7 +326,9 @@ _VALID = {
     },
 }
 # odd cells that leave a line clean, and ones that send the rest of the file through csv.reader
-_ODD = st.sampled_from(["", "  ", "19x9", "1.5", "-1", "Letter", "#p", " # p", "\ufeffp", "x\u2028y", "a\x00b", "p1|p1"])
+_ODD = st.sampled_from(
+    ["", "  ", "19x9", "1.5", "-1", "9223372036854775808", "Letter", "#p", " # p", "\ufeffp", "x\u2028y", "a\x00b", "p1|p1"]
+)
 _UNCLEAN = st.sampled_from(['"p1"', '"a,b"', '"multi\nline"', '"half', 'a"b', "a\rb", "\tp\t"])
 _EXTRA_LINES = st.sampled_from(["", "   ", "\t\t", "# comment", "  # indented", "\x0c"])
 

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import fields
 
 import pytest
 
+from oracles import reference_generate_corpus
+
 from jrank.corpus import validate_corpus
-from jrank.synth import SKEWED_PREFIX, SyntheticProfile, generate_corpus
+from jrank.synth import SKEWED_PREFIX, SyntheticProfile, generate_corpus, write_corpus_files
 
 
 class TestGenerate:
@@ -77,3 +80,36 @@ class TestGenerate:
                                    citation_dist="uniform")
         corpus = generate_corpus(profile, seed=4)
         assert all(p.citations >= 0 for p in corpus.publications)
+
+
+_SMALL = dict(n_journals=6, n_topics=4, pubs_min=3, pubs_max=12)
+
+
+def _parity_profiles():
+    for dist in ("lognormal", "uniform"):
+        for unclassified in (0.0, 0.3):
+            for skewed in (0, 3, _SMALL["n_journals"]):
+                yield pytest.param(
+                    SyntheticProfile(
+                        **_SMALL, citation_dist=dist, unclassified_fraction=unclassified, skewed_journals=skewed
+                    ),
+                    id=f"{dist}-unclassified{unclassified}-skewed{skewed}",
+                )
+    yield pytest.param(SyntheticProfile(**_SMALL, skewed_journals=_SMALL["n_journals"] - 1), id="one-ordinary")
+    yield pytest.param(SyntheticProfile(**{**_SMALL, "pubs_min": 7, "pubs_max": 7}, skewed_journals=2), id="fixed-size")
+    yield pytest.param(SyntheticProfile(**_SMALL, n_categories=1, unclassified_fraction=0.3), id="one-category")
+    # every paper of a skewed journal zero-cited: its outlier makes one paper more than its size draw
+    yield pytest.param(SyntheticProfile(**_SMALL, skewed_journals=2, outlier_zero_fraction=1.0), id="all-zero-tail")
+
+
+@pytest.mark.parametrize("profile", _parity_profiles())
+def test_generator_matches_the_row_by_row_reference(profile, tmp_path):
+    for seed in range(10):
+        got = generate_corpus(profile, seed)
+        want = reference_generate_corpus(profile, seed)
+        for column in fields(got):
+            assert getattr(got, column.name) == getattr(want, column.name), (seed, column.name)
+        assert got.publications == want.publications
+        written = write_corpus_files(got, tmp_path / f"got{seed}")
+        expected = write_corpus_files(want, tmp_path / f"want{seed}")
+        assert [path.read_bytes() for path in written] == [path.read_bytes() for path in expected]
