@@ -22,13 +22,7 @@ from .corpus import (
     write_journals,
     write_publications,
 )
-from .indicators import (
-    INDICATOR_KEYS,
-    JournalIndicator,
-    RankKernel,
-    Scores,
-    compute_all,
-)
+from .indicators import INDICATOR_KEYS, RankKernel, Scores, compute_all
 from .ranking import InsufficientDataError, RankingRow, RankingTable, correlate, rank
 from .robustness import (
     RankingSamples,
@@ -51,7 +45,6 @@ __all__ = [
     "INDICATOR_KEYS",
     "InsufficientDataError",
     "Journal",
-    "JournalIndicator",
     "Publication",
     "RankKernel",
     "RankSummary",

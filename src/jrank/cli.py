@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from . import __version__
 from .classifier import AssignmentReport, assign_majority, read_related
 from .corpus import (
@@ -34,7 +36,7 @@ from .corpus import (
     write_publications,
     write_table,
 )
-from .indicators import INDICATOR_KEYS, JournalIndicator, compute_all
+from .indicators import INDICATOR_KEYS, Scores, compute_all
 from .ranking import RankingTable, rank
 from .robustness import bootstrap_report, perturbation_comparison
 from .synth import CITATION_DISTRIBUTIONS, SyntheticProfile, generate_corpus, write_corpus_files
@@ -241,7 +243,7 @@ def _meta(config: RunConfig, notes: Iterable[str] = ()) -> list[str]:
 
 
 def _fmt(value: float | int | str | None) -> str:
-    if value is None:
+    if value is None or value != value:  # NaN: an indicator undefined for the journal
         return "unrankable"
     return str(value)
 
@@ -274,45 +276,64 @@ def _json_number(value: float | int | None) -> str:
     return int.__repr__(value)
 
 
-def _indicator_record(ind: JournalIndicator) -> str:
+def _indicator_rows(scores: Scores) -> Iterator[tuple[Any, ...]]:
+    """(journal id, the four indicators, n_pubs) of each journal of the journal table, in id order; NaN if undefined."""
+    kernel = scores.kernel
+    codes = np.flatnonzero(kernel.in_table)
+    columns = [getattr(scores, key)[codes].tolist() for key in INDICATOR_KEYS]
+    return zip([kernel.journal_ids[code] for code in codes.tolist()], *columns, scores.n_classified[codes].tolist())
+
+
+def _indicator_record(row: tuple[Any, ...], topics: list[tuple[str, float, int]]) -> str:
     """One journal of ``indicators.json``: an element of the indented, key-sorted ``journals`` list."""
-    if ind.topic_breakdown:
-        topics = ",\n".join(
+    journal_id, *values, n_pubs = row
+    fncsi, fnif, expected_jif, jif = (None if math.isnan(value) else value for value in values)
+    if topics:
+        entries = ",\n".join(
             f'        {_json_string(topic)}: {{\n'
             f'          "papers_compared": {_json_number(n)},\n'
             f'          "score": {_json_number(score)}\n'
             f"        }}"
-            for topic, (score, n) in sorted(ind.topic_breakdown.items())
+            for topic, score, n in topics
         )
-        breakdown = f"{{\n{topics}\n      }}"
+        breakdown = f"{{\n{entries}\n      }}"
     else:
         breakdown = "{}"
     return (
         "    {\n"
-        f'      "expected_jif": {_json_number(ind.expected_jif)},\n'
-        f'      "fncsi": {_json_number(ind.fncsi)},\n'
-        f'      "fnif": {_json_number(ind.fnif)},\n'
-        f'      "jif": {_json_number(ind.jif)},\n'
-        f'      "journal_id": {_json_string(ind.journal_id)},\n'
-        f'      "n_pubs": {_json_number(ind.n_pubs)},\n'
+        f'      "expected_jif": {_json_number(expected_jif)},\n'
+        f'      "fncsi": {_json_number(fncsi)},\n'
+        f'      "fnif": {_json_number(fnif)},\n'
+        f'      "jif": {_json_number(jif)},\n'
+        f'      "journal_id": {_json_string(journal_id)},\n'
+        f'      "n_pubs": {_json_number(n_pubs)},\n'
         f'      "topic_breakdown": {breakdown}\n'
         "    }"
     )
 
 
-def _write_indicators_json(path: Path, meta: list[str], indicators: Iterable[JournalIndicator]) -> None:
+def _write_indicators_json(path: Path, meta: list[str], scores: Scores) -> None:
     """Write ``indicators.json`` one journal record at a time.
 
     The bytes equal ``json.dumps({"meta": meta, "journals": [...]}, indent=2,
     sort_keys=True) + "\n"`` for the records ``_indicator_record`` spells out,
-    without holding the document, its text or its chunks in memory.
+    without holding the document, its text or its chunks in memory.  A
+    journal's topic breakdown is its run of the kernel's (journal, topic)
+    groups, whose topics are already in id order; a topic in which none of its
+    papers was compared is left out.
     """
+    kernel = scores.kernel
+    codes = np.flatnonzero(kernel.in_table)
+    starts = np.searchsorted(kernel._group_journal, codes).tolist()
+    ends = np.searchsorted(kernel._group_journal, codes, side="right").tolist()
     with atomic_write(path) as fh:
         fh.write('{\n  "journals": [')
         empty = True
-        for ind in indicators:
+        for row, start, end in zip(_indicator_rows(scores), starts, ends):
+            groups = (array[start:end].tolist() for array in (kernel._group_topic, scores.topic_score, scores.topic_n))
+            topics = [(kernel.topic_ids[topic], score, n) for topic, score, n in zip(*groups) if n]
             fh.write("\n" if empty else ",\n")
-            fh.write(_indicator_record(ind))
+            fh.write(_indicator_record(row, topics))
             empty = False
         fh.write("],\n" if empty else "\n  ],\n")
         if meta:
@@ -320,13 +341,6 @@ def _write_indicators_json(path: Path, meta: list[str], indicators: Iterable[Jou
             fh.write(f'  "meta": [\n{lines}\n  ]\n}}\n')
         else:
             fh.write('  "meta": []\n}\n')
-
-
-def _indicator_rows(indicators: Sequence[JournalIndicator]) -> list[list[Any]]:
-    return [
-        [ind.journal_id, ind.fncsi, ind.fnif, ind.expected_jif, ind.jif, ind.n_pubs]
-        for ind in indicators
-    ]
 
 
 def _slug(label: str) -> str:
@@ -430,32 +444,32 @@ def cmd_classify(config: RunConfig) -> int:
     return 0
 
 
-def _write_indicators(config: RunConfig, indicators: Sequence[JournalIndicator]) -> None:
+def _write_indicators(config: RunConfig, scores: Scores) -> None:
     meta = _meta(config)
     if "csv" in config.formats:
         _write_csv(
             config.output_dir / "indicators.csv",
             meta,
             ("journal_id", "fncsi", "fnif", "expected_jif", "jif", "n_pubs"),
-            _indicator_rows(indicators),
+            _indicator_rows(scores),
         )
     if "json" in config.formats:
-        _write_indicators_json(config.output_dir / "indicators.json", meta, indicators)
+        _write_indicators_json(config.output_dir / "indicators.json", meta, scores)
 
 
-def _rankings(config: RunConfig, corpus: Corpus, indicators: Sequence[JournalIndicator]) -> Iterator[RankingTable]:
+def _rankings(config: RunConfig, corpus: Corpus, scores: Scores) -> Iterator[RankingTable]:
     """One ranking table per requested indicator, in the requested scope."""
-    return (rank(indicators, key, scope=config.category, journals=corpus.journals) for key in config.indicators)
+    return (rank(scores, key, scope=config.category, journals=corpus.journals) for key in config.indicators)
 
 
 def cmd_compute(config: RunConfig) -> int:
     corpus, clean = _load_checked(config)
     if not clean:
         return 1
-    indicators = compute_all(corpus)
+    scores = compute_all(corpus)
     config.output_dir.mkdir(parents=True, exist_ok=True)
-    _write_indicators(config, indicators)
-    for table in _rankings(config, corpus, indicators):
+    _write_indicators(config, scores)
+    for table in _rankings(config, corpus, scores):
         _write_ranking(table, config)
     return 0
 
@@ -464,9 +478,9 @@ def cmd_rank(config: RunConfig) -> int:
     corpus, clean = _load_checked(config)
     if not clean:
         return 1
-    indicators = compute_all(corpus)
+    scores = compute_all(corpus)
     config.output_dir.mkdir(parents=True, exist_ok=True)
-    for table in _rankings(config, corpus, indicators):
+    for table in _rankings(config, corpus, scores):
         for path in _write_ranking(table, config):
             print(f"wrote {path}")
     return 0
@@ -547,7 +561,7 @@ def cmd_report(config: RunConfig) -> int:
             return 1
         corpus, _ = classified
     coverage = coverage_stats(corpus)
-    indicators = compute_all(corpus)
+    scores = compute_all(corpus)
     config.output_dir.mkdir(parents=True, exist_ok=True)
 
     lines: list[str] = []
@@ -559,7 +573,7 @@ def cmd_report(config: RunConfig) -> int:
         f"(publication coverage {coverage.publication_coverage:.4f}, "
         f"journal coverage {coverage.journal_coverage:.4f})"
     )
-    for table in _rankings(config, corpus, indicators):
+    for table in _rankings(config, corpus, scores):
         scope_note = f" in category {table.scope}" if table.scope else ""
         lines.append("")
         lines.append(f"top journals by {_KEY_TO_CLI[table.indicator_name]}{scope_note}:")
@@ -571,7 +585,7 @@ def cmd_report(config: RunConfig) -> int:
         fh.write("\n".join(lines) + "\n")
     print(f"wrote {out_path}")
     # the indicator tables reflect the same (possibly classified) corpus
-    _write_indicators(config, indicators)
+    _write_indicators(config, scores)
     return 0
 
 

@@ -248,7 +248,7 @@ def _read_table(path: Path | str, columns: tuple[str, ...]) -> Iterator[tuple[Se
     """
     line = 0  # physical lines read so far
     start = 0  # the line that opened the current record
-    at_start = True  # the next line opens a record; set by records() below
+    at_start = True  # the next line opens a record; set by parsed_rows() below
     at_eof = False
 
     def physical_lines(source: Iterable[str]) -> Iterator[str]:
@@ -265,7 +265,7 @@ def _read_table(path: Path | str, columns: tuple[str, ...]) -> Iterator[tuple[Se
             yield text
         at_eof = True
 
-    def records(lines: Iterator[str], delimiter: str) -> Iterator[tuple[int, list[str]]]:
+    def parsed_rows(lines: Iterator[str], delimiter: str) -> Iterator[tuple[int, list[str]]]:
         nonlocal at_start
         reader = csv.reader(lines, delimiter=delimiter)
         while True:
@@ -287,7 +287,7 @@ def _read_table(path: Path | str, columns: tuple[str, ...]) -> Iterator[tuple[Se
         if first is None:
             raise SchemaError(f"{path}: empty file, expected a header row")
         delimiter = "\t" if "\t" in first else ","
-        _, header = next(records(chain([first], lines), delimiter))
+        _, header = next(parsed_rows(chain([first], lines), delimiter))
         header = [h.strip() for h in header]
         missing = [col for col in columns if col not in header]
         if missing:
@@ -318,7 +318,7 @@ def _read_table(path: Path | str, columns: tuple[str, ...]) -> Iterator[tuple[Se
 
         width = max(positions) + 1
         pick = itemgetter(*positions)
-        rest = records(physical_lines(chain(block, fh)), delimiter)
+        rest = parsed_rows(physical_lines(chain(block, fh)), delimiter)
         while batch := list(islice(rest, len(block))):  # as many records as a block has lines
             ends, rows = zip(*batch)
             padded = (row if len(row) >= width else row + [""] * (width - len(row)) for row in rows)

@@ -32,14 +32,16 @@ exactly 0.5 and the two-journal complement identity holds exactly.
 Aggregation order is fixed everywhere (topics sorted by id, articles before
 reviews, journals sorted by id) and floating-point sums accumulate left to
 right, so results are bit-reproducible regardless of input order.  Journals
-for which an indicator is undefined are marked with None, never a fabricated
-zero.
+for which an indicator is undefined hold NaN, never a fabricated zero.
+Citation sums are exact int64: a corpus or weighting under which a citation
+sum, or a product of citations and paper counts, would pass 2**63 - 1 is
+rejected, not wrapped.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,27 +51,6 @@ INDICATOR_KEYS = ("fncsi", "fnif", "expected_jif", "jif")
 
 # fixed document-type aggregation order; the rank is the low bit of a cell code
 _DOC_RANK = {DocumentType.ARTICLE: 0, DocumentType.REVIEW: 1}
-
-
-@dataclass(frozen=True)
-class JournalIndicator:
-    """All four indicator values for one journal.
-
-    None marks an indicator as undefined for the journal (no publications, no
-    classified publications, or no non-empty comparison sets, depending on
-    the indicator).  ``n_pubs`` counts classified publications only.
-    ``topic_breakdown`` maps topic id to (per-topic score, number of the
-    journal's papers that entered comparisons in that topic); topics whose
-    comparison sets were all empty are omitted.
-    """
-
-    journal_id: str
-    fncsi: float | None
-    fnif: float | None
-    expected_jif: float | None
-    jif: float | None
-    n_pubs: int
-    topic_breakdown: dict[str, tuple[float, int]] = field(default_factory=dict)
 
 
 def _run_starts(*keys: np.ndarray) -> np.ndarray:
@@ -88,6 +69,28 @@ def _group_of(starts: np.ndarray, n: int) -> np.ndarray:
 
 def _divide(num: np.ndarray, den: np.ndarray, where: np.ndarray, fill: float = math.nan) -> np.ndarray:
     return np.divide(num, den, out=np.full(len(num), fill), where=where)
+
+
+_INT64_MAX = 2**63 - 1
+_OVERFLOW = f"citation counts too large: a weighted citation sum or product would pass 2**63 - 1 ({_INT64_MAX})"
+
+
+def _check_products(a: np.ndarray, b: np.ndarray) -> None:
+    """Raise ValueError unless every product of the non-negative integers ``a`` and ``b`` fits int64."""
+    if (a > _INT64_MAX // np.maximum(b, 1)).any():
+        raise ValueError(_OVERFLOW)
+
+
+def _check_sums(terms: np.ndarray, starts: np.ndarray) -> None:
+    """Raise ValueError unless every segment sum of the non-negative int64 ``terms`` fits int64.
+
+    The high and low 32 bits are summed apart, so neither sum can wrap while a
+    segment holds fewer than 2**31 terms; the total is below 2**63 exactly when
+    its part above the low 32 bits is below 2**31.
+    """
+    high = np.add.reduceat(terms >> 32, starts) + (np.add.reduceat(terms & 0xFFFFFFFF, starts) >> 32)
+    if (high >= 2**31).any():
+        raise ValueError(_OVERFLOW)
 
 
 @dataclass(eq=False)
@@ -173,8 +176,12 @@ class RankKernel:
         below_in_cell = before - before[self._cell_starts][self._cell_of_run]
         cell_total = np.zeros(n_cells, dtype=np.int64)
         cell_total[self._cells] = np.add.reduceat(run_weight, self._cell_starts)
+        # every weighted citation term, and every partial sum below, is at most its cell's sum
+        _check_products(self._run_citations, run_weight)
+        run_citations = run_weight * self._run_citations
+        _check_sums(run_citations, self._cell_starts)
         cell_citations = np.zeros(n_cells, dtype=np.int64)
-        cell_citations[self._cells] = np.add.reduceat(run_weight * self._run_citations, self._cell_starts)
+        cell_citations[self._cells] = np.add.reduceat(run_citations, self._cell_starts)
 
         # twice U: 2 per same-cell paper cited less, 1 per paper cited equally,
         # less the n_own**2 that the pair's papers score against each other
@@ -186,7 +193,11 @@ class RankKernel:
         return cell_total, cell_citations, n_own, rank_sum - n_own * n_own, own_citations
 
     def evaluate(self, weights: np.ndarray | None = None) -> Scores:
-        """Score every journal, each paper counted ``weights[i]`` times (default once)."""
+        """Score every journal, each paper counted ``weights[i]`` times (default once).
+
+        Raises ValueError for weights that are not one non-negative integer per
+        paper, and for citation sums or products that would pass 2**63 - 1.
+        """
         weights = np.ones(len(self.journal), dtype=np.int64) if weights is None else np.asarray(weights)
         if weights.dtype.kind not in "iu" or weights.shape != self.journal.shape or (weights < 0).any():
             raise ValueError(f"weights must be one non-negative integer per paper, not {weights.dtype} {weights.shape}")
@@ -212,6 +223,7 @@ class RankKernel:
 
         # fnif: an all-uncited cell's normalized citations are defined as 0
         divisor = cell_citations[self.pair_cell]
+        _check_products(own_citations, cell_total[self.pair_cell])
         fnif_terms = _divide(own_citations * cell_total[self.pair_cell], divisor, divisor > 0, fill=0.0)
         n_classified = np.bincount(self.pair_journal, weights=n_own, minlength=n_journals)
 
@@ -223,6 +235,7 @@ class RankKernel:
         expected_terms = np.where(topic_count > 0, topic_mean[self._group_topic] * topic_count, 0.0)
 
         # jif: every paper, classified or not
+        _check_products(self.citations, weights)
         jif_citations = np.bincount(self.journal, weights=weights * self.citations, minlength=n_journals)
         jif_papers = np.bincount(self.journal, weights=weights, minlength=n_journals)
 
@@ -245,10 +258,6 @@ class RankKernel:
         )
 
 
-def _optional(value: float) -> float | None:
-    return None if math.isnan(value) else value
-
-
 @dataclass(frozen=True, eq=False)
 class Scores:
     """One kernel evaluation.
@@ -257,7 +266,9 @@ class Scores:
     where the indicator is undefined; ``cell_total`` and ``cell_citations``
     by cell code; ``pair_score`` (NaN without comparison papers) and
     ``pair_papers`` by the kernel's occupied (journal, cell) pairs;
-    ``topic_score`` and ``topic_n`` by its (journal, topic) groups.
+    ``topic_score`` and ``topic_n`` by its (journal, topic) groups, which
+    ``kernel._group_journal`` and ``kernel._group_topic`` name in journal,
+    then topic code order.
     """
 
     kernel: RankKernel
@@ -279,32 +290,7 @@ class Scores:
             raise ValueError(f"unknown indicator key {key!r}; expected one of {INDICATOR_KEYS}")
         return np.where(self.kernel.in_table, getattr(self, key), math.nan)
 
-    def records(self) -> list[JournalIndicator]:
-        """All four indicators for every journal of the journal table, in id order."""
-        kernel = self.kernel
-        breakdowns: list[dict[str, tuple[float, int]]] = [{} for _ in kernel.journal_ids]
-        for code, topic, score, n in zip(
-            kernel._group_journal.tolist(),
-            kernel._group_topic.tolist(),
-            self.topic_score.tolist(),
-            self.topic_n.tolist(),
-        ):
-            if n:
-                breakdowns[code][kernel.topic_ids[topic]] = (score, n)
-        columns = [getattr(self, key).tolist() for key in INDICATOR_KEYS]
-        n_classified = self.n_classified.tolist()
-        return [
-            JournalIndicator(
-                journal_id,
-                *(_optional(column[code]) for column in columns),
-                n_pubs=n_classified[code],
-                topic_breakdown=breakdowns[code],
-            )
-            for code, journal_id in enumerate(kernel.journal_ids)
-            if kernel.in_table[code]
-        ]
 
-
-def compute_all(corpus: Corpus) -> list[JournalIndicator]:
-    """Compute all four indicators for every journal, sorted by journal id."""
-    return RankKernel.from_corpus(corpus).evaluate().records()
+def compute_all(corpus: Corpus) -> Scores:
+    """All four indicators for every journal: the ``Scores`` of one encoding and one unweighted evaluation."""
+    return RankKernel.from_corpus(corpus).evaluate()

@@ -4,6 +4,8 @@ Rankings depend only on the ordering of indicator values: journals are sorted
 by descending value, equal values broken by ascending journal id, so the same
 inputs always produce the same table.  :func:`ranks` is that rule, and every
 ranking in the package (tables, bootstrap, flip test) goes through it.
+:func:`rank` builds a table straight from one ``Scores`` column, whose NaN
+marks a journal unrankable.
 Percentile ranks rescale positions to (0, 100], higher is better: rank r of N
 maps to 100 * (N - r + 1) / N.
 """
@@ -12,12 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from .corpus import Journal
-from .indicators import INDICATOR_KEYS, JournalIndicator
+from .indicators import Scores
 
 
 class InsufficientDataError(ValueError):
@@ -54,38 +56,30 @@ def ranks(values: np.ndarray, sentinel: int) -> np.ndarray:
 
 
 def rank(
-    indicators: Sequence[JournalIndicator],
+    scores: Scores,
     key: str,
     scope: str | None = None,
     journals: Mapping[str, Journal] | None = None,
 ) -> RankingTable:
-    """Rank journals on one indicator, optionally within one category.
+    """Rank the journals of the journal table on one indicator, optionally within one category.
 
     Journals unrankable on the chosen indicator are excluded.  With a scope,
     only journals whose category list contains the label participate (a
     multi-category journal appears in each of its categories' tables);
     ``journals`` must then supply the category lists.
     """
-    if key not in INDICATOR_KEYS:
-        raise ValueError(f"unknown indicator key {key!r}; expected one of {INDICATOR_KEYS}")
-    if scope is not None and journals is None:
-        raise ValueError("category-scoped ranking requires the journals mapping")
-
-    values: dict[str, float | None] = {}
-    for indicator in indicators:
-        if scope is not None:
-            journal = journals.get(indicator.journal_id)
-            if journal is None or scope not in journal.categories:
-                continue
-        values[indicator.journal_id] = getattr(indicator, key)
-
-    journal_ids = sorted(values)
-    column = np.array([math.nan if values[j] is None else values[j] for j in journal_ids], dtype=float)
+    column = scores.column(key)
+    journal_ids = scores.kernel.journal_ids
+    if scope is not None:
+        if journals is None:
+            raise ValueError("category-scoped ranking requires the journals mapping")
+        outside = (journal is None or scope not in journal.categories for journal in map(journals.get, journal_ids))
+        column[np.fromiter(outside, dtype=bool, count=len(journal_ids))] = math.nan
     n = int(np.count_nonzero(~np.isnan(column)))
-    ordered = [journal_ids[i] for i in ranks(column, n + 1).argsort()[:n].tolist()]
+    order = ranks(column, n + 1).argsort()[:n]
     rows = tuple(
-        RankingRow(journal_id, values[journal_id], r, 100.0 * (n - r + 1) / n)
-        for r, journal_id in enumerate(ordered, start=1)
+        RankingRow(journal_ids[code], value, r, 100.0 * (n - r + 1) / n)
+        for r, (code, value) in enumerate(zip(order.tolist(), column[order].tolist()), start=1)
     )
     return RankingTable(indicator_name=key, scope=scope, rows=rows)
 

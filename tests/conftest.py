@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
+import numpy as np
 import pytest
 
 from oracles import values  # re-exported: the test modules import it from here
@@ -20,7 +23,7 @@ from jrank.corpus import (
     load_journals,
     load_publications,
 )
-from jrank.indicators import JournalIndicator, RankKernel, compute_all
+from jrank.indicators import INDICATOR_KEYS, RankKernel, Scores, compute_all
 
 
 @pytest.hookimpl(hookwrapper=True)
@@ -64,9 +67,63 @@ def load_related(path: Path | str) -> RelatedFragment:
     return fragment
 
 
-def record(journal_id: str, corpus: Corpus) -> JournalIndicator:
-    """One journal's ``compute_all`` record."""
-    return next(r for r in compute_all(corpus) if r.journal_id == journal_id)
+class Record(NamedTuple):
+    """One journal's indicators as the output tables hold them, None where ``Scores`` holds NaN.
+
+    ``topic_breakdown`` maps topic id to (per-topic score, the journal's papers
+    compared in that topic); topics with no compared paper are left out.
+    """
+
+    journal_id: str
+    fncsi: float | None
+    fnif: float | None
+    expected_jif: float | None
+    jif: float | None
+    n_pubs: int
+    topic_breakdown: dict[str, tuple[float, int]]
+
+
+def records(scores: Scores) -> list[Record]:
+    """Every journal of the journal table, in id order, read off ``scores`` one group at a time."""
+    kernel = scores.kernel
+    breakdowns: list[dict[str, tuple[float, int]]] = [{} for _ in kernel.journal_ids]
+    for code, topic, score, n in zip(kernel._group_journal.tolist(), kernel._group_topic.tolist(),
+                                     scores.topic_score.tolist(), scores.topic_n.tolist()):
+        if n:
+            breakdowns[code][kernel.topic_ids[topic]] = (score, n)
+    columns = [getattr(scores, key).tolist() for key in INDICATOR_KEYS]
+    n_classified = scores.n_classified.tolist()
+    return [
+        Record(journal_id, *(None if math.isnan(column[code]) else column[code] for column in columns),
+               n_pubs=n_classified[code], topic_breakdown=breakdowns[code])
+        for code, journal_id in enumerate(kernel.journal_ids)
+        if kernel.in_table[code]
+    ]
+
+
+def record(journal_id: str, corpus: Corpus) -> Record:
+    """One journal's record in ``compute_all(corpus)``."""
+    return next(r for r in records(compute_all(corpus)) if r.journal_id == journal_id)
+
+
+def scores_of(journals, breakdowns=None, **arrays) -> Scores:
+    """``Scores`` over the journal table ``journals`` with chosen values, for ranking and writer tests.
+
+    Each (journal, topic) of ``breakdowns`` ({journal id: {topic id: (score,
+    n)}}) gets one paper, so that the kernel has the group, and ``topic_score``
+    and ``topic_n`` hold the breakdowns in group order.  ``arrays`` replace
+    other ``Scores`` fields, one value per journal in id order.
+    """
+    breakdowns = breakdowns or {}
+    pubs = [pub(f"p{i}", j, 0, t) for i, (j, t) in enumerate((j, t) for j in breakdowns for t in breakdowns[j])]
+    scores = RankKernel.from_corpus(corpus_of(pubs, journals=journals)).evaluate()
+    groups = [breakdowns[j][t] for j in scores.kernel.journal_ids for t in sorted(breakdowns.get(j, ()))]
+    return replace(
+        scores,
+        topic_score=np.array([score for score, _ in groups], dtype=float),
+        topic_n=np.array([n for _, n in groups], dtype=np.int64),
+        **{name: np.array(values) for name, values in arrays.items()},
+    )
 
 
 def cell_scores(corpus: Corpus) -> dict[tuple[str, str, DocumentType], tuple[float | None, int]]:

@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import A, cell_scores, corpus_of, coverage_9998_corpus, pub, values
+from conftest import A, cell_scores, corpus_of, coverage_9998_corpus, pub, records, values
 from oracles import brute_expected_jif, brute_fncsi, brute_fnif, random_corpus
 
 from jrank.cli import main
@@ -57,7 +57,7 @@ def test_oracle_equivalence_on_50_random_corpora():
     for _ in range(50):
         corpus = random_corpus(rng, max_journals=50, max_pubs=2000, max_topics=10,
                                unclassified_p=0.05)
-        for record in compute_all(corpus):
+        for record in records(compute_all(corpus)):
             for mine, reference in (
                 (record.fncsi, brute_fncsi(corpus, record.journal_id)),
                 (record.fnif, brute_fnif(corpus, record.journal_id)),
@@ -98,17 +98,17 @@ def test_monotonicity_and_bounded_influence_on_100_corpora():
     checked = 0
     for _ in range(100):
         corpus = random_corpus(rng, max_journals=12, max_pubs=250, max_topics=4, tie_heavy=True)
-        records = {r.journal_id: r for r in compute_all(corpus)}
+        by_id = {r.journal_id: r for r in records(compute_all(corpus))}
         eligible = [
             i for i, p in enumerate(corpus.publications)
-            if p.topic_id is not None and records[p.journal_id].fncsi is not None
+            if p.topic_id is not None and by_id[p.journal_id].fncsi is not None
         ]
         if not eligible:
             continue
         target = eligible[int(rng.integers(len(eligible)))]
         journal_id = corpus.publications[target].journal_id
-        before = records[journal_id].fncsi
-        compared = sum(n for _, n in records[journal_id].topic_breakdown.values())
+        before = by_id[journal_id].fncsi
+        compared = sum(n for _, n in by_id[journal_id].topic_breakdown.values())
 
         bumped = list(corpus.publications)
         bumped[target] = dataclasses.replace(bumped[target], citations=bumped[target].citations + 1)

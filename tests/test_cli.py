@@ -235,6 +235,19 @@ class TestCompute:
             main(["compute", "--pubs", str(pubs), "--journals", str(journals), "--indicator", "h-index"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", [["compute"], ["bootstrap", "--sims", "3"], ["flip-test"]])
+    def test_cell_citation_sum_beyond_int64_fails_before_writing(self, tmp_path, capsys, command):
+        # every count passes ingest, but the cell's sum is 2**63 + 2
+        rows = f"a1,jA,2018,Article,{2**62},t1\na2,jA,2018,Article,{2**62},t1\nb1,jB,2018,Article,2,t1\n"
+        pubs, journals = write_tiny_corpus(tmp_path, rows=rows)
+        assert main(["validate", "--pubs", str(pubs), "--journals", str(journals)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main([*command, "--pubs", str(pubs), "--journals", str(journals), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "2**63 - 1 (9223372036854775807)" in err
+        assert not out.exists()
+
 
 class TestClassify:
     def test_assigns_and_writes_new_publications(self, tmp_path, capsys):
@@ -667,8 +680,8 @@ class TestAtomicOutputs:
         assert main(args) == 0
         before = digest_dir(out)
 
-        def failing_rows(indicators):
-            yield [indicators[0].journal_id, 0.0, 0.0, 0.0, 0.0, 0]
+        def failing_rows(scores):
+            yield [scores.kernel.journal_ids[0], 0.0, 0.0, 0.0, 0.0, 0]
             raise RuntimeError("crash mid-table")
 
         monkeypatch.setattr(cli, "_indicator_rows", failing_rows)

@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import A, R, cell_scores, corpus_of, pub, record, values
+from conftest import A, R, cell_scores, corpus_of, pub, record, records, values
 from oracles import brute_expected_jif, brute_fncsi, brute_fnif, brute_jif, pairwise_score, random_corpus
 
 from jrank.corpus import Corpus, DocumentType
-from jrank.indicators import INDICATOR_KEYS, RankKernel, compute_all
+from jrank.indicators import INDICATOR_KEYS, RankKernel, _check_sums, compute_all
 
 
 def cell_score(journal_id, corpus, topic_id="t1", doc=A):
@@ -254,15 +254,15 @@ class TestJif:
 class TestComputeAll:
     def test_two_journal_corpus_fully_populated(self):
         pubs = [pub("a1", "jA", 3, "t1"), pub("a2", "jA", 1, "t1"), pub("b1", "jB", 2, "t1")]
-        records = compute_all(corpus_of(pubs))
-        assert [r.journal_id for r in records] == ["jA", "jB"]
-        for r in records:
+        rows = records(compute_all(corpus_of(pubs)))
+        assert [r.journal_id for r in rows] == ["jA", "jB"]
+        for r in rows:
             assert None not in (r.fncsi, r.fnif, r.expected_jif, r.jif)
 
     def test_unclassified_only_journal_marked_unrankable(self):
         pubs = [pub("a1", "jA", 3, "t1"), pub("b1", "jB", 2, "t1"), pub("c1", "jC", 7, None)]
-        records = {r.journal_id: r for r in compute_all(corpus_of(pubs))}
-        jc = records["jC"]
+        by_id = {r.journal_id: r for r in records(compute_all(corpus_of(pubs)))}
+        jc = by_id["jC"]
         assert jc.fncsi is None and jc.fnif is None and jc.expected_jif is None
         assert jc.jif == 7.0 and jc.n_pubs == 0
 
@@ -270,7 +270,7 @@ class TestComputeAll:
         rng = np.random.default_rng(9)
         for _ in range(5):
             corpus = random_corpus(rng, max_journals=8, max_pubs=150, max_topics=3, unclassified_p=0.1)
-            for record in compute_all(corpus):
+            for record in records(compute_all(corpus)):
                 for mine, ref in (
                     (record.fncsi, brute_fncsi(corpus, record.journal_id)),
                     (record.fnif, brute_fnif(corpus, record.journal_id)),
@@ -285,7 +285,7 @@ class TestComputeAll:
     def test_n_pubs_sums_topic_counts(self):
         rng = np.random.default_rng(10)
         corpus = random_corpus(rng, max_journals=8, max_pubs=200, max_topics=4, unclassified_p=0.15)
-        for record in compute_all(corpus):
+        for record in records(compute_all(corpus)):
             classified = [p for p in corpus.publications
                           if p.journal_id == record.journal_id and p.topic_id is not None]
             assert record.n_pubs == len(classified)
@@ -305,8 +305,8 @@ class TestProperties:
         shuffled = list(corpus.publications)
         random.Random(99).shuffle(shuffled)
         permuted = Corpus.of(shuffled, corpus.journals, corpus.topics)
-        original = {r.journal_id: r for r in compute_all(corpus)}
-        reordered = {r.journal_id: r for r in compute_all(permuted)}
+        original = {r.journal_id: r for r in records(compute_all(corpus))}
+        reordered = {r.journal_id: r for r in records(compute_all(permuted))}
         for journal_id, record in original.items():
             other = reordered[journal_id]
             assert (record.fncsi, record.fnif, record.expected_jif, record.jif) == (
@@ -334,7 +334,7 @@ class TestProperties:
         for _ in range(15):
             corpus = random_corpus(rng, max_journals=8, max_pubs=100, max_topics=3)
             base = values(corpus, "fncsi")
-            records = {r.journal_id: r for r in compute_all(corpus)}
+            by_id = {r.journal_id: r for r in records(compute_all(corpus))}
             classified = [i for i, p in enumerate(corpus.publications)
                           if p.topic_id is not None and base[p.journal_id] is not None]
             if not classified:
@@ -345,7 +345,7 @@ class TestProperties:
             bumped = list(corpus.publications)
             bumped[target] = dataclasses.replace(bumped[target], citations=int(rng.integers(0, 10_000)))
             after = values(Corpus.of(bumped, corpus.journals, corpus.topics), "fncsi")
-            n_compared = sum(n for _, n in records[journal_id].topic_breakdown.values())
+            n_compared = sum(n for _, n in by_id[journal_id].topic_breakdown.values())
             assert abs(after[journal_id] - base[journal_id]) <= 1 / n_compared + 1e-12
 
     def test_fnif_influence_is_unbounded_unlike_fncsi(self):
@@ -367,9 +367,9 @@ class TestProperties:
     def test_indicator_values_agrees_with_compute_all(self):
         rng = np.random.default_rng(16)
         corpus = random_corpus(rng, max_journals=10, max_pubs=200, max_topics=4, unclassified_p=0.1)
-        records = {r.journal_id: r for r in compute_all(corpus)}
+        by_id = {r.journal_id: r for r in records(compute_all(corpus))}
         for key in ("fncsi", "fnif", "expected_jif", "jif"):
-            assert values(corpus, key) == {j: getattr(r, key) for j, r in records.items()}
+            assert values(corpus, key) == {j: getattr(r, key) for j, r in by_id.items()}
 
     def test_indicator_values_rejects_unknown_key(self):
         corpus = corpus_of([pub("p1", "jA", 1, "t1")])
@@ -440,3 +440,65 @@ class TestWeightedEvaluation:
         kernel = RankKernel.from_corpus(cell_of(own, others))
         pa, pb = kernel.evaluate(weights_for(kernel, data, 1, 4)).pair_score.tolist()
         assert pa + pb == 1.0
+
+
+_LIMIT = 2**63 - 1
+
+
+class TestInt64Limit:
+    """Citation sums and products are exact int64 or rejected, never wrapped."""
+
+    def kernel_of(self, citations, topic="t1"):
+        return RankKernel.from_corpus(corpus_of([pub(f"a{i}", "jA", c, topic) for i, c in enumerate(citations)]))
+
+    @pytest.mark.parametrize(
+        "papers",
+        [
+            [("jA", 2**62), ("jA", 2**62), ("jB", 2)],  # one run of two papers: its citations
+            [("jA", 2**62), ("jA", 2**62 + 1)],  # the cell's sum, and the journal's own
+            [("jA", 2**61), ("jA", 0), ("jB", 0), ("jB", 0)],  # own citations times the cell's paper count
+            [("jA", _LIMIT // 7 + 1)] + [("jB", 0)] * 6,
+        ],
+    )
+    def test_unweighted_corpus_beyond_the_limit_is_rejected(self, papers):
+        pubs = [pub(f"p{i}", journal_id, c, "t1") for i, (journal_id, c) in enumerate(papers)]
+        with pytest.raises(ValueError, match=r"2\*\*63 - 1 \(9223372036854775807\)"):
+            compute_all(corpus_of(pubs))
+
+    def test_sums_and_products_at_the_limit_are_exact(self):
+        assert self.kernel_of([_LIMIT]).evaluate().fnif.tolist() == [1.0]
+        # own citations times the cell's paper count is exactly 2**63 - 1
+        pubs = [pub("a", "jA", _LIMIT // 7, "t1")] + [pub(f"b{i}", "jB", 0, "t1") for i in range(6)]
+        scores = RankKernel.from_corpus(corpus_of(pubs)).evaluate()
+        assert scores.cell_citations.tolist() == [_LIMIT // 7, 0] and scores.fnif.tolist() == [7.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "citations, topic, weights",
+        [
+            ([2**60, 0, 0, 0], "t1", [4, 0, 0, 0]),  # own citations times the cell's paper count
+            ([2**61, 2**61 - 1], "t1", [2, 2]),  # the cell's sum
+            ([2**62, 1], None, [2, 1]),  # an unclassified paper's weighted citations, which only jif sums
+        ],
+    )
+    def test_weights_that_pass_the_limit_are_rejected(self, citations, topic, weights):
+        kernel = self.kernel_of(citations, topic)
+        kernel.evaluate()
+        with pytest.raises(ValueError, match=r"2\*\*63 - 1"):
+            kernel.evaluate(weights)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        segments=st.lists(
+            st.lists(st.one_of(st.integers(0, _LIMIT), st.sampled_from([0, 2**31, 2**32 - 1, 2**32, 2**62])),
+                     min_size=1, max_size=8),
+            min_size=1, max_size=5,
+        )
+    )
+    def test_segment_sums_are_checked_exactly(self, segments):
+        terms = np.array([t for segment in segments for t in segment], dtype=np.int64)
+        starts = np.cumsum([0] + [len(segment) for segment in segments[:-1]])
+        if max(sum(segment) for segment in segments) > _LIMIT:
+            with pytest.raises(ValueError, match=r"2\*\*63 - 1"):
+                _check_sums(terms, starts)
+        else:
+            _check_sums(terms, starts)

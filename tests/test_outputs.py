@@ -5,22 +5,27 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 import random
 import tracemalloc
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import corpus_of, pub
+from conftest import Record, corpus_of, load_corpus, pub, records, scores_of
+import jrank
 from jrank import cli
 from jrank.cli import _write_csv, _write_indicators_json, main
 from jrank.corpus import Journal
-from jrank.indicators import JournalIndicator
+from jrank.indicators import INDICATOR_KEYS, compute_all
 from jrank.synth import write_corpus_files
 
 
 def reference_document(meta, indicators):
-    """The document ``indicators.json`` holds, for ``json.dumps`` to encode."""
+    """The document ``indicators.json`` holds for these records, for ``json.dumps`` to encode.
+
+    A topic with no compared paper is left out of its journal's breakdown.
+    """
     return {
         "meta": meta,
         "journals": [
@@ -34,6 +39,7 @@ def reference_document(meta, indicators):
                 "topic_breakdown": {
                     topic: {"score": score, "papers_compared": n}
                     for topic, (score, n) in ind.topic_breakdown.items()
+                    if n
                 },
             }
             for ind in indicators
@@ -53,49 +59,70 @@ _floats = st.one_of(
     st.floats(),
 )
 _counts = st.integers(0, 10**12)
-_indicators = st.builds(
-    JournalIndicator,
-    journal_id=_strings,
-    fncsi=st.none() | _floats,
-    fnif=st.none() | _floats,
-    expected_jif=st.none() | _floats,
-    jif=st.none() | _floats,
-    n_pubs=_counts,
-    topic_breakdown=st.dictionaries(_strings, st.tuples(_floats, _counts), max_size=4),
-)
+# journal ids come sorted and distinct, as a kernel's journal codes are
+_indicators = st.lists(
+    st.builds(
+        Record,
+        journal_id=_strings,
+        fncsi=st.none() | _floats,
+        fnif=st.none() | _floats,
+        expected_jif=st.none() | _floats,
+        jif=st.none() | _floats,
+        n_pubs=_counts,
+        topic_breakdown=st.dictionaries(_strings, st.tuples(_floats, _counts), max_size=4),
+    ),
+    max_size=4,
+    unique_by=lambda ind: ind.journal_id,
+).map(lambda inds: sorted(inds, key=lambda ind: ind.journal_id))
+
+
+def scores_holding(indicators):
+    """``Scores`` that hold exactly these records, NaN for None."""
+    columns = {key: [math.nan if getattr(ind, key) is None else getattr(ind, key) for ind in indicators]
+               for key in INDICATOR_KEYS}
+    return scores_of(
+        [ind.journal_id for ind in indicators],
+        {ind.journal_id: ind.topic_breakdown for ind in indicators},
+        n_classified=[ind.n_pubs for ind in indicators],
+        **columns,
+    )
 
 
 class TestIndicatorsJson:
     @settings(max_examples=300, deadline=None)
-    @given(meta=st.lists(_strings, max_size=3), indicators=st.lists(_indicators, max_size=4))
+    @given(meta=st.lists(_strings, max_size=3), indicators=_indicators)
     def test_bytes_equal_indented_sorted_json_dumps(self, tmp_path_factory, meta, indicators):
         path = tmp_path_factory.mktemp("ind") / "indicators.json"
-        _write_indicators_json(path, meta, indicators)
-        assert path.read_bytes() == reference_bytes(meta, indicators)
+        _write_indicators_json(path, meta, scores_holding(indicators))
+        # NaN marks an undefined indicator, written null; a breakdown score is written as it is
+        undefined = [ind._replace(**{k: None for k in INDICATOR_KEYS if getattr(ind, k) != getattr(ind, k)})
+                     for ind in indicators]
+        assert path.read_bytes() == reference_bytes(meta, undefined)
 
     def test_empty_journal_list_and_empty_breakdown(self, tmp_path):
         path = tmp_path / "indicators.json"
-        _write_indicators_json(path, ["tool: jrank"], [])
+        _write_indicators_json(path, ["tool: jrank"], scores_holding([]))
         assert path.read_bytes() == reference_bytes(["tool: jrank"], [])
         assert b'"journals": [],' in path.read_bytes()
-        lone = [JournalIndicator("j", None, None, None, 0.0, 0)]
-        _write_indicators_json(path, [], lone)
+        lone = [Record("j", None, None, None, 0.0, 0, {})]
+        _write_indicators_json(path, [], scores_holding(lone))
         assert path.read_bytes() == reference_bytes([], lone)
         assert b'"topic_breakdown": {}' in path.read_bytes()
 
     def test_peak_memory_below_a_quarter_of_the_file(self, tmp_path):
         rng = random.Random(3)
         indicators = [
-            JournalIndicator(
+            Record(
                 f"j{j:04d}", rng.random(), rng.random(), rng.random() * 5, rng.random() * 5, rng.randrange(500),
                 {f"t{t:03d}": (rng.random(), rng.randrange(1, 60)) for t in range(50)},
             )
             for j in range(500)
         ]
+        scores = scores_holding(indicators)
         path = tmp_path / "indicators.json"
         tracemalloc.start()
         try:
-            _write_indicators_json(path, ["tool: jrank"], indicators)
+            _write_indicators_json(path, ["tool: jrank"], scores)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -137,24 +164,32 @@ def test_every_json_output_loads_back_to_its_payload(tmp_path, monkeypatch):
     write_corpus_files(corpus_of(pubs, journals=journals), data)
 
     written = []
-    write_json, write_indicators = cli._write_json, cli._write_indicators_json
+    write_json = cli._write_json
 
     def record_json(path, meta, payload):
         written.append((path, {"meta": meta, **payload}))
         write_json(path, meta, payload)
 
-    def record_indicators(path, meta, indicators):
-        written.append((path, reference_document(meta, indicators)))
-        write_indicators(path, meta, indicators)
-
     monkeypatch.setattr(cli, "_write_json", record_json)
-    monkeypatch.setattr(cli, "_write_indicators_json", record_indicators)
     io_flags = ["--pubs", str(data / "publications.csv"), "--journals", str(data / "journals.csv")]
     for command in (["compute"], ["bootstrap", "--sims", "5"], ["report"]):
         assert main([*command, *io_flags, "--out", str(tmp_path / command[0])]) == 0
 
     names = {path.relative_to(tmp_path).as_posix() for path, _ in written}
-    assert {"compute/indicators.json", "report/indicators.json", "bootstrap/robustness_fncsi.json"} <= names
-    assert "compute/ranking_jif.json" in names
+    assert {"bootstrap/robustness_fncsi.json", "compute/ranking_jif.json"} <= names
     for path, document in written:
         assert json.loads(path.read_text(encoding="utf-8")) == document, path
+
+    # the indicator tables against records read off the library's own Scores, not the writers' input
+    corpus, errors = load_corpus(data / "publications.csv", data / "journals.csv")
+    expected = records(compute_all(corpus))
+    assert not errors and any(ind.fncsi is None for ind in expected) and any(ind.topic_breakdown for ind in expected)
+    for command in ("compute", "report"):
+        document = json.loads((tmp_path / command / "indicators.json").read_text(encoding="utf-8"))
+        assert document["meta"][:3] == [f"tool: jrank {jrank.__version__}", f"command: {command}", "seed: 42"]
+        assert document == reference_document(document["meta"], expected), command
+        with open(tmp_path / command / "indicators.csv", encoding="utf-8", newline="") as fh:
+            header, *rows = csv.reader(itertools.dropwhile(lambda line: line.startswith("# "), fh))
+        assert header == ["journal_id", *INDICATOR_KEYS, "n_pubs"]
+        read_back = [(jid, *(None if f == "unrankable" else float(f) for f in values), int(n)) for jid, *values, n in rows]
+        assert read_back == [tuple(ind[:6]) for ind in expected], command

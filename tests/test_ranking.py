@@ -9,24 +9,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import scores_of
 from oracles import brute_spearman, order_journals
 
 from jrank.corpus import Journal
-from jrank.indicators import JournalIndicator
+from jrank.indicators import INDICATOR_KEYS
 from jrank.ranking import InsufficientDataError, RankingTable, correlate, rank, ranks
 
-# ties, signed zeros and infinities are drawn often; NaN never reaches rank(), since records() maps it to None
+# ties, signed zeros and infinities are drawn often; None is an unrankable journal, NaN in Scores
 _floats = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0.5, math.inf, -math.inf]), st.floats(allow_nan=False))
 _values = st.one_of(st.none(), _floats)
 
 
-def indicator(journal_id, value, key="fncsi", n_pubs=10):
-    fields = {"fncsi": None, "fnif": None, "expected_jif": None, "jif": None, key: value}
-    return JournalIndicator(journal_id=journal_id, n_pubs=n_pubs, topic_breakdown={}, **fields)
+def scores_with(values: dict[str, float | None], key="fncsi", journals=None):
+    """``Scores`` in which the journals of ``values`` hold those values on ``key`` and NaN on the other keys."""
+    column = [math.nan if values[j] is None else values[j] for j in sorted(values)]
+    other = [math.nan] * len(values)
+    return scores_of(journals or list(values), **{k: column if k == key else other for k in INDICATOR_KEYS})
 
 
-def table_from(values: dict[str, float], key="fncsi", **kwargs) -> RankingTable:
-    return rank([indicator(j, v, key) for j, v in values.items()], key, **kwargs)
+def table_from(values: dict[str, float], key="fncsi", journals=None, **kwargs) -> RankingTable:
+    return rank(scores_with(values, key, journals), key, journals=journals, **kwargs)
 
 
 class TestRank:
@@ -40,10 +43,10 @@ class TestRank:
 
     def test_unknown_key_is_usage_error(self):
         with pytest.raises(ValueError, match="unknown indicator"):
-            rank([indicator("jA", 1.0)], "eigenfactor")
+            rank(scores_with({"jA": 1.0}), "eigenfactor")
 
     def test_unrankable_journals_excluded(self):
-        table = rank([indicator("jA", 0.9), indicator("jB", None)], "fncsi")
+        table = table_from({"jA": 0.9, "jB": None})
         assert [r.journal_id for r in table.rows] == ["jA"]
 
     def test_category_scope_filters_and_allows_multi_category(self):
@@ -65,7 +68,7 @@ class TestRank:
 
     def test_scope_without_journals_mapping_rejected(self):
         with pytest.raises(ValueError, match="journals"):
-            rank([indicator("jA", 1.0)], "fncsi", scope="X")
+            rank(scores_with({"jA": 1.0}), "fncsi", scope="X")
 
     def test_percentile_endpoints_and_monotonicity(self):
         n = 7
@@ -98,13 +101,14 @@ class TestRank:
         journals = {j: Journal(j, categories=("X",) if j in in_x else ("Y",)) for j in values}
         shuffled = data.draw(st.permutations(list(values)))
         scope = "X" if scoped else None
-        table = rank([indicator(j, values[j]) for j in shuffled], "fncsi", scope=scope, journals=journals)
+        table = table_from({j: values[j] for j in shuffled}, scope=scope, journals=journals)
         expected = order_journals({j: v for j, v in values.items() if scope is None or j in in_x})
         n = len(expected)
         assert [(r.journal_id, r.rank, r.percentile) for r in table.rows] == [
             (j, r, 100.0 * (n - r + 1) / n) for r, j in enumerate(expected, start=1)
         ]
-        assert all(row.value is values[row.journal_id] for row in table.rows)
+        # the value itself: type, sign of zero and all
+        assert all(type(row.value) is float and repr(row.value) == repr(values[row.journal_id]) for row in table.rows)
         assert all(type(row.rank) is int and type(row.percentile) is float for row in table.rows)
 
     @settings(max_examples=300, deadline=None)
