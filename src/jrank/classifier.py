@@ -11,7 +11,7 @@ holds one batch of records, not the file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -30,14 +30,6 @@ class RelatedRecords:
 
     pub_id: str
     related_ids: tuple[str, ...]
-
-
-@dataclass
-class RelatedFragment:
-    """Parsed related records plus the rows that failed to parse."""
-
-    records: list[RelatedRecords] = field(default_factory=list)
-    errors: list[RowError] = field(default_factory=list)
 
 
 @dataclass(frozen=True, slots=True)

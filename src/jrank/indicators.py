@@ -35,7 +35,7 @@ right, so results are bit-reproducible regardless of input order.  Journals
 for which an indicator is undefined hold NaN, never a fabricated zero.
 Citation sums are exact int64: a corpus or weighting under which a citation
 sum, or a product of citations and paper counts, would pass 2**63 - 1 is
-rejected, not wrapped.
+rejected, not wrapped, and so are weights that total more than 2**31 - 1.
 """
 
 from __future__ import annotations
@@ -73,6 +73,7 @@ def _divide(num: np.ndarray, den: np.ndarray, where: np.ndarray, fill: float = m
 
 _INT64_MAX = 2**63 - 1
 _OVERFLOW = f"citation counts too large: a weighted citation sum or product would pass 2**63 - 1 ({_INT64_MAX})"
+_MAX_WEIGHT = 2**31 - 1  # bounds the paper counts, so rank_sum <= 2 * W**2 and 2 * n_own * n_other fit int64
 
 
 def _check_products(a: np.ndarray, b: np.ndarray) -> None:
@@ -196,11 +197,15 @@ class RankKernel:
         """Score every journal, each paper counted ``weights[i]`` times (default once).
 
         Raises ValueError for weights that are not one non-negative integer per
-        paper, and for citation sums or products that would pass 2**63 - 1.
+        paper or that total more than 2**31 - 1, and for citation sums or
+        products that would pass 2**63 - 1.
         """
         weights = np.ones(len(self.journal), dtype=np.int64) if weights is None else np.asarray(weights)
         if weights.dtype.kind not in "iu" or weights.shape != self.journal.shape or (weights < 0).any():
             raise ValueError(f"weights must be one non-negative integer per paper, not {weights.dtype} {weights.shape}")
+        # the largest weight is bounded first, so that the total cannot wrap
+        if weights.max(initial=0) > _MAX_WEIGHT or weights.sum() > _MAX_WEIGHT:
+            raise ValueError(f"weights must total at most 2**31 - 1 ({_MAX_WEIGHT})")
         weights = weights.astype(np.int64, copy=False)
         n_journals = len(self.journal_ids)
         cell_total, cell_citations, n_own, numerator, own_citations = self._counts(weights)

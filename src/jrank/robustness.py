@@ -7,8 +7,10 @@ bootstrap resample redraws every journal's publication list with replacement
 to its original size; it keeps the corpus's papers and changes only how often
 each one counts.  A simulation is therefore one draw for all journals, one
 ``bincount`` into weights, one kernel evaluation and one
-:func:`~jrank.ranking.ranks` per key.
-The flip test evaluates the kernel twice: before and after the flip.
+:func:`~jrank.ranking.ranks` per key into one column of that key's journals x
+simulations matrix, whose rows the report's quartiles and ``delta`` reduce.
+The flip test evaluates the kernel twice, before and after the flip, ranks
+each side into one array per key and joins the two by journal code.
 Per-simulation seeds are spawned deterministically from the master seed, so a
 report is reproducible bit for bit.
 
@@ -20,11 +22,10 @@ for that simulation; the sentinel is recorded in the report.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import groupby
 from operator import itemgetter
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,12 +34,11 @@ from .indicators import RankKernel, Scores
 from .ranking import ranks
 
 
-@dataclass
-class RankingSamples:
-    """Ranks one journal obtained across all simulations, in simulation order."""
+class RankingSamples(NamedTuple):
+    """The tracked journals, in id order, and their ranks: ``ranks[i, sim]`` is ``journal_ids[i]``'s in ``sim``."""
 
-    journal_id: str
-    rankings: list[int] = field(default_factory=list)
+    journal_ids: list[str]
+    ranks: np.ndarray  # journals x simulations, int64
 
 
 class RankSummary(NamedTuple):
@@ -63,10 +63,10 @@ class RobustnessReport:
 
 def bootstrap_rankings(
     corpus: Corpus, keys: Sequence[str], sims: int = 100, seed: int = 42
-) -> dict[str, dict[str, RankingSamples]]:
-    """Resample the corpus ``sims`` times and collect each journal's ranks under every key.
+) -> dict[str, RankingSamples]:
+    """Resample the corpus ``sims`` times and collect each tracked journal's rank under every key.
 
-    Returns ``{key: {journal_id: samples}}``, keys in ``keys`` order, journals in id order.
+    Returns ``{key: samples}``, keys in ``keys`` order.
     Raises ValueError when no journal is rankable on one of the keys or ``sims`` < 1.
     """
     if sims < 1:
@@ -82,34 +82,28 @@ def bootstrap_rankings(
     sizes = kernel.journal_sizes[kernel.journal_sizes > 0]
     highs = np.repeat(sizes, sizes)
     offsets = np.repeat(np.cumsum(sizes) - sizes, sizes)
-    sampled = {key: np.empty((sims, len(codes)), dtype=np.int64) for key, codes in tracked.items()}
+    sampled = {key: np.empty((len(codes), sims), dtype=np.int64) for key, codes in tracked.items()}
     for sim, seq in enumerate(np.random.SeedSequence(seed).spawn(sims)):
         draw = np.random.default_rng(seq).integers(0, highs)
         scores = kernel.evaluate(np.bincount(draw + offsets, minlength=len(highs)))
         for key, codes in tracked.items():
-            sampled[key][sim] = ranks(scores.column(key), len(codes) + 1)[codes]
-    samples = {}
-    for key, codes in tracked.items():
-        journal_ids = [kernel.journal_ids[code] for code in codes.tolist()]
-        samples[key] = {j: RankingSamples(j, r) for j, r in zip(journal_ids, sampled[key].T.tolist())}
-    return samples
+            sampled[key][:, sim] = ranks(scores.column(key), len(codes) + 1)[codes]
+    return {
+        key: RankingSamples([kernel.journal_ids[code] for code in codes.tolist()], sampled[key])
+        for key, codes in tracked.items()
+    }
 
 
-def relative_change(samples: Mapping[str, RankingSamples]) -> float:
-    """Mean over journals of (max - min) / average of the sampled ranks.
+def relative_change(ranks: np.ndarray) -> float:
+    """Mean over journals (rows) of (max - min) / average of their sampled ranks (columns).
 
-    Zero iff every journal's rank is constant across simulations; always
-    non-negative.  Raises ValueError on an empty input or empty sample list.
+    Zero iff every journal's rank is constant; always non-negative.  Terms are
+    added left to right, as a plain loop would.  Raises ValueError on an empty matrix.
     """
-    if not samples:
-        raise ValueError("no ranking samples to summarize")
-    acc = 0.0
-    for journal_id in sorted(samples):
-        ranks = samples[journal_id].rankings
-        if not ranks:
-            raise ValueError(f"journal {journal_id!r} has an empty sample list")
-        acc += (max(ranks) - min(ranks)) / (sum(ranks) / len(ranks))
-    return acc / len(samples)
+    if not ranks.size:
+        raise ValueError(f"no ranking samples to summarize: shape {ranks.shape}")
+    terms = (ranks.max(axis=1) - ranks.min(axis=1)) / (np.add.reduce(ranks, axis=1) / ranks.shape[1])
+    return float(np.add.accumulate(terms)[-1] / len(terms))
 
 
 def bootstrap_report(
@@ -117,14 +111,14 @@ def bootstrap_report(
 ) -> dict[str, RobustnessReport]:
     """Run the bootstrap once and summarize each journal's rank distribution under every key."""
     reports = {}
-    for key, samples in bootstrap_rankings(corpus, keys, sims=sims, seed=seed).items():
-        ranks = np.sort([s.rankings for s in samples.values()], axis=1)  # journals x sims
+    for key, (journal_ids, samples) in bootstrap_rankings(corpus, keys, sims=sims, seed=seed).items():
+        ranks = np.sort(samples, axis=1)
         # inclusive quartiles: interpolation between order statistics, exact in integers until the last division
         low, step = np.divmod(np.arange(1, 4) * (sims - 1), 4)
         q1, median, q3 = ((ranks[:, low] * (4 - step) + ranks[:, np.minimum(low + 1, sims - 1)] * step) / 4).T.tolist()
         summaries = map(RankSummary, ranks[:, 0].tolist(), q1, median, q3, ranks[:, -1].tolist())
         reports[key] = RobustnessReport(
-            key, dict(zip(samples, summaries)), relative_change(samples), seed, sims, len(samples) + 1
+            key, dict(zip(journal_ids, summaries)), relative_change(ranks), seed, sims, len(journal_ids) + 1
         )
     return reports
 
@@ -154,17 +148,17 @@ def perturbation_comparison(
     top = top[cell[top] >= 0]  # an unclassified paper sits in no cell either way
     cell[top] ^= 1  # the document type is the low bit of a cell code
 
-    def ranked(scores: Scores) -> dict[str, dict[str, int]]:
+    def ranked(scores: Scores) -> dict[str, np.ndarray]:
         # each side is ranked as soon as it is scored, so its Scores is freed before the flip is encoded
-        return {
-            key: {j: r for j, r in zip(kernel.journal_ids, ranks(scores.column(key), 0).tolist()) if r}
-            for key in keys
-        }
+        return {key: ranks(scores.column(key), 0) for key in keys}
 
     sides = (ranked(kernel.evaluate()), ranked(replace(kernel, cell=cell).evaluate()))
     comparisons = {}
     for key in keys:
         original, perturbed = (side[key] for side in sides)
-        journal_ids = sorted(original.keys() | perturbed.keys(), key=lambda j: (original.get(j, math.inf), j))
-        comparisons[key] = [(j, original.get(j), perturbed.get(j)) for j in journal_ids]
+        codes = np.flatnonzero((original > 0) | (perturbed > 0))
+        # by original rank; journals unrankable there come after every rank, in id order
+        codes = codes[np.argsort(np.where(original > 0, original, len(original) + 1)[codes], kind="stable")]
+        rows = zip(codes.tolist(), original[codes].tolist(), perturbed[codes].tolist())
+        comparisons[key] = [(kernel.journal_ids[code], before or None, after or None) for code, before, after in rows]
     return comparisons

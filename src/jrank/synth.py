@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, DocumentType, Journal, write_journals, write_publications
+from .corpus import _MAX_CITATIONS, Corpus, DocumentType, Journal, write_journals, write_publications
 
 CITATION_DISTRIBUTIONS = ("lognormal", "uniform")
 
@@ -65,6 +65,8 @@ class SyntheticProfile:
                 raise ValueError(f"{name} must be in [0, 1]")
         if not 0 <= self.skewed_journals <= self.n_journals:
             raise ValueError("skewed_journals must be between 0 and n_journals")
+        if self.outlier_citations > _MAX_CITATIONS:
+            raise ValueError(f"outlier_citations must be <= {_MAX_CITATIONS}")
 
 
 def generate_corpus(profile: SyntheticProfile, seed: int) -> Corpus:
@@ -75,7 +77,8 @@ def generate_corpus(profile: SyntheticProfile, seed: int) -> Corpus:
     whether it is unclassified (only when ``unclassified_fraction`` is set),
     its document type and its year.  That order is the random stream, so the
     per-paper draws stay scalar calls.  Counts are converted with ``int()``,
-    which raises on an infinite draw and keeps a huge one exact.
+    which raises on an infinite draw; a count past 2**63 - 1, which the
+    corpus reader rejects, raises ValueError once every count is drawn.
     """
     profile.validate()
     rng = np.random.default_rng(seed)
@@ -130,6 +133,8 @@ def generate_corpus(profile: SyntheticProfile, seed: int) -> Corpus:
             topic_ids.append(None if unclassified and random() < unclassified else topic)
             doc_types.append(review_type if random() < review else article)
             pub_years.append(years[integers(2)])
+    if max(citations) > _MAX_CITATIONS:
+        raise ValueError(f"citations must be <= {_MAX_CITATIONS}, got {max(citations)}")
 
     pub_ids = [f"p{i:06d}" for i in range(1, len(citations) + 1)]
     columns = pub_ids, paper_journals, pub_years, doc_types, citations, topic_ids

@@ -12,7 +12,7 @@ import pytest
 
 from oracles import values  # re-exported: the test modules import it from here
 
-from jrank.classifier import RelatedFragment, read_related
+from jrank.classifier import RelatedRecords, read_related
 from jrank.corpus import (
     Corpus,
     DocumentType,
@@ -60,11 +60,10 @@ def load_corpus(pubs_path: Path | str, journals_path: Path | str) -> tuple[Corpu
     return corpus_from_fragments(pubs, journals), pubs.errors + journals.errors
 
 
-def load_related(path: Path | str) -> RelatedFragment:
-    """Every record of ``read_related`` in a list, plus the rows that failed to parse."""
-    fragment = RelatedFragment()
-    fragment.records.extend(read_related(path, fragment.errors))
-    return fragment
+def load_related(path: Path | str) -> tuple[list[RelatedRecords], list[RowError]]:
+    """Every record of ``read_related`` in a list, and the rows that failed to parse."""
+    errors: list[RowError] = []
+    return list(read_related(path, errors)), errors
 
 
 class Record(NamedTuple):

@@ -8,8 +8,10 @@ code with the package kernels it checks.  The one exception is
 reweighting: it scores every rebuilt resample with the package's own kernel
 (through :func:`values`), so it checks the resampling, not the kernel.  It
 ranks with :func:`order_journals`, a plain Python sort that checks the
-package's ordering rule.  :func:`flip_doc_type` is the reference for the
-kernel's document-type flip: it rewrites the corpus itself.
+package's ordering rule.  :func:`reference_relative_change` is the
+bootstrap's ``delta`` as a plain left-to-right loop.  :func:`flip_doc_type`
+is the reference for the kernel's document-type flip: it rewrites the corpus
+itself.
 :func:`reference_assign_majority` votes one related record at a time with a
 ``Counter``, the way the classifier did before it voted in batches.
 
@@ -35,7 +37,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from jrank.classifier import AssignmentReport, RelatedFragment, RelatedRecords
+from jrank.classifier import AssignmentReport, RelatedRecords
 from jrank.corpus import (
     Corpus,
     CorpusFragment,
@@ -47,7 +49,6 @@ from jrank.corpus import (
     SchemaError,
 )
 from jrank.indicators import RankKernel
-from jrank.robustness import RankingSamples
 from jrank.synth import SKEWED_PREFIX, SyntheticProfile
 
 
@@ -166,13 +167,12 @@ def order_journals(values: Mapping[str, float | None]) -> list[str]:
     return [journal_id for journal_id, _ in rankable]
 
 
-def rebuild_bootstrap_rankings(
-    corpus: Corpus, key: str, sims: int = 100, seed: int = 42
-) -> dict[str, RankingSamples]:
+def rebuild_bootstrap_rankings(corpus: Corpus, key: str, sims: int = 100, seed: int = 42) -> dict[str, list[int]]:
     """Bootstrap that rebuilds a resampled corpus per simulation and ranks it afresh.
 
     Same seeds, draws and sentinel as ``jrank.robustness.bootstrap_rankings``;
     each corpus is scored by a kernel encoded from it, through :func:`values`.
+    Returns every tracked journal's ranks in simulation order, journals in id order.
     """
     base_values = values(corpus, key)
     tracked = sorted(j for j, v in base_values.items() if v is not None)
@@ -180,7 +180,7 @@ def rebuild_bootstrap_rankings(
     by_journal: dict[str, list[Publication]] = {}
     for p in corpus.publications:
         by_journal.setdefault(p.journal_id, []).append(p)
-    samples = {journal_id: RankingSamples(journal_id) for journal_id in tracked}
+    samples: dict[str, list[int]] = {journal_id: [] for journal_id in tracked}
     for seq in np.random.SeedSequence(seed).spawn(sims):
         rng = np.random.default_rng(seq)
         resampled = []
@@ -191,8 +191,16 @@ def rebuild_bootstrap_rankings(
         boot = Corpus.of(resampled, corpus.journals, corpus.topics)
         rank_of = {j: r for r, j in enumerate(order_journals(values(boot, key)), start=1)}
         for journal_id in tracked:
-            samples[journal_id].rankings.append(rank_of.get(journal_id, sentinel))
+            samples[journal_id].append(rank_of.get(journal_id, sentinel))
     return samples
+
+
+def reference_relative_change(rows: Sequence[Sequence[int]]) -> float:
+    """Mean over rows of (max - min) / average, accumulated one row at a time from 0.0."""
+    acc = 0.0
+    for ranks in rows:
+        acc += (max(ranks) - min(ranks)) / (sum(ranks) / len(ranks))
+    return acc / len(rows)
 
 
 def opposite(doc_type: DocumentType) -> DocumentType:
@@ -403,23 +411,24 @@ def reference_load_journals(path: Path | str) -> JournalsFragment:
     return fragment
 
 
-def reference_load_related(path: Path | str) -> RelatedFragment:
-    fragment = RelatedFragment()
+def reference_load_related(path: Path | str) -> tuple[list[RelatedRecords], list[RowError]]:
+    records: list[RelatedRecords] = []
+    errors: list[RowError] = []
     seen: set[str] = set()
     for line, (pub_id, related_ids) in reference_rows(path, ("pub_id", "related_ids")):
         related = tuple(rid.strip() for rid in related_ids.split("|") if rid.strip())
         if not pub_id:
-            fragment.errors.append(RowError(line, "empty pub_id"))
+            errors.append(RowError(line, "empty pub_id"))
         elif not related:
-            fragment.errors.append(RowError(line, f"no related ids for {pub_id!r}"))
+            errors.append(RowError(line, f"no related ids for {pub_id!r}"))
         elif pub_id in related:
-            fragment.errors.append(RowError(line, f"{pub_id!r} lists itself as a related record"))
+            errors.append(RowError(line, f"{pub_id!r} lists itself as a related record"))
         elif pub_id in seen:
-            fragment.errors.append(RowError(line, f"duplicate related-record row for {pub_id!r}"))
+            errors.append(RowError(line, f"duplicate related-record row for {pub_id!r}"))
         else:
             seen.add(pub_id)
-            fragment.records.append(RelatedRecords(pub_id, related))
-    return fragment
+            records.append(RelatedRecords(pub_id, related))
+    return records, errors
 
 
 def reference_write_table(fh: TextIO, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:

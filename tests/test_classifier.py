@@ -127,26 +127,26 @@ class TestLoadRelated:
     def test_pipe_separated_ids(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text("pub_id,related_ids\np1,r1|r2|r3\n", encoding="utf-8")
-        frag = load_related(path)
-        assert frag.records == [RelatedRecords("p1", ("r1", "r2", "r3"))]
+        records, _ = load_related(path)
+        assert records == [RelatedRecords("p1", ("r1", "r2", "r3"))]
 
     def test_empty_related_list_is_error(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text("pub_id,related_ids\np1,\n", encoding="utf-8")
-        frag = load_related(path)
-        assert not frag.records and len(frag.errors) == 1
+        records, errors = load_related(path)
+        assert not records and len(errors) == 1
 
     def test_self_reference_is_error(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text("pub_id,related_ids\np1,r1|p1\n", encoding="utf-8")
-        frag = load_related(path)
-        assert not frag.records and "itself" in frag.errors[0].message
+        records, errors = load_related(path)
+        assert not records and "itself" in errors[0].message
 
     def test_duplicate_subject_is_error(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text("pub_id,related_ids\np1,r1\np1,r2\n", encoding="utf-8")
-        frag = load_related(path)
-        assert len(frag.records) == 1 and "duplicate" in frag.errors[0].message
+        records, errors = load_related(path)
+        assert len(records) == 1 and "duplicate" in errors[0].message
 
     def test_quoted_multiline_list_is_one_record_and_errors_name_physical_lines(self, tmp_path):
         path = tmp_path / "r.csv"
@@ -154,9 +154,9 @@ class TestLoadRelated:
             "# related records\npub_id,related_ids\n\"p1\",\"r1|\n# r2\n|r3\"\np2,\np3,r1\tr2|r4\n",
             encoding="utf-8",
         )
-        frag = load_related(path)
-        assert frag.records == [RelatedRecords("p1", ("r1", "# r2", "r3")), RelatedRecords("p3", ("r1\tr2", "r4"))]
-        assert [(e.line, e.message) for e in frag.errors] == [(6, "no related ids for 'p2'")]
+        records, errors = load_related(path)
+        assert records == [RelatedRecords("p1", ("r1", "# r2", "r3")), RelatedRecords("p3", ("r1\tr2", "r4"))]
+        assert [(e.line, e.message) for e in errors] == [(6, "no related ids for 'p2'")]
 
 
 @st.composite
@@ -210,9 +210,9 @@ def test_streamed_records_vote_as_the_loaded_list_does(tmp_path_factory, rows):
     path.write_text("pub_id,related_ids\n" + "".join(f"{row}\n" for row in rows), encoding="utf-8")
     errors = []
     streamed = assign_majority(corpus, read_related(path, errors))
-    loaded = load_related(path)
-    assert streamed == assign_majority(corpus, loaded.records)
-    assert errors == loaded.errors
+    records, loaded_errors = load_related(path)
+    assert streamed == assign_majority(corpus, records)
+    assert errors == loaded_errors
 
 
 def test_classify_holds_far_less_than_the_loaded_related_records(tmp_path):
@@ -248,9 +248,9 @@ def test_classify_holds_far_less_than_the_loaded_related_records(tmp_path):
 
     tracemalloc.start()
     try:
-        fragment = load_related(related_path)
+        loaded = load_related(related_path)
         retained, _ = tracemalloc.get_traced_memory()
-        del fragment
+        del loaded
         tracemalloc.reset_peak()
         base, _ = tracemalloc.get_traced_memory()
         classified = cli._classified(config, corpus)

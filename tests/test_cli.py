@@ -14,13 +14,10 @@ from pathlib import Path
 
 import pytest
 
-from oracles import reference_generate_corpus
-
 import jrank
 from jrank import cli
 from jrank.cli import _write_csv, main
 from jrank.indicators import RankKernel, compute_all
-from jrank.synth import SyntheticProfile
 
 HEADER = "pub_id,journal_id,pub_year,doc_type,citations,topic_id\n"
 JHEADER = "journal_id,title,categories\n"
@@ -77,6 +74,8 @@ class TestGenerate:
         [
             pytest.param(["--outlier-citations", "-5"], None, "outlier_citations must be >= 0",
                          id="--outlier-citations-outlier_citations"),
+            pytest.param(["--outlier-citations", str(2**63)], None, "outlier_citations must be <= 9223372036854775807",
+                         id="--outlier-citations-past-int64"),
             pytest.param(["--sigma", "-5"], None, "lognormal_sigma must be >= 0", id="--sigma-lognormal_sigma"),
             pytest.param(["--sigma", "nan"], None, "lognormal_sigma must be finite", id="--sigma-nan"),
             pytest.param(["--sigma", "inf"], None, "lognormal_sigma must be finite", id="--sigma-inf"),
@@ -100,16 +99,13 @@ class TestGenerate:
         assert capsys.readouterr().err == "error: cannot convert float infinity to integer\n"
         assert not out.exists()
 
-    def test_huge_citation_counts_are_written_exactly(self, tmp_path):
+    def test_citation_count_past_int64_fails_before_writing(self, tmp_path, capsys):
+        # a draw that validate would reject as a row error stops generate instead
         out = tmp_path / "out"
         args = ["--seed", "42", "--sigma", "60", "--journals-count", "3", "--pubs-min", "200", "--pubs-max", "200"]
-        assert main(["generate", "--out", str(out), *args]) == 0
-        profile = SyntheticProfile(n_journals=3, lognormal_sigma=60.0, pubs_min=200, pubs_max=200)
-        expected = [str(count) for count in reference_generate_corpus(profile, seed=42).citations]
-        with open(out / "publications.csv", encoding="utf-8", newline="") as fh:
-            written = [row["citations"] for row in csv.DictReader(fh)]
-        assert written == expected
-        assert max(map(int, written)) > 2**64
+        assert main(["generate", "--out", str(out), *args]) == 1
+        assert re.fullmatch(r"error: citations must be <= 9223372036854775807, got \d{20,}\n", capsys.readouterr().err)
+        assert not out.exists()
 
 
 class TestValidate:

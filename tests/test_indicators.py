@@ -502,3 +502,30 @@ class TestInt64Limit:
                 _check_sums(terms, starts)
         else:
             _check_sums(terms, starts)
+
+
+class TestWeightLimit:
+    """Weights that total more than 2**31 - 1 are rejected, so no paper count or product of them wraps int64."""
+
+    def tied_pair(self):
+        # two one-paper journals tied at 0 citations in one cell
+        return RankKernel.from_corpus(corpus_of([pub("a", "jA", 0, "t1"), pub("b", "jB", 0, "t1")]))
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            pytest.param([2**31, 2**31], id="fncsi-minus-half"),  # wrapped to -0.5 each
+            pytest.param([2**32, 2**32], id="fncsi-nan"),  # wrapped to NaN
+            pytest.param([2**31 - 1, 1], id="one-past"),
+            pytest.param(np.array([2**62, 2**62], dtype=np.int64), id="int64-total-wraps"),
+            pytest.param(np.array([2**63, 2**63], dtype=np.uint64), id="uint64-total-wraps-to-0"),
+        ],
+    )
+    def test_weights_past_the_bound_are_rejected(self, weights):
+        with pytest.raises(ValueError, match=r"2\*\*31 - 1 \(2147483647\)"):
+            self.tied_pair().evaluate(weights)
+
+    def test_weights_at_the_bound_are_exact(self):
+        scores = self.tied_pair().evaluate(np.array([2**30, 2**30 - 1]))
+        assert scores.fncsi.tolist() == [0.5, 0.5]
+        assert scores.n_classified.tolist() == [2**30, 2**30 - 1]

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
+from conftest import corpus_of, pub
+
 import jrank
 import jrank.cli
 import jrank.robustness
@@ -21,3 +27,14 @@ def test_the_benchmark_trace_sites_are_still_bound():
     }
     assert [(module.__name__, name) for module, names in sites.items() for name in names
             if not callable(getattr(module, name, None))] == []
+
+
+def test_the_oracles_load_by_path_as_the_benchmark_loads_them():
+    # perfbench/checks.py execs tests/oracles.py from its path without registering it in sys.modules,
+    # where a dataclass defined in the module fails to build
+    spec = importlib.util.spec_from_file_location("oracles_by_path", Path(__file__).with_name("oracles.py"))
+    oracles = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracles)
+    assert "oracles_by_path" not in sys.modules
+    corpus = corpus_of([pub("a1", "jA", 3, "t1"), pub("a2", "jA", 1, "t1"), pub("b1", "jB", 1, "t1")])
+    assert oracles.brute_fncsi(corpus, "jA") == 0.75

@@ -9,18 +9,12 @@ import numpy as np
 import pytest
 
 from conftest import A, R, corpus_of, pub
-from oracles import flip_doc_type, opposite, random_corpus, rebuild_bootstrap_rankings
+from oracles import flip_doc_type, opposite, random_corpus, rebuild_bootstrap_rankings, reference_relative_change
 
 from jrank.corpus import Corpus, DocumentType, Journal
 from jrank.indicators import INDICATOR_KEYS, compute_all
 from jrank.ranking import rank
-from jrank.robustness import (
-    RankingSamples,
-    bootstrap_rankings,
-    bootstrap_report,
-    perturbation_comparison,
-    relative_change,
-)
+from jrank.robustness import bootstrap_rankings, bootstrap_report, perturbation_comparison, relative_change
 
 
 def small_corpus():
@@ -43,39 +37,41 @@ def noisy_corpus():
 
 class TestRelativeChange:
     def test_constant_ranks_give_zero(self):
-        samples = {"jA": RankingSamples("jA", [2, 2, 2]), "jB": RankingSamples("jB", [1, 1, 1])}
-        assert relative_change(samples) == 0.0
+        assert relative_change(np.array([[2, 2, 2], [1, 1, 1]])) == 0.0
 
     def test_single_journal_arithmetic(self):
-        assert relative_change({"jA": RankingSamples("jA", [1, 2, 3])}) == 1.0
+        assert relative_change(np.array([[1, 2, 3]])) == 1.0
 
     def test_two_journal_average(self):
-        samples = {"jA": RankingSamples("jA", [1, 1]), "jB": RankingSamples("jB", [1, 3])}
-        assert relative_change(samples) == 0.5
+        assert relative_change(np.array([[1, 1], [1, 3]])) == 0.5
 
     def test_always_non_negative(self):
         rng = np.random.default_rng(31)
         for _ in range(20):
-            samples = {
-                f"j{i}": RankingSamples(f"j{i}", [int(r) for r in rng.integers(1, 20, size=10)])
-                for i in range(int(rng.integers(1, 8)))
-            }
-            delta = relative_change(samples)
+            ranks = rng.integers(1, 20, size=(int(rng.integers(1, 8)), 10))
+            delta = relative_change(ranks)
             assert delta >= 0.0
-            constant = all(len(set(s.rankings)) == 1 for s in samples.values())
-            assert (delta == 0.0) == constant
+            assert (delta == 0.0) == (ranks == ranks[:, :1]).all()
 
     def test_empty_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            relative_change({})
-        with pytest.raises(ValueError):
-            relative_change({"jA": RankingSamples("jA", [])})
+        for shape in ((0, 3), (2, 0), (0, 0)):
+            with pytest.raises(ValueError, match="no ranking samples"):
+                relative_change(np.ones(shape, dtype=np.int64))
+
+    def test_matches_the_left_to_right_loop_bit_for_bit(self):
+        # a pairwise or compensated float sum of the per-journal terms differs from the loop on most of these
+        rng = np.random.default_rng(41)
+        for _ in range(3000):
+            n_journals, sims = int(rng.integers(1, 401)), int(rng.integers(1, 61))
+            ranks = rng.integers(1, n_journals + 2, size=(n_journals, sims))
+            assert relative_change(ranks) == reference_relative_change(ranks.tolist())
 
 
 class TestBootstrap:
     def test_each_journal_gets_exactly_sims_rankings(self):
-        samples = bootstrap_rankings(small_corpus(), ["fncsi"], sims=100, seed=42)["fncsi"]
-        assert samples and all(len(s.rankings) == 100 for s in samples.values())
+        journal_ids, ranks = bootstrap_rankings(small_corpus(), ["fncsi"], sims=100, seed=42)["fncsi"]
+        assert journal_ids == ["jA", "jB", "jC"]
+        assert ranks.shape == (3, 100) and ranks.dtype == np.int64
 
     def test_single_publication_journals_are_rank_constant(self):
         # every journal has one paper: each resample is the identity, so all
@@ -96,13 +92,13 @@ class TestBootstrap:
         corpus = noisy_corpus()
         a = bootstrap_rankings(corpus, ["fnif"], sims=20, seed=1)["fnif"]
         b = bootstrap_rankings(corpus, ["fnif"], sims=20, seed=2)["fnif"]
-        assert any(a[j].rankings != b[j].rankings for j in a)
+        assert a.journal_ids == b.journal_ids
+        assert not np.array_equal(a.ranks, b.ranks)
 
     def test_quartiles_are_ordered(self):
         report = bootstrap_report(small_corpus(), ["fncsi"], sims=30, seed=9)["fncsi"]
-        assert report.delta == relative_change(
-            bootstrap_rankings(small_corpus(), ["fncsi"], sims=30, seed=9)["fncsi"]
-        )
+        samples = bootstrap_rankings(small_corpus(), ["fncsi"], sims=30, seed=9)["fncsi"]
+        assert report.delta == relative_change(samples.ranks)
         for s in report.per_journal.values():
             assert s.min_rank <= s.q1 <= s.median <= s.q3 <= s.max_rank
 
@@ -135,11 +131,10 @@ class TestReportSummary:
                                    unclassified_p=0.2)
             for key in INDICATOR_KEYS:
                 seed = int(rng.integers(1000))
-                samples = bootstrap_rankings(corpus, [key], sims=sims, seed=seed)[key]
+                journal_ids, samples = bootstrap_rankings(corpus, [key], sims=sims, seed=seed)[key]
                 report = bootstrap_report(corpus, [key], sims=sims, seed=seed)[key]
-                assert list(report.per_journal) == sorted(samples)
-                for journal_id, summary in report.per_journal.items():
-                    ranks = samples[journal_id].rankings
+                assert list(report.per_journal) == journal_ids == sorted(journal_ids)
+                for summary, ranks in zip(report.per_journal.values(), samples.tolist()):
                     quartiles = statistics.quantiles(ranks, n=4, method="inclusive")
                     assert summary == (min(ranks), *quartiles, max(ranks))
                     assert [type(v) for v in summary] == [int, float, float, float, int]
@@ -147,10 +142,10 @@ class TestReportSummary:
     def test_one_simulation_summarizes_to_its_rank(self):
         corpus = random_corpus(np.random.default_rng(39), max_journals=10, max_pubs=150, max_topics=3)
         for key in INDICATOR_KEYS:
-            samples = bootstrap_rankings(corpus, [key], sims=1, seed=5)[key]
+            journal_ids, samples = bootstrap_rankings(corpus, [key], sims=1, seed=5)[key]
             report = bootstrap_report(corpus, [key], sims=1, seed=5)[key]
-            for journal_id, summary in report.per_journal.items():
-                (only,) = samples[journal_id].rankings
+            assert list(report.per_journal) == journal_ids
+            for summary, (only,) in zip(report.per_journal.values(), samples.tolist()):
                 assert summary == (only,) * 5
                 assert [type(v) for v in summary] == [int, float, float, float, int]
 
@@ -169,7 +164,9 @@ class TestReweighting:
             samples = bootstrap_rankings(corpus, INDICATOR_KEYS, sims=6, seed=seed)
             assert list(samples) == list(INDICATOR_KEYS)
             for key in INDICATOR_KEYS:
-                assert samples[key] == rebuild_bootstrap_rankings(corpus, key, sims=6, seed=seed)
+                journal_ids, ranks = samples[key]
+                rebuilt = rebuild_bootstrap_rankings(corpus, key, sims=6, seed=seed)
+                assert list(zip(journal_ids, ranks.tolist())) == list(rebuilt.items())
 
     def test_one_draw_matches_the_per_journal_loop(self):
         rng = np.random.default_rng(37)

@@ -72,6 +72,10 @@ class TestGenerate:
         with pytest.raises(ValueError):
             SyntheticProfile(**bad).validate()
 
+    def test_outlier_at_the_int64_limit_is_generated(self):
+        profile = SyntheticProfile(n_journals=2, pubs_min=5, pubs_max=5, skewed_journals=1, outlier_citations=2**63 - 1)
+        assert max(generate_corpus(profile, seed=1).citations) == 2**63 - 1
+
     def test_negative_quality_spread_allowed(self):
         SyntheticProfile(quality_spread=-2.0).validate()
 
