@@ -42,15 +42,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from operator import is_
 
 import numpy as np
 
 from .corpus import Corpus, DocumentType
 
 INDICATOR_KEYS = ("fncsi", "fnif", "expected_jif", "jif")
-
-# fixed document-type aggregation order; the rank is the low bit of a cell code
-_DOC_RANK = {DocumentType.ARTICLE: 0, DocumentType.REVIEW: 1}
 
 
 def _run_starts(*keys: np.ndarray) -> np.ndarray:
@@ -156,7 +155,8 @@ class RankKernel:
         journal = np.fromiter(map(journal_code.__getitem__, corpus.journal_ids), dtype=np.int32)
         topic_code = {None: -1} | {topic_id: code for code, topic_id in enumerate(topic_ids)}
         topic = np.fromiter(map(topic_code.__getitem__, corpus.topic_ids), dtype=np.int32)
-        doc = np.fromiter(map(_DOC_RANK.__getitem__, corpus.doc_types), dtype=np.int32)
+        # a cell code's low bit is its document type, articles before reviews
+        doc = np.fromiter(map(partial(is_, DocumentType.REVIEW), corpus.doc_types), dtype=np.int32)
         rows = np.argsort(journal, kind="stable")
         return cls(
             journal_ids=journal_ids,

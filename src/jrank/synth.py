@@ -6,6 +6,13 @@ signal for the robustness machinery to work against.  A profile may also
 inject skewed journals: one paper with an extreme citation count on top of a
 mostly zero-cited tail, the shape that separates rank-stable indicators from
 rank-fragile ones.
+
+The corpus is a function of the profile and the seed through one random
+stream, numpy's ``default_rng`` (PCG64), drawn in a fixed order.  The
+per-paper draws are made a journal at a time from raw generator outputs,
+reproducing the values and the state that numpy's scalar ``integers`` and
+``random`` calls would give, so the files are those the row-by-row reference
+in the tests writes.
 """
 
 from __future__ import annotations
@@ -72,13 +79,16 @@ class SyntheticProfile:
 def generate_corpus(profile: SyntheticProfile, seed: int) -> Corpus:
     """Generate a corpus matching the profile; identical for identical seeds.
 
-    Each paper's draws are appended to the corpus columns as they are made:
-    per journal, its size and then its citation counts; per paper, its topic,
+    The draws come in one fixed order, which is the random stream: per
+    journal, its size and then its citation counts; per paper, its topic,
     whether it is unclassified (only when ``unclassified_fraction`` is set),
-    its document type and its year.  That order is the random stream, so the
-    per-paper draws stay scalar calls.  Counts are converted with ``int()``,
-    which raises on an infinite draw; a count past 2**63 - 1, which the
-    corpus reader rejects, raises ValueError once every count is drawn.
+    its document type and its year.  The per-paper draws of a journal are
+    made in one pass by :func:`_paper_draws`, which gives the values and
+    leaves the generator in the state that the scalar ``integers`` and
+    ``random`` calls in that order would.  Counts are converted with
+    ``int()``, which raises on an infinite draw; a count past 2**63 - 1,
+    which the corpus reader rejects, raises ValueError once every count is
+    drawn.
     """
     profile.validate()
     rng = np.random.default_rng(seed)
@@ -104,9 +114,10 @@ def generate_corpus(profile: SyntheticProfile, seed: int) -> Corpus:
     doc_types: list[DocumentType] = []
     citations: list[int] = []
     topic_ids: list[str | None] = []
-    n_topics, unclassified, review = profile.n_topics, profile.unclassified_fraction, profile.review_fraction
-    years = (profile.base_year, profile.base_year - 1)  # indexed by the year draw
-    article, review_type = DocumentType.ARTICLE, DocumentType.REVIEW
+    unclassified = profile.unclassified_fraction
+    topic_names = np.array(topics, dtype=object)
+    kinds = np.array([DocumentType.ARTICLE, DocumentType.REVIEW], dtype=object)
+    years = np.array([profile.base_year, profile.base_year - 1], dtype=object)  # indexed by the year draw
     for position, journal_id in enumerate(journal_ids):
         n_pubs = int(integers(profile.pubs_min, profile.pubs_max + 1))
         if journal_id.startswith(SKEWED_PREFIX):
@@ -128,17 +139,101 @@ def generate_corpus(profile: SyntheticProfile, seed: int) -> Corpus:
                 counts = rng.integers(0, high, size=n_pubs).tolist()
         citations += counts
         paper_journals += [journal_id] * len(counts)
-        for _ in counts:
-            topic = topics[integers(n_topics)]
-            topic_ids.append(None if unclassified and random() < unclassified else topic)
-            doc_types.append(review_type if random() < review else article)
-            pub_years.append(years[integers(2)])
+        topic, uniforms, year = _paper_draws(rng, len(counts), profile.n_topics, bool(unclassified))
+        paper_topics = topic_names[topic]
+        if unclassified:
+            paper_topics[uniforms[:, 0] < unclassified] = None
+        topic_ids += paper_topics.tolist()
+        doc_types += kinds[(uniforms[:, -1] < profile.review_fraction).view(np.uint8)].tolist()
+        pub_years += years[year].tolist()
     if max(citations) > _MAX_CITATIONS:
         raise ValueError(f"citations must be <= {_MAX_CITATIONS}, got {max(citations)}")
 
-    pub_ids = [f"p{i:06d}" for i in range(1, len(citations) + 1)]
-    columns = pub_ids, paper_journals, pub_years, doc_types, citations, topic_ids
-    return Corpus(*map(tuple, columns), journals, frozenset(topics))
+    # the id list is freed before the other columns are copied to tuples, the peak
+    pub_ids = tuple(["p%06d" % i for i in range(1, len(citations) + 1)])
+    columns = paper_journals, pub_years, doc_types, citations, topic_ids
+    return Corpus(pub_ids, *map(tuple, columns), journals, frozenset(topics))
+
+
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+
+def _paper_draws(
+    rng: np.random.Generator, n: int, n_topics: int, unclassified: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The per-paper draws of ``n`` papers in one pass: topics, uniforms and year draws.
+
+    Equal, value for value and in the state it leaves ``rng`` in, to these
+    scalar calls per paper: ``integers(n_topics)``, ``random()`` when
+    ``unclassified`` is set, ``random()`` and ``integers(2)``.  The uniforms
+    come back as an ``(n, 1 + unclassified)`` array, the unclassified draw
+    first; topics and year draws as uint64.  The pass takes raw 64-bit
+    outputs from ``random_raw`` and derives each draw as numpy's
+    ``Generator`` does on PCG64:
+
+    * a bounded integer below 2**32 takes one 32-bit half of an output, the
+      low half first; the high half waits in the bit generator's
+      ``has_uint32``/``uinteger`` buffer for the next 32-bit draw, across
+      calls, so the pass reads the buffer first and writes it back last;
+    * that draw is Lemire's multiply-shift, ``(x * n) >> 32``, drawn again
+      while ``(x * n) & 0xFFFFFFFF < (2**32 - n) % n``; ``integers(1)``
+      draws nothing and ``integers(2)`` never draws again;
+    * ``random()`` is ``(x >> 11) * 2**-53`` on a whole output and leaves
+      the buffer alone.
+
+    ``n_topics`` must be at most 2**32.  When a topic draw would be drawn
+    again (odds about ``n_topics / 2**32`` per paper), the state from before
+    the pass is restored and the papers are drawn by the scalar calls
+    themselves; that is the only other path.  The tests that hold the
+    generator to the row-by-row reference and this pass to the scalar calls
+    guard these rules on the installed numpy.
+    """
+    bit_generator = rng.bit_generator
+    before = bit_generator.state
+    buffered = before["has_uint32"]
+    n_doubles = 1 + unclassified
+    per_paper = 1 + (n_topics > 1)  # 32-bit draws: the topic (none for one topic) and the year
+    n_draws = n * per_paper
+    n_split = (n_draws - buffered + 1) // 2  # outputs that the 32-bit draws split into halves
+    raw = bit_generator.random_raw(n * n_doubles + n_split)
+    # The split outputs come at a fixed stride.  With a topic draw there is
+    # one per paper, its first output when the buffer starts empty and its
+    # last when it starts full.  Without, one every other paper, after that
+    # paper's doubles.
+    if per_paper == 2:
+        first, stride = n_doubles * buffered, n_doubles + 1
+    else:
+        first, stride = n_doubles * (1 + buffered), 2 * n_doubles + 1
+    halves = raw[first::stride]
+    split = np.zeros(len(raw), dtype=bool)
+    split[first::stride] = True
+    stream = np.empty(1 + 2 * n_split, dtype=np.uint64)  # the buffered half, then the halves in order
+    stream[0] = before["uinteger"]
+    stream[1::2] = halves & _LOW32
+    stream[2::2] = halves >> 32
+    draws = stream[1 - buffered : 1 - buffered + n_draws].reshape(n, per_paper)
+
+    if n_topics > 1:
+        scaled = draws[:, 0] * np.uint64(n_topics)
+        if ((scaled & _LOW32) < (2**32 - n_topics) % n_topics).any():
+            bit_generator.state = before
+            topic = np.empty(n, dtype=np.uint64)
+            uniforms = np.empty((n, n_doubles))
+            year = np.empty(n, dtype=np.uint64)
+            for i in range(n):
+                topic[i] = rng.integers(n_topics)
+                uniforms[i] = [rng.random() for _ in range(n_doubles)]
+                year[i] = rng.integers(2)
+            return topic, uniforms, year
+        topic = scaled >> 32
+    else:
+        topic = np.zeros(n, dtype=np.uint64)
+    after = bit_generator.state
+    after["has_uint32"] = buffered + 2 * n_split - n_draws
+    after["uinteger"] = int(stream[-1])
+    bit_generator.state = after
+    uniforms = (raw[~split] >> 11).reshape(n, n_doubles) * 2.0**-53
+    return topic, uniforms, draws[:, -1] >> 31
 
 
 def write_corpus_files(corpus: Corpus, out_dir: Path | str) -> tuple[Path, Path]:

@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 from collections import Counter
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from oracles import reference_generate_corpus
 
 from jrank.corpus import validate_corpus
-from jrank.synth import SKEWED_PREFIX, SyntheticProfile, generate_corpus, write_corpus_files
+from jrank.synth import SKEWED_PREFIX, SyntheticProfile, _paper_draws, generate_corpus, write_corpus_files
 
 
 class TestGenerate:
@@ -104,6 +106,15 @@ def _parity_profiles():
     yield pytest.param(SyntheticProfile(**_SMALL, n_categories=1, unclassified_fraction=0.3), id="one-category")
     # every paper of a skewed journal zero-cited: its outlier makes one paper more than its size draw
     yield pytest.param(SyntheticProfile(**_SMALL, skewed_journals=2, outlier_zero_fraction=1.0), id="all-zero-tail")
+    # integers(1) draws nothing, so the 32-bit buffer changes phase once per paper
+    yield pytest.param(SyntheticProfile(**{**_SMALL, "n_topics": 1}, skewed_journals=2), id="one-topic")
+    yield pytest.param(
+        SyntheticProfile(**{**_SMALL, "n_topics": 1}, unclassified_fraction=0.3), id="one-topic-unclassified"
+    )
+    yield pytest.param(SyntheticProfile(**{**_SMALL, "n_topics": 2, "pubs_min": 1, "pubs_max": 2}), id="two-topics-tiny")
+    yield pytest.param(SyntheticProfile(**{**_SMALL, "pubs_min": 1, "pubs_max": 1}), id="one-paper-journals")
+    for review in (0.0, 1.0):
+        yield pytest.param(SyntheticProfile(**_SMALL, review_fraction=review), id=f"review{review}")
 
 
 @pytest.mark.parametrize("profile", _parity_profiles())
@@ -117,3 +128,53 @@ def test_generator_matches_the_row_by_row_reference(profile, tmp_path):
         written = write_corpus_files(got, tmp_path / f"got{seed}")
         expected = write_corpus_files(want, tmp_path / f"want{seed}")
         assert [path.read_bytes() for path in written] == [path.read_bytes() for path in expected]
+
+
+@pytest.mark.parametrize("odd_first", [False, True], ids=["buffer-empty", "buffer-full"])
+@pytest.mark.parametrize("n_topics", [1, 2, 3, 150, 2**31 + 1])
+def test_paper_draws_equal_the_scalar_calls(n_topics, odd_first):
+    # at 2**31 + 1 about half the topic draws are drawn again, which takes the scalar path
+    for n in (0, 1, 2, 7):
+        for unclassified in (False, True):
+            rng, twin = np.random.default_rng(11), np.random.default_rng(11)
+            if odd_first:  # leaves the high half of an output in the 32-bit buffer
+                assert rng.integers(5) == twin.integers(5)
+            topic, uniforms, year = _paper_draws(rng, n, n_topics, unclassified)
+            want = [
+                (int(twin.integers(n_topics)), [twin.random() for _ in range(1 + unclassified)], int(twin.integers(2)))
+                for _ in range(n)
+            ]
+            case = (n, unclassified)
+            assert topic.tolist() == [t for t, _, _ in want], case
+            assert uniforms.tolist() == [u for _, u, _ in want], case
+            assert year.tolist() == [y for _, _, y in want], case
+            assert rng.bit_generator.state == twin.bit_generator.state, case
+            assert rng.integers(7, size=3).tolist() == twin.integers(7, size=3).tolist(), case
+
+
+# perfbench's workload profiles (perfbench/workloads.py); their files at seed 1
+# are the benchmark's inputs, and these are their sha256 digests
+_BENCHMARK_INPUTS = {
+    "census": (
+        dict(n_journals=1500, n_topics=150, pubs_min=50, pubs_max=150, skewed_journals=3),
+        "ca1c251580e2b77cf3aa1e0d7d46654e28fb069549973b8104570e5b0197caa4",
+        "bcac4ab3fc0f802ed444775553150baa1fe9ee20538b92181d28ff1c242e6dbc",
+    ),
+    "robustness": (
+        dict(n_journals=300, n_topics=50, pubs_min=50, pubs_max=150, skewed_journals=3),
+        "f297f782805bc5d517ed927a3387d9c3f296a6f83696a08ebc9cda0e0e207f9d",
+        "82505a7df0760e1d4ead464aa0feb558fc29e4bb09e814d2f32221a9e3fea220",
+    ),
+    "classify": (
+        dict(n_journals=2000, n_topics=100, pubs_min=50, pubs_max=150, unclassified_fraction=0.3),
+        "feb9783a21f81af72f70fe886f3f1a98cc30246b49709332b58fd1523fdace94",
+        "c6b0b8865461f91e4ff9b827a6701e1dab0f4c6f2abcf22d461e2ae785245a37",
+    ),
+}
+
+
+@pytest.mark.parametrize("workload", list(_BENCHMARK_INPUTS))
+def test_benchmark_inputs_are_unchanged(workload, tmp_path):
+    profile, publications, journals = _BENCHMARK_INPUTS[workload]
+    written = write_corpus_files(generate_corpus(SyntheticProfile(**profile), seed=1), tmp_path)
+    assert [hashlib.sha256(path.read_bytes()).hexdigest() for path in written] == [publications, journals]
