@@ -81,16 +81,17 @@ def assign_majority(corpus: Corpus, related: Iterable[RelatedRecords]) -> tuple[
 
     For each unclassified publication with a related record, the candidate
     topics are the topics of its related publications as labeled in the input
-    corpus; the most frequent wins, ties broken by the lexicographically
-    smallest topic id.  Related ids not present in the corpus are ignored and
-    counted.  Publications that already carry a topic are never modified.
+    corpus; the most frequent wins, ties broken by the smallest topic id, the
+    first in :attr:`Corpus.topics`.  Related ids not present in the corpus
+    are ignored and counted.  Publications that already carry a topic are
+    never modified.
     ``related`` is read once, in batches of ``_VOTE_BATCH`` records, so it
     may be a stream such as :func:`read_related`; a subject with more than
     one record takes the vote of its last record that has one.
     """
-    # a topic's rank in sorted topic-id order, so the smallest rank is the smallest id;
+    # a topic's rank in corpus.topics, which is sorted, so the smallest rank is the smallest id;
     # past the ranks, one code for unclassified papers and one for ids outside the corpus
-    topics = sorted(set(corpus.topic_ids) - {None})
+    topics = corpus.topics
     unclassified, outside = len(topics), len(topics) + 1
     rank = dict(zip(topics, range(unclassified)))
     rank[None] = unclassified

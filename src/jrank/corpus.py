@@ -1,12 +1,13 @@
 """Publication corpus: data model, delimited-text ingestion, validation.
 
 A corpus bundles everything the indicator pipeline consumes: publications
-with precomputed citation counts, the journals that published them, and the
-set of topic clusters used for field normalization.  Publications are stored
-as one tuple per field (:class:`Publication` is the row type for code that
-works row by row).  Corpora are immutable once built: topic assignment
-returns a new instance, and the bootstrap and the document-type flip reweight
-or recode the corpus's kernel encoding instead of copying it.
+with precomputed citation counts and topic clusters, and the journals that
+published them.  Publications are stored as one tuple per field
+(:class:`Publication` is the row type for code that works row by row); the
+topics are those the publications are assigned to.  Corpora are immutable
+once built: topic assignment returns a new instance, and the bootstrap and
+the document-type flip reweight or recode the corpus's kernel encoding
+instead of copying it.
 
 Every table is read by :func:`_read_table`, in blocks of whole lines.  A
 clean block, one in which every line is a plain record with the header's
@@ -101,14 +102,11 @@ class Journal:
 
 @dataclass(frozen=True)
 class Corpus:
-    """An immutable snapshot of publications, journals, and the topic universe.
+    """An immutable snapshot of publications and journals.
 
     Publications are columns in input order, None marking an unclassified
-    paper's topic.  ``topics`` is the set of known topic identifiers; loaded
-    from files, it defaults to the topics observed in the publications.
-    Callers constructing corpora programmatically may pass a wider or narrower
-    set, and :func:`validate_corpus` reports publications referencing topics
-    outside it.
+    paper's topic.  A topic exists because papers are assigned to it:
+    :attr:`topics` is derived from ``topic_ids``, not declared.
     """
 
     pub_ids: tuple[str, ...]
@@ -118,15 +116,11 @@ class Corpus:
     citations: tuple[int, ...]
     topic_ids: tuple[str | None, ...]
     journals: dict[str, Journal]
-    topics: frozenset[str]
 
-    @classmethod
-    def of(cls, publications: Iterable[Publication], journals: dict[str, Journal], topics: frozenset[str]) -> Corpus:
-        """The corpus of these rows, which it keeps as its :attr:`publications`."""
-        rows = tuple(publications)
-        corpus = cls(*(tuple(map(attrgetter(name), rows)) for name in PUBLICATION_COLUMNS), journals, topics)
-        corpus.__dict__["publications"] = rows
-        return corpus
+    @cached_property
+    def topics(self) -> tuple[str, ...]:
+        """The topic ids the publications use, sorted: the order of the kernel's cells and the classifier's ties."""
+        return tuple(sorted(set(self.topic_ids) - {None}))
 
     @cached_property
     def publications(self) -> tuple[Publication, ...]:
@@ -439,9 +433,8 @@ def load_journals(path: Path | str) -> JournalsFragment:
 
 
 def corpus_from_fragments(pubs: CorpusFragment, journals: JournalsFragment) -> Corpus:
-    """The corpus of loaded fragments; its topics are those observed in the publications."""
-    *_, topic_ids = pubs.columns
-    return Corpus(*map(tuple, pubs.columns), journals.journals, frozenset(topic_ids) - {None})
+    """The corpus of loaded fragments."""
+    return Corpus(*map(tuple, pubs.columns), journals.journals)
 
 
 # ---------------------------------------------------------------------------
@@ -545,27 +538,22 @@ def write_journals(journals: Mapping[str, Journal], path: Path | str) -> None:
 def validate_corpus(corpus: Corpus) -> ValidationReport:
     """Check referential integrity; pure, and side-effect free.
 
-    Findings cover dangling journal references, topic ids outside the corpus
-    topic set, and duplicate publication ids.  An empty report means the
-    corpus is acceptable for indicator computation.
+    Findings cover dangling journal references and duplicate publication
+    ids.  Topics need no check: a corpus's topics are those its publications
+    use.  An empty report means the corpus is acceptable for indicator
+    computation.
     """
     report = ValidationReport()
     # set checks clear the common, clean corpus; the row walk only runs to report findings
-    if (
-        len(set(corpus.pub_ids)) == len(corpus.pub_ids)
-        and corpus.journals.keys() >= set(corpus.journal_ids)
-        and corpus.topics >= set(corpus.topic_ids) - {None}
-    ):
+    if len(set(corpus.pub_ids)) == len(corpus.pub_ids) and corpus.journals.keys() >= set(corpus.journal_ids):
         return report
     seen: set[str] = set()
-    for pub_id, journal_id, topic_id in zip(corpus.pub_ids, corpus.journal_ids, corpus.topic_ids):
+    for pub_id, journal_id in zip(corpus.pub_ids, corpus.journal_ids):
         if pub_id in seen:
             report.findings.append(Finding("duplicate-pub-id", pub_id, "publication id appears more than once"))
         seen.add(pub_id)
         if journal_id not in corpus.journals:
             report.findings.append(Finding("dangling-journal", pub_id, f"journal {journal_id!r} not in journal table"))
-        if topic_id is not None and topic_id not in corpus.topics:
-            report.findings.append(Finding("unknown-topic", pub_id, f"topic {topic_id!r} not in corpus topic set"))
     return report
 
 

@@ -148,19 +148,18 @@ class RankKernel:
 
     @classmethod
     def from_corpus(cls, corpus: Corpus) -> RankKernel:
-        """Encode a corpus; topics are those its classified publications use."""
+        """Encode a corpus; its cells are :attr:`Corpus.topics`, in that order, times the two document types."""
         journal_ids = tuple(sorted(corpus.journals.keys() | set(corpus.journal_ids)))
-        topic_ids = tuple(sorted(set(corpus.topic_ids) - {None}))
         journal_code = {journal_id: code for code, journal_id in enumerate(journal_ids)}
         journal = np.fromiter(map(journal_code.__getitem__, corpus.journal_ids), dtype=np.int32)
-        topic_code = {None: -1} | {topic_id: code for code, topic_id in enumerate(topic_ids)}
+        topic_code = {None: -1} | {topic_id: code for code, topic_id in enumerate(corpus.topics)}
         topic = np.fromiter(map(topic_code.__getitem__, corpus.topic_ids), dtype=np.int32)
         # a cell code's low bit is its document type, articles before reviews
         doc = np.fromiter(map(partial(is_, DocumentType.REVIEW), corpus.doc_types), dtype=np.int32)
         rows = np.argsort(journal, kind="stable")
         return cls(
             journal_ids=journal_ids,
-            topic_ids=topic_ids,
+            topic_ids=corpus.topics,
             in_table=np.array([j in corpus.journals for j in journal_ids], dtype=bool),
             journal=journal[rows],
             cell=np.where(topic < 0, -1, 2 * topic + doc)[rows],

@@ -29,15 +29,19 @@ CITATION_DISTRIBUTIONS = ("lognormal", "uniform")
 
 SKEWED_PREFIX = "jskew"
 
+_BASE_YEAR = 2018  # papers are published in this year or the one before
+
 
 @dataclass(frozen=True)
 class SyntheticProfile:
-    """Shape of a generated corpus.
+    """Shape of a generated corpus; each field is a ``jrank generate`` flag.
 
-    ``skewed_journals`` of the ``n_journals`` total get the outlier profile:
-    one paper at ``outlier_citations``, a ``outlier_zero_fraction`` share of
-    zero-cited papers, and a weak tail for the rest.  Their ids carry the
-    ``jskew`` prefix so tests and demos can find them.
+    Papers draw their topics from ``n_topics`` clusters, and the corpus's
+    topics are those drawn, which may be fewer.  ``skewed_journals`` of the
+    ``n_journals`` total get the outlier profile: one paper at
+    ``outlier_citations``, a ``outlier_zero_fraction`` share of zero-cited
+    papers (at most all but the outlier), and a weak tail for the rest.
+    Their ids carry the ``jskew`` prefix so tests and demos can find them.
     """
 
     n_journals: int = 30
@@ -52,7 +56,6 @@ class SyntheticProfile:
     skewed_journals: int = 0
     outlier_citations: int = 2000
     outlier_zero_fraction: float = 0.70
-    base_year: int = 2018
     n_categories: int = 3
 
     def validate(self) -> None:
@@ -93,7 +96,6 @@ def generate_corpus(profile: SyntheticProfile, seed: int) -> Corpus:
     profile.validate()
     rng = np.random.default_rng(seed)
     integers, random = rng.integers, rng.random
-    topics = [f"t{i + 1:02d}" for i in range(profile.n_topics)]
     categories = [f"C{i + 1}" for i in range(profile.n_categories)]
 
     n_ordinary = profile.n_journals - profile.skewed_journals
@@ -115,14 +117,14 @@ def generate_corpus(profile: SyntheticProfile, seed: int) -> Corpus:
     citations: list[int] = []
     topic_ids: list[str | None] = []
     unclassified = profile.unclassified_fraction
-    topic_names = np.array(topics, dtype=object)
+    topic_names = np.array([f"t{i + 1:02d}" for i in range(profile.n_topics)], dtype=object)
     kinds = np.array([DocumentType.ARTICLE, DocumentType.REVIEW], dtype=object)
-    years = np.array([profile.base_year, profile.base_year - 1], dtype=object)  # indexed by the year draw
+    years = np.array([_BASE_YEAR, _BASE_YEAR - 1], dtype=object)  # indexed by the year draw
     for position, journal_id in enumerate(journal_ids):
         n_pubs = int(integers(profile.pubs_min, profile.pubs_max + 1))
         if journal_id.startswith(SKEWED_PREFIX):
-            n_zero = round(profile.outlier_zero_fraction * n_pubs)
-            n_tail = max(0, n_pubs - n_zero - 1)
+            n_zero = min(round(profile.outlier_zero_fraction * n_pubs), n_pubs - 1)
+            n_tail = n_pubs - n_zero - 1
             counts = [profile.outlier_citations]
             counts += [0] * n_zero
             counts += [int(rng.lognormal(0.5, 1.0)) for _ in range(n_tail)]
@@ -152,7 +154,7 @@ def generate_corpus(profile: SyntheticProfile, seed: int) -> Corpus:
     # the id list is freed before the other columns are copied to tuples, the peak
     pub_ids = tuple(["p%06d" % i for i in range(1, len(citations) + 1)])
     columns = paper_journals, pub_years, doc_types, citations, topic_ids
-    return Corpus(pub_ids, *map(tuple, columns), journals, frozenset(topics))
+    return Corpus(pub_ids, *map(tuple, columns), journals)
 
 
 _LOW32 = np.uint64(0xFFFFFFFF)

@@ -10,7 +10,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from oracles import values  # re-exported: the test modules import it from here
+from oracles import corpus_from_rows, values  # values is re-exported: the test modules import it from here
 
 from jrank.classifier import RelatedRecords, read_related
 from jrank.corpus import (
@@ -42,15 +42,13 @@ def pub(pid: str, jid: str, citations: int, topic: str | None = None, doc=A, yea
     return Publication(pid, jid, year, doc, citations, topic)
 
 
-def corpus_of(pubs, journals=None, topics=None) -> Corpus:
-    """Corpus from a publication list; journals/topics default to what the pubs use."""
+def corpus_of(pubs, journals=None) -> Corpus:
+    """Corpus from a publication list; journals default to those the pubs use."""
     if journals is None:
         journals = sorted({p.journal_id for p in pubs})
     if not isinstance(journals, dict):
         journals = {j: Journal(j, f"Journal {j}") for j in journals}
-    if topics is None:
-        topics = {p.topic_id for p in pubs if p.topic_id is not None}
-    return Corpus.of(pubs, journals, frozenset(topics))
+    return corpus_from_rows(pubs, journals)
 
 
 def load_corpus(pubs_path: Path | str, journals_path: Path | str) -> tuple[Corpus, list[RowError]]:

@@ -20,6 +20,8 @@ import io
 import os
 from pathlib import Path
 
+from oracles import corpus_from_rows
+
 from jrank.cli import main
 from jrank.corpus import DocumentType, Journal, Publication
 from jrank.synth import SyntheticProfile, generate_corpus, write_corpus_files
@@ -85,8 +87,7 @@ def write_golden_corpus(out_dir: Path) -> None:
     hand = [Publication(pid, jid, 2018, doc, cites, topic) for pid, jid, doc, cites, topic in HAND_ROWS]
     journals = dict(corpus.journals)
     journals.update((j.journal_id, j) for j in EXTRA_JOURNALS)
-    topics = corpus.topics | {p.topic_id for p in hand if p.topic_id is not None}
-    grown = type(corpus).of(corpus.publications + tuple(hand), journals, topics)
+    grown = corpus_from_rows(corpus.publications + tuple(hand), journals)
     write_corpus_files(grown, out_dir)
 
 

@@ -21,7 +21,8 @@ table row by row through one ``csv.reader``, the way ingest did before it
 read clean blocks column-wise; :func:`reference_write_table` applies the
 writer's quoting rule one row at a time.  :func:`reference_generate_corpus`
 is the synthetic generator as it was before it appended to columns: one
-:class:`Publication` per paper, transposed by ``Corpus.of``.
+:class:`Publication` per paper, transposed by :func:`corpus_from_rows`, the
+row builder every reference and test uses.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import math
 from collections import Counter
 from dataclasses import replace
 from itertools import chain
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
@@ -39,6 +40,7 @@ import numpy as np
 
 from jrank.classifier import AssignmentReport, RelatedRecords
 from jrank.corpus import (
+    PUBLICATION_COLUMNS,
     Corpus,
     CorpusFragment,
     DocumentType,
@@ -49,7 +51,15 @@ from jrank.corpus import (
     SchemaError,
 )
 from jrank.indicators import RankKernel
-from jrank.synth import SKEWED_PREFIX, SyntheticProfile
+from jrank.synth import _BASE_YEAR, SKEWED_PREFIX, SyntheticProfile
+
+
+def corpus_from_rows(publications: Iterable[Publication], journals: dict[str, Journal]) -> Corpus:
+    """The corpus of these rows, which it keeps as its ``publications``."""
+    rows = tuple(publications)
+    corpus = Corpus(*(tuple(map(attrgetter(name), rows)) for name in PUBLICATION_COLUMNS), journals)
+    corpus.__dict__["publications"] = rows
+    return corpus
 
 
 def naive_cells(corpus: Corpus) -> dict[tuple[str, DocumentType], list[tuple[str, int]]]:
@@ -188,7 +198,7 @@ def rebuild_bootstrap_rankings(corpus: Corpus, key: str, sims: int = 100, seed: 
             pubs = by_journal[journal_id]
             for i in rng.integers(0, len(pubs), size=len(pubs)):
                 resampled.append(pubs[i])
-        boot = Corpus.of(resampled, corpus.journals, corpus.topics)
+        boot = corpus_from_rows(resampled, corpus.journals)
         rank_of = {j: r for r, j in enumerate(order_journals(values(boot, key)), start=1)}
         for journal_id in tracked:
             samples[journal_id].append(rank_of.get(journal_id, sentinel))
@@ -223,7 +233,7 @@ def flip_doc_type(corpus: Corpus) -> Corpus:
         replace(p, doc_type=opposite(p.doc_type)) if (p.journal_id, p.pub_id) in flip else p
         for p in corpus.publications
     )
-    return Corpus.of(flipped, corpus.journals, corpus.topics)
+    return corpus_from_rows(flipped, corpus.journals)
 
 
 def random_corpus(
@@ -261,8 +271,7 @@ def random_corpus(
     # one spare journal with no publications keeps the "unrankable" paths hot
     journal_ids.append("J_EMPTY")
     journals = {j: Journal(j, f"Journal {j}") for j in journal_ids}
-    observed_topics = frozenset(p.topic_id for p in pubs if p.topic_id is not None)
-    return Corpus.of(pubs, journals, observed_topics)
+    return corpus_from_rows(pubs, journals)
 
 
 def reference_assign_majority(
@@ -480,14 +489,14 @@ def reference_generate_corpus(profile: SyntheticProfile, seed: int) -> Corpus:
         if profile.unclassified_fraction and rng.random() < profile.unclassified_fraction:
             topic = None
         doc = DocumentType.REVIEW if rng.random() < profile.review_fraction else DocumentType.ARTICLE
-        year = profile.base_year - int(rng.integers(2))
+        year = _BASE_YEAR - int(rng.integers(2))
         return Publication(next_id(), journal_id, year, doc, citations, topic)
 
     for position, journal_id in enumerate(journal_ids):
         n_pubs = int(rng.integers(profile.pubs_min, profile.pubs_max + 1))
         if journal_id.startswith(SKEWED_PREFIX):
-            n_zero = round(profile.outlier_zero_fraction * n_pubs)
-            n_tail = max(0, n_pubs - n_zero - 1)
+            n_zero = min(round(profile.outlier_zero_fraction * n_pubs), n_pubs - 1)  # the outlier is a paper too
+            n_tail = n_pubs - n_zero - 1
             counts = [profile.outlier_citations]
             counts += [0] * n_zero
             counts += [int(rng.lognormal(0.5, 1.0)) for _ in range(n_tail)]
@@ -503,4 +512,4 @@ def reference_generate_corpus(profile: SyntheticProfile, seed: int) -> Corpus:
                 counts = [int(c) for c in rng.integers(0, high, size=n_pubs)]
         publications.extend(draw_common(journal_id, c) for c in counts)
 
-    return Corpus.of(publications, journals, frozenset(topics))
+    return corpus_from_rows(publications, journals)

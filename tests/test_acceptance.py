@@ -18,10 +18,10 @@ import numpy as np
 import pytest
 
 from conftest import A, cell_scores, corpus_of, coverage_9998_corpus, pub, records, values
-from oracles import brute_expected_jif, brute_fncsi, brute_fnif, random_corpus
+from oracles import brute_expected_jif, brute_fncsi, brute_fnif, corpus_from_rows, random_corpus
 
 from jrank.cli import main
-from jrank.corpus import Corpus, coverage_stats
+from jrank.corpus import coverage_stats
 from jrank.indicators import compute_all
 from jrank.ranking import correlate, rank
 from jrank.robustness import bootstrap_rankings, perturbation_comparison, relative_change
@@ -112,7 +112,7 @@ def test_monotonicity_and_bounded_influence_on_100_corpora():
 
         bumped = list(corpus.publications)
         bumped[target] = dataclasses.replace(bumped[target], citations=bumped[target].citations + 1)
-        after = values(Corpus.of(bumped, corpus.journals, corpus.topics), "fncsi")[journal_id]
+        after = values(corpus_from_rows(bumped, corpus.journals), "fncsi")[journal_id]
 
         assert after >= before, f"bump decreased fncsi: {before} -> {after}"
         assert after - before <= 1.0 / compared + INFLUENCE_SLACK

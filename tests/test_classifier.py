@@ -60,7 +60,7 @@ class TestMajority:
         assert report.external_ignored == 2
 
     def test_never_modifies_already_classified(self):
-        corpus = corpus_of([pub("x", "jA", 5, "t9"), classified("r1", "t1")], topics={"t1", "t9"})
+        corpus = corpus_of([pub("x", "jA", 5, "t9"), classified("r1", "t1")])
         out, report = assign_majority(corpus, [RelatedRecords("x", ("r1",))])
         assert topic_of(out, "x") == "t9"
         assert report.assigned == 0 and report.already_classified == 1

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import R, corpus_of, coverage_9998_corpus, load_corpus, load_related, pub
 from oracles import (
+    corpus_from_rows,
     random_corpus,
     reference_load_journals,
     reference_load_publications,
@@ -513,8 +514,7 @@ def _corpora(draw) -> Corpus:
         )
         for p in pub_ids
     )
-    topics = frozenset(p.topic_id for p in publications if p.topic_id is not None)
-    return Corpus.of(publications, journals, topics)
+    return corpus_from_rows(publications, journals)
 
 
 @settings(max_examples=200, deadline=None)
@@ -528,6 +528,13 @@ def test_write_then_load_gives_back_the_corpus(tmp_path_factory, corpus):
     assert reloaded == corpus
 
 
+def test_topics_are_the_sorted_topics_the_publications_use():
+    corpus = corpus_of([pub("p1", "jA", 3, "t2"), pub("p2", "jA", 1), pub("p3", "jB", 0, "t10"),
+                        pub("p4", "jB", 2, "t2")])
+    assert corpus.topics == ("t10", "t2")
+    assert corpus_of([pub("p1", "jA", 3)]).topics == ()
+
+
 class TestValidate:
     def test_dangling_journal_reference(self):
         corpus = corpus_of([pub("p1", "jA", 3, "t1")], journals=["jB"])
@@ -539,39 +546,32 @@ class TestValidate:
         corpus = corpus_of([pub("p1", "jA", 3, "t1"), pub("p2", "jA", 1, "t1"), pub("p3", "jB", 0, "t2")])
         assert validate_corpus(corpus).ok
 
-    def test_unknown_topic_names_pub_and_topic(self):
-        corpus = corpus_of([pub("p1", "jA", 3, "t1")], topics={"t9"})
-        (finding,) = validate_corpus(corpus).findings
-        assert finding.code == "unknown-topic"
-        assert finding.subject == "p1" and "t1" in finding.detail
-
     def test_duplicate_pub_id_found(self):
         corpus = corpus_of([pub("p1", "jA", 3, "t1"), pub("p1", "jA", 1, "t1")])
         assert any(f.code == "duplicate-pub-id" for f in validate_corpus(corpus))
 
     def test_validation_is_pure(self):
-        corpus = corpus_of([pub("p1", "jA", 3, "t1")], topics={"t9"})
+        corpus = corpus_of([pub("p1", "jA", 3, "t1"), pub("p1", "jB", 1, "t2")], journals=["jB"])
         assert validate_corpus(corpus) == validate_corpus(corpus)
+        assert [f.code for f in validate_corpus(corpus)] == ["dangling-journal", "duplicate-pub-id"]
 
 
 def walked_findings(corpus: Corpus) -> list[Finding]:
     """The findings of a plain walk over every row, in row order."""
     findings = []
     seen = set()
-    for pub_id, journal_id, topic_id in zip(corpus.pub_ids, corpus.journal_ids, corpus.topic_ids):
+    for pub_id, journal_id in zip(corpus.pub_ids, corpus.journal_ids):
         if pub_id in seen:
             findings.append(Finding("duplicate-pub-id", pub_id, "publication id appears more than once"))
         seen.add(pub_id)
         if journal_id not in corpus.journals:
             findings.append(Finding("dangling-journal", pub_id, f"journal {journal_id!r} not in journal table"))
-        if topic_id is not None and topic_id not in corpus.topics:
-            findings.append(Finding("unknown-topic", pub_id, f"topic {topic_id!r} not in corpus topic set"))
     return findings
 
 
 @st.composite
 def _flawed_corpora(draw) -> Corpus:
-    """Small corpora with repeated ids, dangling journals and unknown topics at random rows."""
+    """Small corpora with repeated ids and dangling journals at random rows."""
     n = draw(st.integers(0, 12))
     rows = [
         Publication(
@@ -585,7 +585,7 @@ def _flawed_corpora(draw) -> Corpus:
         for i in range(n)
     ]
     journals = {j: Journal(j) for j in draw(st.sets(st.sampled_from(["jA", "jB", "jX"])))}
-    return Corpus.of(rows, journals, frozenset(draw(st.sets(st.sampled_from(["t1", "t2", "t9"])))))
+    return corpus_from_rows(rows, journals)
 
 
 @settings(max_examples=500, deadline=None)

@@ -12,9 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import A, R, cell_scores, corpus_of, pub, record, records, values
-from oracles import brute_expected_jif, brute_fncsi, brute_fnif, brute_jif, pairwise_score, random_corpus
+from oracles import (
+    brute_expected_jif,
+    brute_fncsi,
+    brute_fnif,
+    brute_jif,
+    corpus_from_rows,
+    pairwise_score,
+    random_corpus,
+)
 
-from jrank.corpus import Corpus, DocumentType
+from jrank.corpus import DocumentType
 from jrank.indicators import INDICATOR_KEYS, RankKernel, _check_sums, compute_all
 
 
@@ -74,6 +82,12 @@ class TestBuildCells:
     def test_unclassified_publications_excluded(self):
         corpus = corpus_of([pub("p1", "jA", 3, "t1"), pub("p2", "jA", 9, None)])
         assert RankKernel.from_corpus(corpus).evaluate().cell_total.tolist() == [1, 0]
+
+    def test_cell_topics_are_the_corpus_topics(self):
+        rng = np.random.default_rng(8)
+        for _ in range(5):
+            corpus = random_corpus(rng, max_journals=6, max_pubs=60, max_topics=12, unclassified_p=0.3)
+            assert RankKernel.from_corpus(corpus).topic_ids == corpus.topics
 
 
 class TestCsiCell:
@@ -304,7 +318,7 @@ class TestProperties:
         corpus = random_corpus(rng, max_journals=10, max_pubs=200, max_topics=4, unclassified_p=0.1)
         shuffled = list(corpus.publications)
         random.Random(99).shuffle(shuffled)
-        permuted = Corpus.of(shuffled, corpus.journals, corpus.topics)
+        permuted = corpus_from_rows(shuffled, corpus.journals)
         original = {r.journal_id: r for r in records(compute_all(corpus))}
         reordered = {r.journal_id: r for r in records(compute_all(permuted))}
         for journal_id, record in original.items():
@@ -325,7 +339,7 @@ class TestProperties:
             bumped = list(corpus.publications)
             import dataclasses
             bumped[target] = dataclasses.replace(bumped[target], citations=bumped[target].citations + 1)
-            after = values(Corpus.of(bumped, corpus.journals, corpus.topics), "fncsi")
+            after = values(corpus_from_rows(bumped, corpus.journals), "fncsi")
             journal_id = corpus.publications[target].journal_id
             assert after[journal_id] >= base[journal_id] - 1e-15
 
@@ -344,7 +358,7 @@ class TestProperties:
             import dataclasses
             bumped = list(corpus.publications)
             bumped[target] = dataclasses.replace(bumped[target], citations=int(rng.integers(0, 10_000)))
-            after = values(Corpus.of(bumped, corpus.journals, corpus.topics), "fncsi")
+            after = values(corpus_from_rows(bumped, corpus.journals), "fncsi")
             n_compared = sum(n for _, n in by_id[journal_id].topic_breakdown.values())
             assert abs(after[journal_id] - base[journal_id]) <= 1 / n_compared + 1e-12
 
@@ -360,7 +374,7 @@ class TestProperties:
         import dataclasses
         boosted = [dataclasses.replace(p, citations=2000) if p.pub_id == "a0" else p
                    for p in corpus.publications]
-        spiked = Corpus.of(boosted, corpus.journals, corpus.topics)
+        spiked = corpus_from_rows(boosted, corpus.journals)
         assert values(spiked, "fnif")["jA"] - base_fnif > 5.0
         assert values(spiked, "fncsi")["jA"] - base_fncsi <= 1 / 10 + 1e-12
 
@@ -420,7 +434,7 @@ class TestWeightedEvaluation:
         weights = weights_for(kernel, data)
         rows = corpus.publications
         expanded = [rows[row] for row, w in zip(kernel.rows.tolist(), weights) for _ in range(w)]
-        repeated = RankKernel.from_corpus(Corpus.of(expanded, corpus.journals, corpus.topics))
+        repeated = RankKernel.from_corpus(corpus_from_rows(expanded, corpus.journals))
         assert indicators_by_id(kernel.evaluate(weights)) == indicators_by_id(repeated.evaluate())
 
     @settings(max_examples=300, deadline=None)

@@ -6,11 +6,12 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from conftest import corpus_of, pub
+from conftest import A, R, pub
 
 import jrank
 import jrank.cli
 import jrank.robustness
+from jrank.corpus import Journal
 
 
 def test_every_exported_name_resolves_and_appears_once():
@@ -36,5 +37,10 @@ def test_the_oracles_load_by_path_as_the_benchmark_loads_them():
     oracles = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(oracles)
     assert "oracles_by_path" not in sys.modules
-    corpus = corpus_of([pub("a1", "jA", 3, "t1"), pub("a2", "jA", 1, "t1"), pub("b1", "jB", 1, "t1")])
+    rows = (pub("a1", "jA", 3, "t1"), pub("a2", "jA", 1, "t1"), pub("b1", "jB", 1, "t1"))
+    corpus = oracles.corpus_from_rows(rows, {"jA": Journal("jA"), "jB": Journal("jB")})
+    assert corpus.publications == rows and corpus.topics == ("t1",)
     assert oracles.brute_fncsi(corpus, "jA") == 0.75
+    flipped = oracles.flip_doc_type(corpus)
+    assert [p.doc_type for p in flipped.publications] == [R, A, R]
+    assert oracles.brute_fncsi(flipped, "jA") == 1.0  # a1 now beats b1 among reviews; a2 is its cell's sole paper

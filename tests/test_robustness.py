@@ -9,9 +9,16 @@ import numpy as np
 import pytest
 
 from conftest import A, R, corpus_of, pub
-from oracles import flip_doc_type, opposite, random_corpus, rebuild_bootstrap_rankings, reference_relative_change
+from oracles import (
+    corpus_from_rows,
+    flip_doc_type,
+    opposite,
+    random_corpus,
+    rebuild_bootstrap_rankings,
+    reference_relative_change,
+)
 
-from jrank.corpus import Corpus, DocumentType, Journal
+from jrank.corpus import DocumentType, Journal
 from jrank.indicators import INDICATOR_KEYS, compute_all
 from jrank.ranking import rank
 from jrank.robustness import bootstrap_rankings, bootstrap_report, perturbation_comparison, relative_change
@@ -159,7 +166,7 @@ class TestReweighting:
             # two single-paper journals, and a publisher missing from the journal table
             extra = (pub("S1", "J_SOLO1", 2, "T00"), pub("S2", "J_SOLO2", 0, None), pub("S3", "J_GONE", 3, "T00"))
             journals = {**corpus.journals, "J_SOLO1": Journal("J_SOLO1"), "J_SOLO2": Journal("J_SOLO2")}
-            corpus = Corpus.of(corpus.publications + extra, journals, corpus.topics | {"T00"})
+            corpus = corpus_from_rows(corpus.publications + extra, journals)
             seed = int(rng.integers(1000))
             samples = bootstrap_rankings(corpus, INDICATOR_KEYS, sims=6, seed=seed)
             assert list(samples) == list(INDICATOR_KEYS)
@@ -220,7 +227,7 @@ class TestFlip:
                     import dataclasses
                     p = dataclasses.replace(p, citations=10_000 + len(seen))
                 bumped.append(p)
-            unique_top = Corpus.of(bumped, corpus.journals, corpus.topics)
+            unique_top = corpus_from_rows(bumped, corpus.journals)
             assert flip_doc_type(flip_doc_type(unique_top)) == unique_top
 
 
@@ -235,7 +242,7 @@ class TestPerturbationComparison:
             extra = (pub("S1", "J_GONE", 3, "T00"), pub("S2", "J_GONE", 5, None))
             pubs = corpus.publications + extra
             shuffled = tuple(pubs[i] for i in rng.permutation(len(pubs)))
-            corpus = Corpus.of(shuffled, corpus.journals, corpus.topics | {"T00"})
+            corpus = corpus_from_rows(shuffled, corpus.journals)
             flipped = flip_doc_type(corpus)
             comparisons = perturbation_comparison(corpus, INDICATOR_KEYS)
             assert list(comparisons) == list(INDICATOR_KEYS)

@@ -10,8 +10,10 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from conftest import load_corpus
 from oracles import reference_generate_corpus
 
+from jrank.cli import _GENERATE_FLAGS
 from jrank.corpus import validate_corpus
 from jrank.synth import SKEWED_PREFIX, SyntheticProfile, _paper_draws, generate_corpus, write_corpus_files
 
@@ -32,6 +34,24 @@ class TestGenerate:
         assert len(corpus.journals) == 10
         for n_pubs in Counter(p.journal_id for p in corpus.publications).values():
             assert 5 <= n_pubs <= 12
+
+    @pytest.mark.parametrize("zero_fraction", [0.7, 1.0])
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+    def test_skewed_journals_keep_to_the_size_range(self, size, zero_fraction):
+        profile = SyntheticProfile(n_journals=4, n_topics=3, pubs_min=size, pubs_max=size, skewed_journals=2,
+                                   outlier_zero_fraction=zero_fraction)
+        for seed in range(3):
+            sizes = Counter(generate_corpus(profile, seed).journal_ids)
+            assert len(sizes) == profile.n_journals and set(sizes.values()) == {size}, seed
+
+    def test_write_then_load_gives_back_the_generated_corpus(self, tmp_path):
+        # at most 12 papers draw from 40 topic clusters, so the corpus uses fewer topics than the profile has
+        profile = SyntheticProfile(n_journals=3, n_topics=40, pubs_min=3, pubs_max=4)
+        corpus = generate_corpus(profile, seed=1)
+        reloaded, errors = load_corpus(*write_corpus_files(corpus, tmp_path))
+        assert errors == [] and reloaded == corpus
+        assert reloaded.topics == corpus.topics == tuple(sorted(set(corpus.topic_ids)))
+        assert len(corpus.topics) < profile.n_topics
 
     def test_skewed_journal_matches_outlier_profile(self):
         profile = SyntheticProfile(
@@ -88,6 +108,11 @@ class TestGenerate:
         assert all(p.citations >= 0 for p in corpus.publications)
 
 
+def test_every_profile_field_is_a_generate_flag():
+    flagged = sorted(name for name, _, _ in _GENERATE_FLAGS.values())
+    assert sorted(field.name for field in fields(SyntheticProfile)) == flagged
+
+
 _SMALL = dict(n_journals=6, n_topics=4, pubs_min=3, pubs_max=12)
 
 
@@ -104,7 +129,7 @@ def _parity_profiles():
     yield pytest.param(SyntheticProfile(**_SMALL, skewed_journals=_SMALL["n_journals"] - 1), id="one-ordinary")
     yield pytest.param(SyntheticProfile(**{**_SMALL, "pubs_min": 7, "pubs_max": 7}, skewed_journals=2), id="fixed-size")
     yield pytest.param(SyntheticProfile(**_SMALL, n_categories=1, unclassified_fraction=0.3), id="one-category")
-    # every paper of a skewed journal zero-cited: its outlier makes one paper more than its size draw
+    # every paper of a skewed journal but its outlier zero-cited: the zeros are capped at its size draw less one
     yield pytest.param(SyntheticProfile(**_SMALL, skewed_journals=2, outlier_zero_fraction=1.0), id="all-zero-tail")
     # integers(1) draws nothing, so the 32-bit buffer changes phase once per paper
     yield pytest.param(SyntheticProfile(**{**_SMALL, "n_topics": 1}, skewed_journals=2), id="one-topic")
