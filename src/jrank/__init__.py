@@ -23,7 +23,7 @@ from .corpus import (
     write_publications,
 )
 from .indicators import INDICATOR_KEYS, RankKernel, Scores, compute_all
-from .ranking import InsufficientDataError, RankingRow, RankingTable, correlate, rank
+from .ranking import RankingRow, RankingTable, rank
 from .robustness import (
     RankingSamples,
     RankSummary,
@@ -43,7 +43,6 @@ __all__ = [
     "CoverageReport",
     "DocumentType",
     "INDICATOR_KEYS",
-    "InsufficientDataError",
     "Journal",
     "Publication",
     "RankKernel",
@@ -61,7 +60,6 @@ __all__ = [
     "bootstrap_rankings",
     "bootstrap_report",
     "compute_all",
-    "correlate",
     "coverage_stats",
     "generate_corpus",
     "load_journals",

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .corpus import Corpus, RowError, _read_table
+from .corpus import Corpus, RowError, _decode, _read_table
 
 RELATED_COLUMNS = ("pub_id", "related_ids")
 RELATED_SEPARATOR = "|"
@@ -89,18 +89,15 @@ def assign_majority(corpus: Corpus, related: Iterable[RelatedRecords]) -> tuple[
     may be a stream such as :func:`read_related`; a subject with more than
     one record takes the vote of its last record that has one.
     """
-    # a topic's rank in corpus.topics, which is sorted, so the smallest rank is the smallest id;
-    # past the ranks, one code for unclassified papers and one for ids outside the corpus
-    topics = corpus.topics
-    unclassified, outside = len(topics), len(topics) + 1
-    rank = dict(zip(topics, range(unclassified)))
-    rank[None] = unclassified
-    # a repeated id keeps its last topic, if any
-    code_of = dict(zip(corpus.pub_ids, map(rank.__getitem__, corpus.topic_ids)))
-    if len(code_of) < len(corpus.pub_ids):
-        code_of.update((p, rank[t]) for p, t in zip(corpus.pub_ids, corpus.topic_ids) if t is not None)
+    # topic codes index corpus.topics, which is sorted, so the smallest code is the smallest id;
+    # past the codes, one for unclassified papers and one for ids outside the corpus
+    unclassified, outside = len(corpus.topics), len(corpus.topics) + 1
+    # one int object per code; -1 decodes to the last, unclassified
+    code_of = dict(zip(corpus.pub_ids, _decode(range(unclassified + 1), corpus.topic)))
+    if len(code_of) < len(corpus.pub_ids):  # a repeated id keeps its last topic, if any
+        code_of.update((p, c) for p, c in zip(corpus.pub_ids, corpus.topic.tolist()) if c >= 0)
 
-    assignments: dict[str, str] = {}
+    assignments: dict[str, int] = {}
     external = 0
     already = 0
     related = iter(related)
@@ -119,19 +116,17 @@ def assign_majority(corpus: Corpus, related: Iterable[RelatedRecords]) -> tuple[
             continue
         votes, counts = np.unique(row[voting] * unclassified + id_codes[voting], return_counts=True)
         rows, votes = np.divmod(votes, unclassified)
-        order = np.lexsort((votes, -counts, rows))  # by record, then most votes, then smallest rank
+        order = np.lexsort((votes, -counts, rows))  # by record, then most votes, then smallest code
         _, first = np.unique(rows[order], return_index=True)
         winners = order[first]
-        assignments.update(
-            zip(map(subjects.__getitem__, rows[winners].tolist()), map(topics.__getitem__, votes[winners].tolist()))
-        )
+        assignments.update(zip(map(subjects.__getitem__, rows[winners].tolist()), votes[winners].tolist()))
 
     # only unclassified papers have an assignment; every other keeps its topic
-    topic_ids = tuple(map(assignments.get, corpus.pub_ids, corpus.topic_ids))
+    topic = np.fromiter(map(assignments.get, corpus.pub_ids, corpus.topic.tolist()), np.int32, len(corpus.pub_ids))
     report = AssignmentReport(
         assigned=len(assignments),
-        still_unclassified=topic_ids.count(None),
+        still_unclassified=int(np.count_nonzero(topic < 0)),
         external_ignored=external,
         already_classified=already,
     )
-    return replace(corpus, topic_ids=topic_ids), report
+    return replace(corpus, topic=topic), report

@@ -17,6 +17,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -387,7 +388,7 @@ def _load_checked(config: RunConfig) -> tuple[Corpus, bool]:
     _print_row_errors(config.journals_path, journals.errors)
     row_errors = bool(pubs.errors or journals.errors)
     corpus = corpus_from_fragments(pubs, journals)
-    del pubs  # the fragment's columns would otherwise live beside the corpus through validation
+    del pubs  # the fragment's journal codes would otherwise live beside the corpus's through validation
     report = validate_corpus(corpus)
     for finding in report:
         print(f"error: {finding}", file=sys.stderr)
@@ -462,28 +463,58 @@ def _rankings(config: RunConfig, corpus: Corpus, scores: Scores) -> Iterator[Ran
     return (rank(scores, key, scope=config.category, journals=corpus.journals) for key in config.indicators)
 
 
-def cmd_compute(config: RunConfig) -> int:
+def cmd_score(write: Callable[[RunConfig, Corpus, Scores], None], config: RunConfig) -> int:
+    """``compute``, ``rank`` and ``report``: load, check, classify with ``--related``, score, then ``write``."""
     corpus, clean = _load_checked(config)
     if not clean:
         return 1
+    if config.related_records_path is not None:
+        classified = _classified(config, corpus)
+        if classified is None:
+            return 1
+        corpus, _ = classified
     scores = compute_all(corpus)
     config.output_dir.mkdir(parents=True, exist_ok=True)
+    write(config, corpus, scores)
+    return 0
+
+
+def _write_compute(config: RunConfig, corpus: Corpus, scores: Scores) -> None:
     _write_indicators(config, scores)
     for table in _rankings(config, corpus, scores):
         _write_ranking(table, config)
-    return 0
 
 
-def cmd_rank(config: RunConfig) -> int:
-    corpus, clean = _load_checked(config)
-    if not clean:
-        return 1
-    scores = compute_all(corpus)
-    config.output_dir.mkdir(parents=True, exist_ok=True)
+def _write_rank(config: RunConfig, corpus: Corpus, scores: Scores) -> None:
     for table in _rankings(config, corpus, scores):
         for path in _write_ranking(table, config):
             print(f"wrote {path}")
-    return 0
+
+
+def _write_report(config: RunConfig, corpus: Corpus, scores: Scores) -> None:
+    coverage = coverage_stats(corpus)
+    lines: list[str] = []
+    lines.extend(f"# {m}" for m in _meta(config, notes=[_PERCENTILE_NOTE]))
+    lines.append("")
+    lines.append(
+        f"corpus: {coverage.n_publications} publications, {coverage.n_journals} journals, "
+        f"{coverage.n_classified} classified "
+        f"(publication coverage {coverage.publication_coverage:.4f}, "
+        f"journal coverage {coverage.journal_coverage:.4f})"
+    )
+    for table in _rankings(config, corpus, scores):
+        scope_note = f" in category {table.scope}" if table.scope else ""
+        lines.append("")
+        lines.append(f"top journals by {_KEY_TO_CLI[table.indicator_name]}{scope_note}:")
+        lines.append("rank  journal_id        value       percentile")
+        for row in table.rows[:20]:
+            lines.append(f"{row.rank:>4}  {row.journal_id:<16}  {row.value:<10.6g}  {row.percentile:.2f}")
+    out_path = config.output_dir / "summary.txt"
+    with atomic_write(out_path) as fh:
+        fh.write("\n".join(lines) + "\n")
+    print(f"wrote {out_path}")
+    # the indicator tables reflect the same (possibly classified) corpus
+    _write_indicators(config, scores)
 
 
 def cmd_bootstrap(config: RunConfig) -> int:
@@ -551,44 +582,6 @@ def cmd_generate(config: RunConfig) -> int:
     return 0
 
 
-def cmd_report(config: RunConfig) -> int:
-    corpus, clean = _load_checked(config)
-    if not clean:
-        return 1
-    if config.related_records_path is not None:
-        classified = _classified(config, corpus)
-        if classified is None:
-            return 1
-        corpus, _ = classified
-    coverage = coverage_stats(corpus)
-    scores = compute_all(corpus)
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-
-    lines: list[str] = []
-    lines.extend(f"# {m}" for m in _meta(config, notes=[_PERCENTILE_NOTE]))
-    lines.append("")
-    lines.append(
-        f"corpus: {coverage.n_publications} publications, {coverage.n_journals} journals, "
-        f"{coverage.n_classified} classified "
-        f"(publication coverage {coverage.publication_coverage:.4f}, "
-        f"journal coverage {coverage.journal_coverage:.4f})"
-    )
-    for table in _rankings(config, corpus, scores):
-        scope_note = f" in category {table.scope}" if table.scope else ""
-        lines.append("")
-        lines.append(f"top journals by {_KEY_TO_CLI[table.indicator_name]}{scope_note}:")
-        lines.append("rank  journal_id        value       percentile")
-        for row in table.rows[:20]:
-            lines.append(f"{row.rank:>4}  {row.journal_id:<16}  {row.value:<10.6g}  {row.percentile:.2f}")
-    out_path = config.output_dir / "summary.txt"
-    with atomic_write(out_path) as fh:
-        fh.write("\n".join(lines) + "\n")
-    print(f"wrote {out_path}")
-    # the indicator tables reflect the same (possibly classified) corpus
-    _write_indicators(config, scores)
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
@@ -601,11 +594,17 @@ _RANKINGS = ("format", "indicator", "category", "seed")
 _COMMANDS: dict[str, tuple[Callable[[RunConfig], int], str, tuple[str, ...]]] = {
     "validate": (cmd_validate, "check corpus files and report findings", _IO),
     "classify": (cmd_classify, "assign topics to unclassified publications by majority rule", (*_IO, "related")),
-    "compute": (cmd_compute, "compute all indicators and write ranking tables", (*_IO, *_RANKINGS)),
-    "rank": (cmd_rank, "write ranking tables for the chosen indicators", (*_IO, *_RANKINGS)),
+    "compute": (
+        partial(cmd_score, _write_compute), "compute all indicators and write ranking tables", (*_IO, *_RANKINGS)
+    ),
+    "rank": (partial(cmd_score, _write_rank), "write ranking tables for the chosen indicators", (*_IO, *_RANKINGS)),
     "bootstrap": (cmd_bootstrap, "bootstrap ranking-stability analysis", (*_IO, "indicator", "sims", "seed")),
     "flip-test": (cmd_flip_test, "document-type flip perturbation analysis", (*_IO, "indicator", "seed")),
-    "report": (cmd_report, "human-readable summary of indicators and coverage", (*_IO, "related", *_RANKINGS)),
+    "report": (
+        partial(cmd_score, _write_report),
+        "human-readable summary of indicators and coverage",
+        (*_IO, "related", *_RANKINGS),
+    ),
     "generate": (cmd_generate, "generate a synthetic corpus file pair", ("out", "seed", *_GENERATE_FLAGS)),
 }
 

@@ -2,12 +2,14 @@
 
 A corpus bundles everything the indicator pipeline consumes: publications
 with precomputed citation counts and topic clusters, and the journals that
-published them.  Publications are stored as one tuple per field
-(:class:`Publication` is the row type for code that works row by row); the
-topics are those the publications are assigned to.  Corpora are immutable
-once built: topic assignment returns a new instance, and the bootstrap and
-the document-type flip reweight or recode the corpus's kernel encoding
-instead of copying it.
+published them.  It is encoded once, where it is built: publication ids
+are strings, every other field is one NumPy column, and journal and topic
+ids are integer codes into sorted tables (:class:`Publication` is the row
+type that :attr:`Corpus.publications` decodes for code that works row by
+row).  The topics are those the publications are assigned to.  Corpora are
+immutable once built: topic assignment returns a new instance with a new
+topic column, and the bootstrap and the document-type flip reweight or
+recode the kernel's arrays instead of copying the corpus.
 
 Every table is read by :func:`_read_table`, in blocks of whole lines.  A
 clean block, one in which every line is a plain record with the header's
@@ -17,7 +19,7 @@ and the rest of the file after it, goes through ``csv.reader`` with quoted
 fields, comments and blank lines; a block with a rejected row is parsed
 again row by row, so row errors are the same as a row loop's.  Every
 table is written by :func:`write_table`, which joins a batch of rows that
-needs no quoting into one string; :func:`write_publications` converts the
+needs no quoting into one string; :func:`write_publications` decodes the
 corpus column by column.
 """
 
@@ -26,14 +28,17 @@ from __future__ import annotations
 import csv
 import enum
 import os
-from collections import Counter
+from array import array
+from collections import defaultdict
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain, compress, islice, repeat
-from operator import attrgetter, is_not, itemgetter
+from operator import is_, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
+
+import numpy as np
 
 PUBLICATION_COLUMNS = ("pub_id", "journal_id", "pub_year", "doc_type", "citations", "topic_id")
 JOURNAL_COLUMNS = ("journal_id", "title", "categories")
@@ -100,33 +105,82 @@ class Journal:
     categories: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class Corpus:
-    """An immutable snapshot of publications and journals.
+_COLUMN_DTYPES = {"journal": np.int32, "topic": np.int32, "review": bool, "pub_years": np.int32, "citations": np.int64}
 
-    Publications are columns in input order, None marking an unclassified
-    paper's topic.  A topic exists because papers are assigned to it:
-    :attr:`topics` is derived from ``topic_ids``, not declared.
+
+@dataclass(frozen=True, eq=False)
+class Corpus:
+    """An immutable snapshot of publications and journals; ValueError for columns that break its rules.
+
+    Publications are columns in input order: ``pub_ids`` as strings, then one
+    NumPy array per field.  ``journal`` (int32) indexes ``journal_ids``, the
+    sorted ids of the journal table and of every journal that publishes;
+    ``topic`` (int32) indexes ``topics``, the sorted ids of the topics papers
+    are assigned to, with -1 for an unclassified paper.  ``review`` flags a
+    review, ``pub_years`` is int32 and ``citations`` int64.  The tables
+    follow from the rows and the journal table, so corpora with the same
+    :attr:`publications` and ``journals`` hold the same arrays.
     """
 
     pub_ids: tuple[str, ...]
+    journal: np.ndarray
+    topic: np.ndarray
+    review: np.ndarray
+    pub_years: np.ndarray
+    citations: np.ndarray
     journal_ids: tuple[str, ...]
-    pub_years: tuple[int, ...]
-    doc_types: tuple[DocumentType, ...]
-    citations: tuple[int, ...]
-    topic_ids: tuple[str | None, ...]
+    topics: tuple[str, ...]
     journals: dict[str, Journal]
 
-    @cached_property
-    def topics(self) -> tuple[str, ...]:
-        """The topic ids the publications use, sorted: the order of the kernel's cells and the classifier's ties."""
-        return tuple(sorted(set(self.topic_ids) - {None}))
+    def __post_init__(self) -> None:
+        for name, dtype in _COLUMN_DTYPES.items():
+            column = getattr(self, name)
+            if not isinstance(column, np.ndarray) or column.dtype != dtype or column.shape != (len(self.pub_ids),):
+                raise ValueError(f"{name} must be a {np.dtype(dtype)} array with one entry per pub_id")
+        tables = (("journal", self.journal, self.journal_ids, 0), ("topic", self.topic, self.topics, -1))
+        for name, codes, table, lowest in tables:
+            if len(codes) and not lowest <= codes.min() <= codes.max() < len(table):
+                raise ValueError(f"{name} codes must index their table (-1 is an unclassified topic)")
+        if (self.citations < 0).any():  # as int64, every count is at most 2**63 - 1
+            raise ValueError("citations must be >= 0")
+        used = np.bincount(self.topic + 1, minlength=len(self.topics) + 1)[1:] > 0
+        if list(self.topics) != sorted(set(compress(self.topics, used))):
+            raise ValueError("topics must be the distinct topic ids the papers use, sorted")
+        publishes = np.bincount(self.journal, minlength=len(self.journal_ids)) > 0
+        if list(self.journal_ids) != sorted(self.journals.keys() | set(compress(self.journal_ids, publishes))):
+            raise ValueError("journal_ids must be the sorted ids of the journal table and of the papers' journals")
 
     @cached_property
     def publications(self) -> tuple[Publication, ...]:
-        """The rows as :class:`Publication` objects, built on first use; no command reads them."""
-        columns = self.pub_ids, self.journal_ids, self.pub_years, self.doc_types, self.citations, self.topic_ids
-        return tuple(map(Publication, *columns))
+        """The rows as :class:`Publication` objects, decoded on first use; no command reads them."""
+        return tuple(map(Publication, *_decoded(self, tuple(DocumentType), None)))
+
+
+def _decode(table: Sequence, codes: np.ndarray) -> list:
+    """``table[code]`` for every code, as a list; code -1 is the table's last entry."""
+    return np.array(table, dtype=object)[codes].tolist()
+
+
+def _decoded(corpus: Corpus, doc_types: Sequence, unclassified: str | None) -> tuple[Sequence, ...]:
+    """The publication columns as sequences; review flags index ``doc_types``, and -1 topics are ``unclassified``."""
+    journal_ids = _decode(corpus.journal_ids, corpus.journal)
+    kinds = _decode(doc_types, corpus.review.view(np.uint8))
+    topic_ids = _decode((*corpus.topics, unclassified), corpus.topic)
+    return corpus.pub_ids, journal_ids, corpus.pub_years.tolist(), kinds, corpus.citations.tolist(), topic_ids
+
+
+def _sorted_table(
+    table: Sequence[str], codes: np.ndarray, keep: Iterable[str] = ()
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """The entries of ``table`` that ``codes`` use and those of ``keep``, sorted, and ``codes`` recoded to them.
+
+    Code -1 stays -1.
+    """
+    used = np.flatnonzero(np.bincount(codes + 1, minlength=len(table) + 1)[1:]).tolist()
+    ids = tuple(sorted({table[code] for code in used}.union(keep)))
+    position = dict(zip(ids, range(len(ids))))
+    recode = np.array([*map(position.get, table, repeat(-1)), -1], dtype=np.int32)
+    return ids, recode[codes]
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,15 +196,15 @@ class RowError:
 
 @dataclass
 class CorpusFragment:
-    """Parsed publications, one list per :class:`Corpus` column, plus the rows that failed to parse."""
+    """Parsed publications, as a :class:`Corpus` without a journal table, plus the rows that failed to parse."""
 
-    columns: tuple[list, ...]
+    corpus: Corpus
     errors: list[RowError]
 
     @property
     def publications(self) -> list[Publication]:
-        """The parsed rows as :class:`Publication` objects, built on each call; no command reads them."""
-        return list(map(Publication, *self.columns))
+        """The parsed rows as :class:`Publication` objects, decoded on each call; no command reads them."""
+        return list(map(Publication, *_decoded(self.corpus, tuple(DocumentType), None)))
 
 
 @dataclass
@@ -323,65 +377,63 @@ def load_publications(path: Path | str) -> CorpusFragment:
     """Load publications from delimited text (separator auto-detected).
 
     Unparseable rows are collected in ``errors`` rather than dropped: bad
-    integers, unknown document types, citation counts below 0 or above
-    2**63 - 1 (the kernel's int64 limit), and duplicate publication ids each
-    produce a :class:`RowError` naming the line.  A rejected row adds nothing
-    to any column.  Each block of :func:`_read_table` is converted column by
-    column; a block in which any row fails a check is parsed again row by row.
+    integers, years outside int32, unknown document types, citation counts
+    below 0 or above 2**63 - 1 (the kernel's int64 limit), and duplicate
+    publication ids each produce a :class:`RowError` naming the line.  A
+    rejected row adds nothing to any column or table.  Each block of
+    :func:`_read_table` is converted column by column; a block in which any
+    row fails a check is parsed again row by row.  Journal and topic ids are
+    coded in the order first seen, then sorted once at the end.
     """
-    fragment = CorpusFragment(tuple([] for _ in PUBLICATION_COLUMNS), [])
-    pub_ids, journal_ids, pub_years, doc_types, citations, topic_ids = fragment.columns
+    pub_ids: list[str] = []
+    errors: list[RowError] = []
     seen: set[str] = set()
-    # one object per distinct journal id, year and topic id; an empty topic id reads as None
-    shared: dict[str | int | None, str | int | None] = {"": None}
+    journal_code: defaultdict[str, int] = defaultdict()
+    journal_code.default_factory = journal_code.__len__  # a new id takes the next code
+    topic_code: defaultdict[str, int] = defaultdict()
+    topic_code.default_factory = topic_code.__len__
+    topic_code[""]  # code 0, an unclassified paper; every code is lowered by one below
+    journal, topic, review, years, citations = array("i"), array("i"), array("b"), array("i"), array("q")
     for lines, block in _read_table(path, PUBLICATION_COLUMNS):
-        parsed = _parse_block(block, seen)
-        if parsed is not None:
-            ids, journals, _, _, _, topics = block
-            years, kinds, counts = parsed
-            seen.update(ids)
-            pub_ids += ids
-            journal_ids += map(shared.setdefault, journals, journals)
-            pub_years += map(shared.setdefault, years, years)
-            doc_types += kinds
-            citations += counts
-            topic_ids += map(shared.setdefault, topics, topics)
-            continue
-        for line, *fields in zip(lines, *block):
-            try:
-                pub_id, journal_id, year, kind, count, topic_id = _parse_publication(*fields)
-            except ValueError as exc:
-                fragment.errors.append(RowError(line, str(exc)))
-                continue
-            if pub_id in seen:
-                fragment.errors.append(RowError(line, f"duplicate pub_id {pub_id!r}"))
-                continue
-            seen.add(pub_id)
-            pub_ids.append(pub_id)
-            journal_ids.append(shared.setdefault(journal_id, journal_id))
-            pub_years.append(shared.setdefault(year, year))
-            doc_types.append(kind)
-            citations.append(count)
-            topic_ids.append(shared.setdefault(topic_id, topic_id))
-    return fragment
+        columns = _parse_block(block, seen)
+        if columns is None:
+            rows = []
+            for line, *fields in zip(lines, *block):
+                try:
+                    rows.append(_parse_publication(seen, *fields))
+                except ValueError as exc:
+                    errors.append(RowError(line, str(exc)))
+            columns = list(map(list, zip(*rows))) or [[]] * len(PUBLICATION_COLUMNS)
+        ids, journals, pub_years, kinds, counts, topics = columns
+        seen.update(ids)
+        pub_ids += ids
+        journal.extend(map(journal_code.__getitem__, journals))
+        topic.extend(map(topic_code.__getitem__, topics))
+        review.extend(map(is_, kinds, repeat(DocumentType.REVIEW)))
+        years.extend(pub_years)
+        citations.extend(counts)
+    journal_ids, journal_codes = _sorted_table(list(journal_code), np.frombuffer(journal, np.int32))
+    topic_ids, topic_codes = _sorted_table(list(topic_code)[1:], np.frombuffer(topic, np.int32) - 1)
+    columns = np.frombuffer(review, np.bool_), np.frombuffer(years, np.int32), np.frombuffer(citations, np.int64)
+    corpus = Corpus(tuple(pub_ids), journal_codes, topic_codes, *columns, journal_ids, topic_ids, {})
+    return CorpusFragment(corpus, errors)
 
 
-def _parse_block(block: list[list[str]], seen: set[str]) -> tuple[list[int], list[DocumentType], list[int]] | None:
-    """The years, document types and citation counts of a block, as :func:`_parse_publication` reads them.
+def _parse_block(block: list[list[str]], seen: set[str]) -> list[Sequence] | None:
+    """The columns of a block, years, document types and citation counts converted as :func:`_parse_publication` does.
 
     None when any row would be rejected: by :func:`_parse_publication`, or as
     a duplicate of an id in ``seen`` or earlier in the block.
     """
-    pub_ids, journal_ids, pub_years, doc_types, citations, _ = block
-    try:
-        years = list(map(int, pub_years))
-        counts = list(map(int, citations))
-    except ValueError:
+    pub_ids, journal_ids, pub_years, doc_types, citations, topic_ids = block
+    try:  # the typed arrays reject a year outside int32 and a count outside int64; from lists, they build faster
+        years = array("i", list(map(int, pub_years)))
+        counts = array("q", list(map(int, citations)))
+    except (ValueError, OverflowError):
         return None
     kinds = list(map(_DOCUMENT_TYPES.get, map(str.lower, doc_types)))
     if (
         min(counts) < 0
-        or max(counts) > _MAX_CITATIONS
         or None in kinds
         or "" in pub_ids
         or "" in journal_ids
@@ -389,12 +441,13 @@ def _parse_block(block: list[list[str]], seen: set[str]) -> tuple[list[int], lis
         or not seen.isdisjoint(pub_ids)
     ):
         return None
-    return years, kinds, counts
+    return [pub_ids, journal_ids, years, kinds, counts, topic_ids]
 
 
 def _parse_publication(
-    pub_id: str, journal_id: str, pub_year: str, doc_type: str, citations: str, topic_id: str
-) -> tuple[str, str, int, DocumentType, int, str | None]:
+    seen: set[str], pub_id: str, journal_id: str, pub_year: str, doc_type: str, citations: str, topic_id: str
+) -> tuple[str, str, int, DocumentType, int, str]:
+    """One row, converted as its block would be, its id added to ``seen``; ValueError for a row to reject."""
     if not pub_id:
         raise ValueError("empty pub_id")
     if not journal_id:
@@ -403,6 +456,8 @@ def _parse_publication(
         year = int(pub_year)
     except ValueError:
         raise ValueError(f"pub_year {pub_year!r} is not an integer") from None
+    if not -(2**31) <= year < 2**31:
+        raise ValueError(f"pub_year must be within int32, got {year}")
     try:
         count = int(citations)
     except ValueError:
@@ -411,9 +466,11 @@ def _parse_publication(
         raise ValueError(f"citations must be >= 0, got {count}")
     if count > _MAX_CITATIONS:
         raise ValueError(f"citations must be <= {_MAX_CITATIONS}, got {count}")
-    # DocumentType.parse raises the error for an unknown tag
-    kind = _DOCUMENT_TYPES.get(doc_type.lower()) or DocumentType.parse(doc_type)
-    return pub_id, journal_id, year, kind, count, topic_id or None
+    kind = DocumentType.parse(doc_type)
+    if pub_id in seen:
+        raise ValueError(f"duplicate pub_id {pub_id!r}")
+    seen.add(pub_id)
+    return pub_id, journal_id, year, kind, count, topic_id
 
 
 def load_journals(path: Path | str) -> JournalsFragment:
@@ -433,8 +490,9 @@ def load_journals(path: Path | str) -> JournalsFragment:
 
 
 def corpus_from_fragments(pubs: CorpusFragment, journals: JournalsFragment) -> Corpus:
-    """The corpus of loaded fragments."""
-    return Corpus(*map(tuple, pubs.columns), journals.journals)
+    """The corpus of loaded fragments: the publications, their journal codes recoded to cover the journal table."""
+    journal_ids, journal = _sorted_table(pubs.corpus.journal_ids, pubs.corpus.journal, keep=journals.journals)
+    return replace(pubs.corpus, journal=journal, journal_ids=journal_ids, journals=journals.journals)
 
 
 # ---------------------------------------------------------------------------
@@ -502,22 +560,13 @@ def write_table(fh: TextIO, header: Sequence[str], rows: Iterable[Sequence[str]]
 def write_publications(corpus: Corpus, path: Path | str) -> None:
     """Write a corpus's publications as canonical comma-separated text (LF line endings).
 
-    Each field is converted column by column; a row is only the tuple that
+    Each field is decoded column by column; a row is only the tuple that
     joins them for :func:`write_table`.
     """
+    ids, journal_ids, years, kinds, counts, topic_ids = _decoded(corpus, [kind.value for kind in DocumentType], "")
+    rows = zip(ids, journal_ids, map(str, years), kinds, map(str, counts), topic_ids)
     with atomic_write(path) as fh:
-        write_table(
-            fh,
-            PUBLICATION_COLUMNS,
-            zip(
-                corpus.pub_ids,
-                corpus.journal_ids,
-                map(str, corpus.pub_years),
-                map(attrgetter("_value_"), corpus.doc_types),  # a plain attribute: ``value`` is a Python property
-                map(str, corpus.citations),
-                map({None: ""}.get, corpus.topic_ids, corpus.topic_ids),
-            ),
-        )
+        write_table(fh, PUBLICATION_COLUMNS, rows)
 
 
 def write_journals(journals: Mapping[str, Journal], path: Path | str) -> None:
@@ -544,11 +593,11 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
     computation.
     """
     report = ValidationReport()
-    # set checks clear the common, clean corpus; the row walk only runs to report findings
-    if len(set(corpus.pub_ids)) == len(corpus.pub_ids) and corpus.journals.keys() >= set(corpus.journal_ids):
+    # a set check and one lookup per journal clear a clean corpus; the row walk only runs to report findings
+    if len(set(corpus.pub_ids)) == len(corpus.pub_ids) and all(map(corpus.journals.__contains__, corpus.journal_ids)):
         return report
     seen: set[str] = set()
-    for pub_id, journal_id in zip(corpus.pub_ids, corpus.journal_ids):
+    for pub_id, journal_id in zip(corpus.pub_ids, _decode(corpus.journal_ids, corpus.journal)):
         if pub_id in seen:
             report.findings.append(Finding("duplicate-pub-id", pub_id, "publication id appears more than once"))
         seen.add(pub_id)
@@ -560,16 +609,17 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
 def coverage_stats(corpus: Corpus) -> CoverageReport:
     """Classification coverage: per-publication and per-journal fractions."""
     n_pubs = len(corpus.pub_ids)
-    papers = Counter(corpus.journal_ids)
-    assigned = Counter(compress(corpus.journal_ids, map(is_not, corpus.topic_ids, repeat(None))))
-    n_classified = assigned.total()
+    papers = np.bincount(corpus.journal, minlength=len(corpus.journal_ids))
+    assigned = np.bincount(corpus.journal[corpus.topic >= 0], minlength=len(corpus.journal_ids))
+    n_classified = int(assigned.sum())
+    n_journals = int(np.count_nonzero(papers))
     # integer form of "assigned / papers > 0.9", immune to float rounding
-    n_over_90 = sum(1 for journal_id, n in papers.items() if 10 * assigned[journal_id] > 9 * n)
+    n_over_90 = int(np.count_nonzero(10 * assigned > 9 * papers))
     return CoverageReport(
         publication_coverage=n_classified / n_pubs if n_pubs else 1.0,
-        journal_coverage=n_over_90 / len(papers) if papers else 1.0,
+        journal_coverage=n_over_90 / n_journals if n_journals else 1.0,
         n_publications=n_pubs,
         n_classified=n_classified,
-        n_journals=len(papers),
+        n_journals=n_journals,
         n_journals_over_90=n_over_90,
     )

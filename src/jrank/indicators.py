@@ -15,13 +15,13 @@ statistics:
 * ``jif`` — plain citations-per-item over all of the journal's publications,
   classified or not.
 
-All four come from one columnar kernel, :class:`RankKernel`.  It encodes the
-corpus once as integer arrays (a journal code and a cell code per paper, and
-the citation counts) and sorts the classified papers twice, by (cell,
-citations) and by (journal, cell).  Per cell, ``fncsi`` is a normalized
-Mann-Whitney U statistic in rank-sum form: a journal's paper scores 2 per
-paper of its cell cited less and 1 per paper cited equally, itself and its
-own journal's papers included.  Those score exactly ``n_own**2`` among
+All four come from one columnar kernel, :class:`RankKernel`.  It reads the
+corpus's codes, groups the papers by journal, derives a cell code per paper
+from its topic code and review flag, and sorts the classified papers twice,
+by (cell, citations) and by (journal, cell).  Per cell, ``fncsi`` is a
+normalized Mann-Whitney U statistic in rank-sum form: a journal's paper
+scores 2 per paper of its cell cited less and 1 per paper cited equally,
+itself and its own journal's papers included.  Those score exactly ``n_own**2`` among
 themselves, so the sum less that is twice U: twice the wins plus the ties
 against other journals.  Scores are differences of cumulative weights along
 the (cell, citations) order, so an integer reweighting of the papers (a
@@ -42,12 +42,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from operator import is_
 
 import numpy as np
 
-from .corpus import Corpus, DocumentType
+from .corpus import Corpus
 
 INDICATOR_KEYS = ("fncsi", "fnif", "expected_jif", "jif")
 
@@ -95,12 +93,12 @@ def _check_sums(terms: np.ndarray, starts: np.ndarray) -> None:
 
 @dataclass(eq=False)
 class RankKernel:
-    """Columnar encoding of a corpus and the scoring kernel over it.
+    """A corpus's codes regrouped by journal, and the scoring kernel over them.
 
     Papers are grouped by journal code, journals in id order, and keep corpus
     order within a journal, so ``journal_sizes`` also lays out a bootstrap
     resample; paper ``i`` is corpus row ``rows[i]``.  ``cell`` is
-    ``2 * topic rank + document-type rank``, or -1 for an unclassified paper.
+    ``2 * topic code + review flag``, or -1 for an unclassified paper.
     ``by_cell`` orders the classified papers by (cell, citations), ``by_pair``
     by (journal, cell).  Journal codes cover the journal table and every
     journal that publishes; only table journals (``in_table``) are scored.
@@ -148,22 +146,16 @@ class RankKernel:
 
     @classmethod
     def from_corpus(cls, corpus: Corpus) -> RankKernel:
-        """Encode a corpus; its cells are :attr:`Corpus.topics`, in that order, times the two document types."""
-        journal_ids = tuple(sorted(corpus.journals.keys() | set(corpus.journal_ids)))
-        journal_code = {journal_id: code for code, journal_id in enumerate(journal_ids)}
-        journal = np.fromiter(map(journal_code.__getitem__, corpus.journal_ids), dtype=np.int32)
-        topic_code = {None: -1} | {topic_id: code for code, topic_id in enumerate(corpus.topics)}
-        topic = np.fromiter(map(topic_code.__getitem__, corpus.topic_ids), dtype=np.int32)
-        # a cell code's low bit is its document type, articles before reviews
-        doc = np.fromiter(map(partial(is_, DocumentType.REVIEW), corpus.doc_types), dtype=np.int32)
-        rows = np.argsort(journal, kind="stable")
+        """The kernel of a corpus's codes: its journals, and its topics times the two document types, in table order."""
+        rows = np.argsort(corpus.journal, kind="stable")
         return cls(
-            journal_ids=journal_ids,
+            journal_ids=corpus.journal_ids,
             topic_ids=corpus.topics,
-            in_table=np.array([j in corpus.journals for j in journal_ids], dtype=bool),
-            journal=journal[rows],
-            cell=np.where(topic < 0, -1, 2 * topic + doc)[rows],
-            citations=np.array(corpus.citations, dtype=np.int64)[rows],
+            in_table=np.fromiter(map(corpus.journals.__contains__, corpus.journal_ids), bool, len(corpus.journal_ids)),
+            journal=corpus.journal[rows],
+            # a cell code's low bit is its document type, articles before reviews
+            cell=np.where(corpus.topic < 0, -1, 2 * corpus.topic + corpus.review)[rows],
+            citations=corpus.citations[rows],
             rows=rows,
         )
 

@@ -1,4 +1,4 @@
-"""Deterministic rankings and rank correlation.
+"""Deterministic rankings.
 
 Rankings depend only on the ordering of indicator values: journals are sorted
 by descending value, equal values broken by ascending journal id, so the same
@@ -22,10 +22,6 @@ from .corpus import Journal
 from .indicators import Scores
 
 
-class InsufficientDataError(ValueError):
-    """Too few common journals to correlate two rankings."""
-
-
 class RankingRow(NamedTuple):
     journal_id: str
     value: float
@@ -40,9 +36,6 @@ class RankingTable:
     indicator_name: str
     scope: str | None
     rows: tuple[RankingRow, ...]
-
-    def rank_of(self) -> dict[str, int]:
-        return {row.journal_id: row.rank for row in self.rows}
 
 
 def ranks(values: np.ndarray, sentinel: int) -> np.ndarray:
@@ -82,28 +75,3 @@ def rank(
         for r, (code, value) in enumerate(zip(order.tolist(), column[order].tolist()), start=1)
     )
     return RankingTable(indicator_name=key, scope=scope, rows=rows)
-
-
-def correlate(table_a: RankingTable, table_b: RankingTable) -> tuple[float, int]:
-    """Spearman rank correlation over the journals common to both tables.
-
-    The tables' rank columns are re-ranked within the common subset (ranks in
-    a table are distinct, so this is a plain order relabeling) and the
-    classical 1 - 6*sum(d^2)/(n*(n^2-1)) formula applies exactly.
-    """
-    ranks_a = table_a.rank_of()
-    ranks_b = table_b.rank_of()
-    common = sorted(set(ranks_a) & set(ranks_b))
-    n = len(common)
-    if n < 3:
-        raise InsufficientDataError(f"only {n} journals are common to both tables; need at least 3")
-
-    def reranked(ranks: Mapping[str, int]) -> dict[str, int]:
-        ordered = sorted(common, key=lambda journal_id: ranks[journal_id])
-        return {journal_id: position for position, journal_id in enumerate(ordered, start=1)}
-
-    ra = reranked(ranks_a)
-    rb = reranked(ranks_b)
-    d_squared = sum((ra[j] - rb[j]) ** 2 for j in common)
-    rho = 1.0 - 6.0 * d_squared / (n * (n * n - 1))
-    return rho, n

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import _MAX_CITATIONS, Corpus, DocumentType, Journal, write_journals, write_publications
+from .corpus import _MAX_CITATIONS, Corpus, Journal, _sorted_table, write_journals, write_publications
 
 CITATION_DISTRIBUTIONS = ("lognormal", "uniform")
 
@@ -111,15 +111,9 @@ def generate_corpus(profile: SyntheticProfile, seed: int) -> Corpus:
                 cats.append(extra)
         journals[journal_id] = Journal(journal_id, f"Journal {journal_id.upper()}", tuple(cats))
 
-    paper_journals: list[str] = []
-    pub_years: list[int] = []
-    doc_types: list[DocumentType] = []
+    columns: list[tuple[np.ndarray, ...]] = []  # per journal: journal code, topic code, review flag, year
     citations: list[int] = []
-    topic_ids: list[str | None] = []
     unclassified = profile.unclassified_fraction
-    topic_names = np.array([f"t{i + 1:02d}" for i in range(profile.n_topics)], dtype=object)
-    kinds = np.array([DocumentType.ARTICLE, DocumentType.REVIEW], dtype=object)
-    years = np.array([_BASE_YEAR, _BASE_YEAR - 1], dtype=object)  # indexed by the year draw
     for position, journal_id in enumerate(journal_ids):
         n_pubs = int(integers(profile.pubs_min, profile.pubs_max + 1))
         if journal_id.startswith(SKEWED_PREFIX):
@@ -140,21 +134,21 @@ def generate_corpus(profile: SyntheticProfile, seed: int) -> Corpus:
                 high = max(2, round(12.0 * float(np.exp(quality))))
                 counts = rng.integers(0, high, size=n_pubs).tolist()
         citations += counts
-        paper_journals += [journal_id] * len(counts)
         topic, uniforms, year = _paper_draws(rng, len(counts), profile.n_topics, bool(unclassified))
-        paper_topics = topic_names[topic]
+        topic = topic.astype(np.int32)
         if unclassified:
-            paper_topics[uniforms[:, 0] < unclassified] = None
-        topic_ids += paper_topics.tolist()
-        doc_types += kinds[(uniforms[:, -1] < profile.review_fraction).view(np.uint8)].tolist()
-        pub_years += years[year].tolist()
+            topic[uniforms[:, 0] < unclassified] = -1
+        journal = np.full(len(counts), position, dtype=np.int32)
+        columns.append((journal, topic, uniforms[:, -1] < profile.review_fraction, _BASE_YEAR - year.astype(np.int32)))
     if max(citations) > _MAX_CITATIONS:
         raise ValueError(f"citations must be <= {_MAX_CITATIONS}, got {max(citations)}")
 
-    # the id list is freed before the other columns are copied to tuples, the peak
+    journal, topic, review, pub_years = map(np.concatenate, zip(*columns))
+    journal_ids, journal = _sorted_table(journal_ids, journal, keep=journals)
+    topics, topic = _sorted_table([f"t{i + 1:02d}" for i in range(profile.n_topics)], topic)
     pub_ids = tuple(["p%06d" % i for i in range(1, len(citations) + 1)])
-    columns = paper_journals, pub_years, doc_types, citations, topic_ids
-    return Corpus(pub_ids, *map(tuple, columns), journals)
+    citations = np.array(citations, dtype=np.int64)
+    return Corpus(pub_ids, journal, topic, review, pub_years, citations, journal_ids, topics, journals)
 
 
 _LOW32 = np.uint64(0xFFFFFFFF)

@@ -15,6 +15,7 @@ from oracles import corpus_from_rows, values  # values is re-exported: the test 
 from jrank.classifier import RelatedRecords, read_related
 from jrank.corpus import (
     Corpus,
+    CorpusFragment,
     DocumentType,
     Journal,
     Publication,
@@ -49,6 +50,17 @@ def corpus_of(pubs, journals=None) -> Corpus:
     if not isinstance(journals, dict):
         journals = {j: Journal(j, f"Journal {j}") for j in journals}
     return corpus_from_rows(pubs, journals)
+
+
+def same_corpus(got: Corpus | CorpusFragment, want: Corpus | CorpusFragment) -> bool:
+    """Whether two corpora hold the same rows and journal table, or two fragments the same rows and row errors.
+
+    A corpus's codes and tables follow from its rows and journal table, so for
+    corpora this is equality.
+    """
+    if isinstance(got, CorpusFragment):
+        return same_corpus(got.corpus, want.corpus) and got.errors == want.errors
+    return got.publications == want.publications and got.journals == want.journals
 
 
 def load_corpus(pubs_path: Path | str, journals_path: Path | str) -> tuple[Corpus, list[RowError]]:

@@ -32,7 +32,7 @@ import math
 from collections import Counter
 from dataclasses import replace
 from itertools import chain
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
@@ -40,7 +40,6 @@ import numpy as np
 
 from jrank.classifier import AssignmentReport, RelatedRecords
 from jrank.corpus import (
-    PUBLICATION_COLUMNS,
     Corpus,
     CorpusFragment,
     DocumentType,
@@ -55,9 +54,23 @@ from jrank.synth import _BASE_YEAR, SKEWED_PREFIX, SyntheticProfile
 
 
 def corpus_from_rows(publications: Iterable[Publication], journals: dict[str, Journal]) -> Corpus:
-    """The corpus of these rows, which it keeps as its ``publications``."""
+    """The corpus of these rows, which it keeps as its ``publications``; its tables are built with plain sorts."""
     rows = tuple(publications)
-    corpus = Corpus(*(tuple(map(attrgetter(name), rows)) for name in PUBLICATION_COLUMNS), journals)
+    journal_ids = tuple(sorted({p.journal_id for p in rows} | journals.keys()))
+    topics = tuple(sorted({p.topic_id for p in rows} - {None}))
+    journal_code = {journal_id: code for code, journal_id in enumerate(journal_ids)}
+    topic_code = {topic_id: code for code, topic_id in enumerate(topics)} | {None: -1}
+    corpus = Corpus(
+        tuple(p.pub_id for p in rows),
+        np.array([journal_code[p.journal_id] for p in rows], dtype=np.int32),
+        np.array([topic_code[p.topic_id] for p in rows], dtype=np.int32),
+        np.array([p.doc_type is DocumentType.REVIEW for p in rows], dtype=bool),
+        np.array([p.pub_year for p in rows], dtype=np.int32),
+        np.array([p.citations for p in rows], dtype=np.int64),
+        journal_ids,
+        topics,
+        journals,
+    )
     corpus.__dict__["publications"] = rows
     return corpus
 
@@ -284,9 +297,9 @@ def reference_assign_majority(
     record with a vote replaces its earlier one.
     """
     topic_of: dict[str, str | None] = {}
-    for pub_id, topic_id in zip(corpus.pub_ids, corpus.topic_ids):
-        if topic_id is not None or pub_id not in topic_of:
-            topic_of[pub_id] = topic_id
+    for p in corpus.publications:
+        if p.topic_id is not None or p.pub_id not in topic_of:
+            topic_of[p.pub_id] = p.topic_id
     assignments: dict[str, str] = {}
     external = already = 0
     for record in related:
@@ -301,14 +314,14 @@ def reference_assign_majority(
         if votes:
             top = max(votes.values())
             assignments[record.pub_id] = min(t for t, n in votes.items() if n == top)
-    topic_ids = tuple(assignments.get(p, t) for p, t in zip(corpus.pub_ids, corpus.topic_ids))
+    rows = [replace(p, topic_id=assignments.get(p.pub_id, p.topic_id)) for p in corpus.publications]
     report = AssignmentReport(
         assigned=len(assignments),
-        still_unclassified=topic_ids.count(None),
+        still_unclassified=sum(p.topic_id is None for p in rows),
         external_ignored=external,
         already_classified=already,
     )
-    return replace(corpus, topic_ids=topic_ids), report
+    return corpus_from_rows(rows, corpus.journals), report
 
 
 def reference_rows(path: Path | str, columns: tuple[str, ...]) -> Iterator[tuple[int, tuple[str, ...]]]:
@@ -377,6 +390,8 @@ def reference_parse_publication(
         year = int(pub_year)
     except ValueError:
         raise ValueError(f"pub_year {pub_year!r} is not an integer") from None
+    if not -(2**31) <= year < 2**31:
+        raise ValueError(f"pub_year must be within int32, got {year}")
     try:
         count = int(citations)
     except ValueError:
@@ -389,22 +404,22 @@ def reference_parse_publication(
 
 
 def reference_load_publications(path: Path | str) -> CorpusFragment:
-    """Publications parsed and appended one row at a time; rejected rows become :class:`RowError` s."""
-    fragment = CorpusFragment(tuple([] for _ in range(6)), [])
+    """Publications parsed one row at a time into :class:`Publication` rows; rejected rows become row errors."""
+    rows: list[Publication] = []
+    errors: list[RowError] = []
     seen: set[str] = set()
     for line, fields in reference_rows(path, ("pub_id", "journal_id", "pub_year", "doc_type", "citations", "topic_id")):
         try:
             values = reference_parse_publication(*fields)
         except ValueError as exc:
-            fragment.errors.append(RowError(line, str(exc)))
+            errors.append(RowError(line, str(exc)))
             continue
         if values[0] in seen:
-            fragment.errors.append(RowError(line, f"duplicate pub_id {values[0]!r}"))
+            errors.append(RowError(line, f"duplicate pub_id {values[0]!r}"))
             continue
         seen.add(values[0])
-        for column, value in zip(fragment.columns, values):
-            column.append(value)
-    return fragment
+        rows.append(Publication(*values))
+    return CorpusFragment(corpus_from_rows(rows, {}), errors)
 
 
 def reference_load_journals(path: Path | str) -> JournalsFragment:

@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import importlib.util
 import sys
+from operator import attrgetter
 from pathlib import Path
 
 from conftest import A, R, pub
+from oracles import reference_generate_corpus, reference_load_publications
 
 import jrank
 import jrank.cli
 import jrank.robustness
-from jrank.corpus import Journal
+from jrank.corpus import Journal, load_publications
+from jrank.synth import SyntheticProfile, generate_corpus, write_corpus_files
 
 
 def test_every_exported_name_resolves_and_appears_once():
@@ -44,3 +47,18 @@ def test_the_oracles_load_by_path_as_the_benchmark_loads_them():
     flipped = oracles.flip_doc_type(corpus)
     assert [p.doc_type for p in flipped.publications] == [R, A, R]
     assert oracles.brute_fncsi(flipped, "jA") == 1.0  # a1 now beats b1 among reviews; a2 is its cell's sole paper
+
+
+def test_the_rows_the_benchmark_reads_match_the_references(tmp_path):
+    # perfbench reads these fields of generate_corpus(...).publications and counts load_publications(path).publications
+    profile = SyntheticProfile(n_journals=30, n_topics=7, pubs_min=5, pubs_max=20, unclassified_fraction=0.3,
+                               skewed_journals=2)
+    fields = attrgetter("pub_id", "journal_id", "pub_year", "doc_type.value", "citations", "topic_id")
+    generated = generate_corpus(profile, seed=3)
+    rows = list(map(fields, generated.publications))
+    assert rows == list(map(fields, reference_generate_corpus(profile, seed=3).publications))
+    types = {tuple(map(type, row)) for row in rows}
+    assert types == {(str, str, int, str, int, str), (str, str, int, str, int, type(None))}
+    pubs_path, _ = write_corpus_files(generated, tmp_path)
+    assert len(load_publications(pubs_path).publications) == len(reference_load_publications(pubs_path).publications)
+    assert len(load_publications(pubs_path).publications) == len(rows)

@@ -1,4 +1,4 @@
-"""Ranking tables, percentile ranks, and Spearman correlation."""
+"""Ranking tables and percentile ranks."""
 
 from __future__ import annotations
 
@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import scores_of
-from oracles import brute_spearman, order_journals
+from oracles import order_journals
 
 from jrank.corpus import Journal
 from jrank.indicators import INDICATOR_KEYS
-from jrank.ranking import InsufficientDataError, RankingTable, correlate, rank, ranks
+from jrank.ranking import RankingTable, rank, ranks
 
 # ties, signed zeros and infinities are drawn often; None is an unrankable journal, NaN in Scores
 _floats = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0.5, math.inf, -math.inf]), st.floats(allow_nan=False))
@@ -121,39 +121,3 @@ class TestRank:
         ids = [f"j{i:02d}" for i in range(len(column))]
         expected = order_journals({j: None if math.isnan(v) else v for j, v in zip(ids, column)})
         assert [ids[i] for i in ranked.argsort()[: len(expected)].tolist()] == expected
-
-
-class TestCorrelate:
-    def test_identical_rankings(self):
-        table = table_from({"jA": 0.9, "jB": 0.7, "jC": 0.5})
-        assert correlate(table, table) == (1.0, 3)
-
-    def test_reversed_rankings(self):
-        values = {f"j{i}": float(i) for i in range(6)}
-        forward = table_from(values)
-        backward = table_from({j: -v for j, v in values.items()})
-        rho, n = correlate(forward, backward)
-        assert rho == -1.0 and n == 6
-
-    def test_too_few_common_journals(self):
-        a = table_from({"jA": 1.0, "jB": 0.5})
-        b = table_from({"jA": 1.0, "jC": 0.5})
-        with pytest.raises(InsufficientDataError):
-            correlate(a, b)
-
-    def test_common_subset_only(self):
-        a = table_from({"jA": 3.0, "jB": 2.0, "jC": 1.0, "only_a": 9.0})
-        b = table_from({"jA": 30.0, "jB": 20.0, "jC": 10.0, "only_b": 0.1})
-        rho, n = correlate(a, b)
-        assert (rho, n) == (1.0, 3)
-
-    def test_matches_naive_pearson_on_random_tables(self):
-        rng = np.random.default_rng(22)
-        for _ in range(25):
-            ids = [f"j{i:02d}" for i in range(int(rng.integers(3, 40)))]
-            a = table_from({j: float(v) for j, v in zip(ids, rng.uniform(0, 1, len(ids)))})
-            b = table_from({j: float(v) for j, v in zip(ids, rng.uniform(0, 1, len(ids)))})
-            rho, n = correlate(a, b)
-            assert n == len(ids)
-            assert rho == pytest.approx(brute_spearman(a.rank_of(), b.rank_of()), abs=1e-12)
-            assert -1.0 <= rho <= 1.0
