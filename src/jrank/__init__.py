@@ -14,7 +14,6 @@ from .corpus import (
     Journal,
     Publication,
     SchemaError,
-    ValidationReport,
     coverage_stats,
     load_journals,
     load_publications,
@@ -55,7 +54,6 @@ __all__ = [
     "SchemaError",
     "Scores",
     "SyntheticProfile",
-    "ValidationReport",
     "assign_majority",
     "bootstrap_rankings",
     "bootstrap_report",

@@ -3,10 +3,14 @@
 Subcommands: validate, classify, compute, rank, bootstrap, flip-test,
 generate, report.  Each subcommand takes only the flags it reads, and a JSON
 config file (``--config``) may set any of them; explicit flags override the
-file.  Outputs are deterministic: rerunning a command with identical inputs
-and seed produces byte-identical files, and every output records the tool
-version, the seed, and a hash of the resolved configuration so results can be
-audited later.
+file.  The five scoring commands (compute, rank, report, bootstrap and
+flip-test) share one path, :func:`cmd_score`, which loads and checks the
+corpus, classifies it when ``--related`` is given, and hands it to the
+command's writer.  An output directory is created with its first file, so a
+command that fails before writing leaves none.  Outputs are deterministic:
+rerunning a command with identical inputs and seed produces byte-identical
+files, and every output records the tool version, the seed, and a hash of the
+resolved configuration so results can be audited later.
 """
 
 from __future__ import annotations
@@ -389,10 +393,10 @@ def _load_checked(config: RunConfig) -> tuple[Corpus, bool]:
     row_errors = bool(pubs.errors or journals.errors)
     corpus = corpus_from_fragments(pubs, journals)
     del pubs  # the fragment's journal codes would otherwise live beside the corpus's through validation
-    report = validate_corpus(corpus)
-    for finding in report:
+    findings = validate_corpus(corpus)
+    for finding in findings:
         print(f"error: {finding}", file=sys.stderr)
-    return corpus, not row_errors and report.ok
+    return corpus, not row_errors and not findings
 
 
 def _classified(config: RunConfig, corpus: Corpus) -> tuple[Corpus, AssignmentReport] | None:
@@ -434,7 +438,6 @@ def cmd_classify(config: RunConfig) -> int:
     if classified is None:
         return 1
     assigned_corpus, report = classified
-    config.output_dir.mkdir(parents=True, exist_ok=True)
     out_path = config.output_dir / "publications_classified.csv"
     write_publications(assigned_corpus, out_path)
     print(
@@ -463,8 +466,8 @@ def _rankings(config: RunConfig, corpus: Corpus, scores: Scores) -> Iterator[Ran
     return (rank(scores, key, scope=config.category, journals=corpus.journals) for key in config.indicators)
 
 
-def cmd_score(write: Callable[[RunConfig, Corpus, Scores], None], config: RunConfig) -> int:
-    """``compute``, ``rank`` and ``report``: load, check, classify with ``--related``, score, then ``write``."""
+def cmd_score(write: Callable[[RunConfig, Corpus], None], config: RunConfig) -> int:
+    """The scoring commands: load, check, classify with ``--related``, then ``write`` the command's files."""
     corpus, clean = _load_checked(config)
     if not clean:
         return 1
@@ -473,25 +476,26 @@ def cmd_score(write: Callable[[RunConfig, Corpus, Scores], None], config: RunCon
         if classified is None:
             return 1
         corpus, _ = classified
-    scores = compute_all(corpus)
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    write(config, corpus, scores)
+    write(config, corpus)
     return 0
 
 
-def _write_compute(config: RunConfig, corpus: Corpus, scores: Scores) -> None:
+def _write_compute(config: RunConfig, corpus: Corpus) -> None:
+    scores = compute_all(corpus)
     _write_indicators(config, scores)
     for table in _rankings(config, corpus, scores):
         _write_ranking(table, config)
 
 
-def _write_rank(config: RunConfig, corpus: Corpus, scores: Scores) -> None:
+def _write_rank(config: RunConfig, corpus: Corpus) -> None:
+    scores = compute_all(corpus)
     for table in _rankings(config, corpus, scores):
         for path in _write_ranking(table, config):
             print(f"wrote {path}")
 
 
-def _write_report(config: RunConfig, corpus: Corpus, scores: Scores) -> None:
+def _write_report(config: RunConfig, corpus: Corpus) -> None:
+    scores = compute_all(corpus)
     coverage = coverage_stats(corpus)
     lines: list[str] = []
     lines.extend(f"# {m}" for m in _meta(config, notes=[_PERCENTILE_NOTE]))
@@ -517,13 +521,9 @@ def _write_report(config: RunConfig, corpus: Corpus, scores: Scores) -> None:
     _write_indicators(config, scores)
 
 
-def cmd_bootstrap(config: RunConfig) -> int:
-    corpus, clean = _load_checked(config)
-    if not clean:
-        return 1
+def _write_bootstrap(config: RunConfig, corpus: Corpus) -> None:
     # raises before any file is written if one key has no rankable journal
     reports = bootstrap_report(corpus, config.indicators, sims=config.sims, seed=config.seed)
-    config.output_dir.mkdir(parents=True, exist_ok=True)
     for key in config.indicators:
         report = reports[key]
         meta = _meta(
@@ -552,15 +552,10 @@ def cmd_bootstrap(config: RunConfig) -> int:
             [(j, *summary) for j, summary in report.per_journal.items()],
         )
         print(f"delta {_KEY_TO_CLI[key]} = {report.delta}")
-    return 0
 
 
-def cmd_flip_test(config: RunConfig) -> int:
-    corpus, clean = _load_checked(config)
-    if not clean:
-        return 1
+def _write_flip_test(config: RunConfig, corpus: Corpus) -> None:
     comparisons = perturbation_comparison(corpus, config.indicators)
-    config.output_dir.mkdir(parents=True, exist_ok=True)
     for key in config.indicators:
         pairs = comparisons[key]
         _write_csv(
@@ -571,7 +566,6 @@ def cmd_flip_test(config: RunConfig) -> int:
         )
         moved = sum(1 for _, a, b in pairs if a is not None and b is not None and a != b)
         print(f"flip-test {_KEY_TO_CLI[key]}: {len(pairs)} journals, {moved} changed rank")
-    return 0
 
 
 def cmd_generate(config: RunConfig) -> int:
@@ -598,8 +592,14 @@ _COMMANDS: dict[str, tuple[Callable[[RunConfig], int], str, tuple[str, ...]]] = 
         partial(cmd_score, _write_compute), "compute all indicators and write ranking tables", (*_IO, *_RANKINGS)
     ),
     "rank": (partial(cmd_score, _write_rank), "write ranking tables for the chosen indicators", (*_IO, *_RANKINGS)),
-    "bootstrap": (cmd_bootstrap, "bootstrap ranking-stability analysis", (*_IO, "indicator", "sims", "seed")),
-    "flip-test": (cmd_flip_test, "document-type flip perturbation analysis", (*_IO, "indicator", "seed")),
+    "bootstrap": (
+        partial(cmd_score, _write_bootstrap),
+        "bootstrap ranking-stability analysis",
+        (*_IO, "indicator", "sims", "seed"),
+    ),
+    "flip-test": (
+        partial(cmd_score, _write_flip_test), "document-type flip perturbation analysis", (*_IO, "indicator", "seed")
+    ),
     "report": (
         partial(cmd_score, _write_report),
         "human-readable summary of indicators and coverage",
@@ -633,7 +633,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config = _resolve_config(args, _config_types(flags))
         config.validate_inputs()
-    except (ValueError, FileNotFoundError) as exc:  # a malformed config file raises a ValueError too
+    except (ValueError, OSError) as exc:  # a malformed config file raises a ValueError, an unreadable one an OSError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

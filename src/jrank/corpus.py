@@ -227,23 +227,6 @@ class Finding:
         return f"{self.code}: {self.subject}: {self.detail}"
 
 
-@dataclass
-class ValidationReport:
-    """Findings from corpus validation; the corpus is acceptable iff empty."""
-
-    findings: list[Finding] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.findings
-
-    def __len__(self) -> int:
-        return len(self.findings)
-
-    def __iter__(self):
-        return iter(self.findings)
-
-
 @dataclass(frozen=True, slots=True)
 class CoverageReport:
     """Topic-classification coverage of a corpus.
@@ -504,10 +487,12 @@ def corpus_from_fragments(pubs: CorpusFragment, journals: JournalsFragment) -> C
 def atomic_write(path: Path | str) -> Iterator[TextIO]:
     """Open ``path`` for text output that appears under its name only once complete.
 
-    The text goes to a temporary file in the same directory, which replaces
-    ``path`` when the block ends and is removed if the block raises.
+    The directory is created, with its parents, if it does not exist.  The
+    text goes to a temporary file in that directory, which replaces ``path``
+    when the block ends and is removed if the block raises.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(temporary, "w", encoding="utf-8", newline="") as fh:
@@ -584,26 +569,26 @@ def write_journals(journals: Mapping[str, Journal], path: Path | str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def validate_corpus(corpus: Corpus) -> ValidationReport:
+def validate_corpus(corpus: Corpus) -> list[Finding]:
     """Check referential integrity; pure, and side-effect free.
 
     Findings cover dangling journal references and duplicate publication
-    ids.  Topics need no check: a corpus's topics are those its publications
-    use.  An empty report means the corpus is acceptable for indicator
-    computation.
+    ids, in row order.  Topics need no check: a corpus's topics are those its
+    publications use.  No finding means the corpus is acceptable for
+    indicator computation.
     """
-    report = ValidationReport()
+    findings: list[Finding] = []
     # a set check and one lookup per journal clear a clean corpus; the row walk only runs to report findings
     if len(set(corpus.pub_ids)) == len(corpus.pub_ids) and all(map(corpus.journals.__contains__, corpus.journal_ids)):
-        return report
+        return findings
     seen: set[str] = set()
     for pub_id, journal_id in zip(corpus.pub_ids, _decode(corpus.journal_ids, corpus.journal)):
         if pub_id in seen:
-            report.findings.append(Finding("duplicate-pub-id", pub_id, "publication id appears more than once"))
+            findings.append(Finding("duplicate-pub-id", pub_id, "publication id appears more than once"))
         seen.add(pub_id)
         if journal_id not in corpus.journals:
-            report.findings.append(Finding("dangling-journal", pub_id, f"journal {journal_id!r} not in journal table"))
-    return report
+            findings.append(Finding("dangling-journal", pub_id, f"journal {journal_id!r} not in journal table"))
+    return findings
 
 
 def coverage_stats(corpus: Corpus) -> CoverageReport:

@@ -31,6 +31,8 @@ SKEWED_PREFIX = "jskew"
 
 _BASE_YEAR = 2018  # papers are published in this year or the one before
 
+_MAX_TOPICS = 2**32  # the most that _paper_draws' 32-bit topic draws can address
+
 
 @dataclass(frozen=True)
 class SyntheticProfile:
@@ -77,6 +79,8 @@ class SyntheticProfile:
             raise ValueError("skewed_journals must be between 0 and n_journals")
         if self.outlier_citations > _MAX_CITATIONS:
             raise ValueError(f"outlier_citations must be <= {_MAX_CITATIONS}")
+        if self.n_topics > _MAX_TOPICS:
+            raise ValueError(f"n_topics must be <= {_MAX_TOPICS}")
 
 
 def generate_corpus(profile: SyntheticProfile, seed: int) -> Corpus:
@@ -121,7 +125,7 @@ def generate_corpus(profile: SyntheticProfile, seed: int) -> Corpus:
             n_tail = n_pubs - n_zero - 1
             counts = [profile.outlier_citations]
             counts += [0] * n_zero
-            counts += [int(rng.lognormal(0.5, 1.0)) for _ in range(n_tail)]
+            counts += map(int, rng.lognormal(0.5, 1.0, n_tail).tolist())
         else:
             # evenly spaced quality levels keep the ranking well separated
             if n_ordinary > 1:
@@ -135,7 +139,7 @@ def generate_corpus(profile: SyntheticProfile, seed: int) -> Corpus:
                 counts = rng.integers(0, high, size=n_pubs).tolist()
         citations += counts
         topic, uniforms, year = _paper_draws(rng, len(counts), profile.n_topics, bool(unclassified))
-        topic = topic.astype(np.int32)
+        topic = topic.astype(np.int64)  # holds every code below 2**32, and -1 for unclassified
         if unclassified:
             topic[uniforms[:, 0] < unclassified] = -1
         journal = np.full(len(counts), position, dtype=np.int32)
@@ -145,7 +149,11 @@ def generate_corpus(profile: SyntheticProfile, seed: int) -> Corpus:
 
     journal, topic, review, pub_years = map(np.concatenate, zip(*columns))
     journal_ids, journal = _sorted_table(journal_ids, journal, keep=journals)
-    topics, topic = _sorted_table([f"t{i + 1:02d}" for i in range(profile.n_topics)], topic)
+    # the table names only the topics drawn, so its size is bounded by the papers, not by n_topics
+    classified = topic >= 0
+    drawn, codes = np.unique(topic[classified], return_inverse=True)
+    topic[classified] = codes
+    topics, topic = _sorted_table([f"t{i + 1:02d}" for i in drawn.tolist()], topic)
     pub_ids = tuple(["p%06d" % i for i in range(1, len(citations) + 1)])
     citations = np.array(citations, dtype=np.int64)
     return Corpus(pub_ids, journal, topic, review, pub_years, citations, journal_ids, topics, journals)
@@ -235,7 +243,6 @@ def _paper_draws(
 def write_corpus_files(corpus: Corpus, out_dir: Path | str) -> tuple[Path, Path]:
     """Write the publications/journals file pair; returns the two paths."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     pubs_path = out / "publications.csv"
     journals_path = out / "journals.csv"
     write_publications(corpus, pubs_path)

@@ -231,7 +231,9 @@ class TestCompute:
             main(["compute", "--pubs", str(pubs), "--journals", str(journals), "--indicator", "h-index"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("command", [["compute"], ["bootstrap", "--sims", "3"], ["flip-test"]])
+    @pytest.mark.parametrize(
+        "command", [["compute"], ["rank"], ["report"], ["bootstrap", "--sims", "3"], ["flip-test"]]
+    )
     def test_cell_citation_sum_beyond_int64_fails_before_writing(self, tmp_path, capsys, command):
         # every count passes ingest, but the cell's sum is 2**63 + 2
         rows = f"a1,jA,2018,Article,{2**62},t1\na2,jA,2018,Article,{2**62},t1\nb1,jB,2018,Article,2,t1\n"
@@ -465,6 +467,16 @@ class TestConfigFile:
         assert "config key sigma" in capsys.readouterr().err
         assert not (tmp_path / "gen").exists()
 
+    def test_unreadable_config_is_usage_error(self, tmp_path, capsys):
+        pubs, journals = write_tiny_corpus(tmp_path)
+        out = tmp_path / "out"
+        code = main(["compute", "--config", str(tmp_path), "--pubs", str(pubs), "--journals", str(journals),
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_sims_floor_enforced(self, tmp_path):
         pubs, journals = write_tiny_corpus(tmp_path)
         assert main(["bootstrap", "--pubs", str(pubs), "--journals", str(journals), "--sims", "0"]) == 2
@@ -619,7 +631,8 @@ class TestReport:
         jb_row = [l for l in (out / "indicators.csv").read_text().splitlines() if l.startswith("jB")][0]
         assert jb_row.split(",")[5] == "2"  # u1 was classified before computing
 
-    def test_corpus_scored_once(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("command", ["compute", "rank", "report"])
+    def test_corpus_scored_once(self, tmp_path, monkeypatch, command):
         pubs, journals = write_tiny_corpus(tmp_path)
         calls = []
 
@@ -628,7 +641,7 @@ class TestReport:
             return compute_all(corpus)
 
         monkeypatch.setattr(cli, "compute_all", counting_compute_all)
-        code = main(["report", "--pubs", str(pubs), "--journals", str(journals), "--out", str(tmp_path / "rep")])
+        code = main([command, "--pubs", str(pubs), "--journals", str(journals), "--out", str(tmp_path / "rep")])
         assert code == 0
         assert len(calls) == 1
 

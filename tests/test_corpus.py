@@ -34,6 +34,7 @@ from jrank.corpus import (
     Journal,
     Publication,
     SchemaError,
+    atomic_write,
     coverage_stats,
     load_journals,
     load_publications,
@@ -479,6 +480,17 @@ class TestWriteReadBack:
             write_publications(replace(corpus, pub_ids=Broken(corpus.pub_ids)), tmp_path / "p.csv")
         assert list(tmp_path.iterdir()) == []
 
+    def test_atomic_write_creates_the_missing_directory(self, tmp_path):
+        out = tmp_path / "a" / "b"
+        with pytest.raises(RuntimeError, match="disk gone"):
+            with atomic_write(out / "t.txt") as fh:
+                fh.write("half")
+                raise RuntimeError("disk gone")
+        assert list(out.iterdir()) == []
+        with atomic_write(out / "t.txt") as fh:
+            fh.write("whole")
+        assert [path.name for path in out.iterdir()] == ["t.txt"] and (out / "t.txt").read_text() == "whole"
+
     def test_writer_that_raises_keeps_the_previous_file(self, tmp_path):
         path = tmp_path / "j.csv"
         write_journals({"jA": Journal("jA", "A", ())}, path)
@@ -632,11 +644,11 @@ class TestValidate:
         corpus = corpus_of([pub("p1", "jA", 3, "t1")], journals=["jB"])
         report = validate_corpus(corpus)
         assert len(report) == 1
-        assert report.findings[0].code == "dangling-journal"
+        assert report[0].code == "dangling-journal"
 
     def test_well_formed_corpus_is_clean(self):
         corpus = corpus_of([pub("p1", "jA", 3, "t1"), pub("p2", "jA", 1, "t1"), pub("p3", "jB", 0, "t2")])
-        assert validate_corpus(corpus).ok
+        assert validate_corpus(corpus) == []
 
     def test_duplicate_pub_id_found(self):
         corpus = corpus_of([pub("p1", "jA", 3, "t1"), pub("p1", "jA", 1, "t1")])
@@ -683,7 +695,7 @@ def _flawed_corpora(draw) -> Corpus:
 @settings(max_examples=500, deadline=None)
 @given(corpus=_flawed_corpora())
 def test_validate_finds_what_a_row_walk_finds(corpus):
-    assert validate_corpus(corpus).findings == walked_findings(corpus)
+    assert validate_corpus(corpus) == walked_findings(corpus)
 
 
 class TestCoverage:

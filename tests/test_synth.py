@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import fields
 
@@ -30,7 +31,7 @@ class TestGenerate:
     def test_generated_corpus_validates_cleanly(self):
         profile = SyntheticProfile(n_journals=10, n_topics=2, pubs_min=5, pubs_max=12)
         corpus = generate_corpus(profile, seed=1)
-        assert validate_corpus(corpus).ok
+        assert validate_corpus(corpus) == []
         assert len(corpus.journals) == 10
         for n_pubs in Counter(p.journal_id for p in corpus.publications).values():
             assert 5 <= n_pubs <= 12
@@ -77,6 +78,7 @@ class TestGenerate:
         [
             {"n_journals": 0},
             {"n_topics": 0},
+            {"n_topics": 2**32 + 1},
             {"pubs_min": 0},
             {"pubs_min": 9, "pubs_max": 5},
             {"citation_dist": "cauchy"},
@@ -97,6 +99,17 @@ class TestGenerate:
     def test_outlier_at_the_int64_limit_is_generated(self):
         profile = SyntheticProfile(n_journals=2, pubs_min=5, pubs_max=5, skewed_journals=1, outlier_citations=2**63 - 1)
         assert max(generate_corpus(profile, seed=1).citations) == 2**63 - 1
+
+    def test_memory_follows_the_topics_drawn_not_the_topic_count(self):
+        # six papers name at most six topics, however many clusters they draw from
+        profile = SyntheticProfile(n_journals=1, n_topics=10**6, pubs_min=6, pubs_max=6)
+        tracemalloc.start()
+        try:
+            corpus = generate_corpus(profile, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(corpus.topics) <= 6 and peak < 1_000_000
 
     def test_negative_quality_spread_allowed(self):
         SyntheticProfile(quality_spread=-2.0).validate()
