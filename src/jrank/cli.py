@@ -143,6 +143,10 @@ class RunConfig:
         for path in (self.publications_path, self.journals_path, self.related_records_path):
             if path is not None and not path.is_file():
                 raise FileNotFoundError(f"input file not found: {path}")
+        # the output directory is made with the first file; the nearest path that exists must be a directory
+        existing = next(path for path in (self.output_dir, *self.output_dir.parents) if path.exists())
+        if not existing.is_dir():
+            raise ValueError(f"--out {self.output_dir}: {existing} exists and is not a directory")
         if self.command == "generate":
             self.profile.validate()
             return
@@ -461,9 +465,9 @@ def _write_indicators(config: RunConfig, scores: Scores) -> None:
         _write_indicators_json(config.output_dir / "indicators.json", meta, scores)
 
 
-def _rankings(config: RunConfig, corpus: Corpus, scores: Scores) -> Iterator[RankingTable]:
+def _rankings(config: RunConfig, scores: Scores) -> Iterator[RankingTable]:
     """One ranking table per requested indicator, in the requested scope."""
-    return (rank(scores, key, scope=config.category, journals=corpus.journals) for key in config.indicators)
+    return (rank(scores, key, scope=config.category) for key in config.indicators)
 
 
 def cmd_score(write: Callable[[RunConfig, Corpus], None], config: RunConfig) -> int:
@@ -483,13 +487,13 @@ def cmd_score(write: Callable[[RunConfig, Corpus], None], config: RunConfig) -> 
 def _write_compute(config: RunConfig, corpus: Corpus) -> None:
     scores = compute_all(corpus)
     _write_indicators(config, scores)
-    for table in _rankings(config, corpus, scores):
+    for table in _rankings(config, scores):
         _write_ranking(table, config)
 
 
 def _write_rank(config: RunConfig, corpus: Corpus) -> None:
     scores = compute_all(corpus)
-    for table in _rankings(config, corpus, scores):
+    for table in _rankings(config, scores):
         for path in _write_ranking(table, config):
             print(f"wrote {path}")
 
@@ -506,7 +510,7 @@ def _write_report(config: RunConfig, corpus: Corpus) -> None:
         f"(publication coverage {coverage.publication_coverage:.4f}, "
         f"journal coverage {coverage.journal_coverage:.4f})"
     )
-    for table in _rankings(config, corpus, scores):
+    for table in _rankings(config, scores):
         scope_note = f" in category {table.scope}" if table.scope else ""
         lines.append("")
         lines.append(f"top journals by {_KEY_TO_CLI[table.indicator_name]}{scope_note}:")

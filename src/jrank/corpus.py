@@ -34,7 +34,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain, compress, islice, repeat
-from operator import is_, itemgetter
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
@@ -73,6 +73,7 @@ class DocumentType(enum.Enum):
 
 
 _DOCUMENT_TYPES = {member.value.lower(): member for member in DocumentType}
+_REVIEW_FLAGS = {tag: member is DocumentType.REVIEW for tag, member in _DOCUMENT_TYPES.items()}
 
 
 @dataclass(frozen=True, slots=True)
@@ -387,12 +388,12 @@ def load_publications(path: Path | str) -> CorpusFragment:
                 except ValueError as exc:
                     errors.append(RowError(line, str(exc)))
             columns = list(map(list, zip(*rows))) or [[]] * len(PUBLICATION_COLUMNS)
-        ids, journals, pub_years, kinds, counts, topics = columns
+        ids, journals, pub_years, reviews, counts, topics = columns
         seen.update(ids)
         pub_ids += ids
         journal.extend(map(journal_code.__getitem__, journals))
         topic.extend(map(topic_code.__getitem__, topics))
-        review.extend(map(is_, kinds, repeat(DocumentType.REVIEW)))
+        review.extend(reviews)
         years.extend(pub_years)
         citations.extend(counts)
     journal_ids, journal_codes = _sorted_table(list(journal_code), np.frombuffer(journal, np.int32))
@@ -403,7 +404,7 @@ def load_publications(path: Path | str) -> CorpusFragment:
 
 
 def _parse_block(block: list[list[str]], seen: set[str]) -> list[Sequence] | None:
-    """The columns of a block, years, document types and citation counts converted as :func:`_parse_publication` does.
+    """The columns of a block, years, review flags and citation counts converted as :func:`_parse_publication` does.
 
     None when any row would be rejected: by :func:`_parse_publication`, or as
     a duplicate of an id in ``seen`` or earlier in the block.
@@ -414,22 +415,22 @@ def _parse_block(block: list[list[str]], seen: set[str]) -> list[Sequence] | Non
         counts = array("q", list(map(int, citations)))
     except (ValueError, OverflowError):
         return None
-    kinds = list(map(_DOCUMENT_TYPES.get, map(str.lower, doc_types)))
+    reviews = list(map(_REVIEW_FLAGS.get, map(str.lower, doc_types)))
     if (
         min(counts) < 0
-        or None in kinds
+        or None in reviews
         or "" in pub_ids
         or "" in journal_ids
         or len(set(pub_ids)) < len(pub_ids)
         or not seen.isdisjoint(pub_ids)
     ):
         return None
-    return [pub_ids, journal_ids, years, kinds, counts, topic_ids]
+    return [pub_ids, journal_ids, years, reviews, counts, topic_ids]
 
 
 def _parse_publication(
     seen: set[str], pub_id: str, journal_id: str, pub_year: str, doc_type: str, citations: str, topic_id: str
-) -> tuple[str, str, int, DocumentType, int, str]:
+) -> tuple[str, str, int, bool, int, str]:
     """One row, converted as its block would be, its id added to ``seen``; ValueError for a row to reject."""
     if not pub_id:
         raise ValueError("empty pub_id")
@@ -449,11 +450,11 @@ def _parse_publication(
         raise ValueError(f"citations must be >= 0, got {count}")
     if count > _MAX_CITATIONS:
         raise ValueError(f"citations must be <= {_MAX_CITATIONS}, got {count}")
-    kind = DocumentType.parse(doc_type)
+    review = DocumentType.parse(doc_type) is DocumentType.REVIEW
     if pub_id in seen:
         raise ValueError(f"duplicate pub_id {pub_id!r}")
     seen.add(pub_id)
-    return pub_id, journal_id, year, kind, count, topic_id
+    return pub_id, journal_id, year, review, count, topic_id
 
 
 def load_journals(path: Path | str) -> JournalsFragment:

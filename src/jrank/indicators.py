@@ -16,7 +16,7 @@ statistics:
   classified or not.
 
 All four come from one columnar kernel, :class:`RankKernel`.  It reads the
-corpus's codes, groups the papers by journal, derives a cell code per paper
+corpus's columns in place, in corpus row order, derives a cell code per paper
 from its topic code and review flag, and sorts the classified papers twice,
 by (cell, citations) and by (journal, cell).  Per cell, ``fncsi`` is a
 normalized Mann-Whitney U statistic in rank-sum form: a journal's paper
@@ -93,27 +93,23 @@ def _check_sums(terms: np.ndarray, starts: np.ndarray) -> None:
 
 @dataclass(eq=False)
 class RankKernel:
-    """A corpus's codes regrouped by journal, and the scoring kernel over them.
+    """The scoring kernel over a corpus's codes, read in place: paper ``i`` is corpus row ``i``.
 
-    Papers are grouped by journal code, journals in id order, and keep corpus
-    order within a journal, so ``journal_sizes`` also lays out a bootstrap
-    resample; paper ``i`` is corpus row ``rows[i]``.  ``cell`` is
-    ``2 * topic code + review flag``, or -1 for an unclassified paper.
-    ``by_cell`` orders the classified papers by (cell, citations), ``by_pair``
-    by (journal, cell).  Journal codes cover the journal table and every
-    journal that publishes; only table journals (``in_table``) are scored.
+    ``cell`` is ``2 * topic code + review flag``, or -1 for an unclassified
+    paper; ``journal``, ``citations`` and the code tables are the corpus's
+    own.  ``by_cell`` orders the classified papers by (cell, citations),
+    ``by_pair`` by (journal, cell).  Journal codes cover the journal table and
+    every journal that publishes; only table journals (``in_table``) are scored.
     """
 
-    journal_ids: tuple[str, ...]
-    topic_ids: tuple[str, ...]
-    in_table: np.ndarray
-    journal: np.ndarray
+    corpus: Corpus
     cell: np.ndarray
-    citations: np.ndarray
-    rows: np.ndarray
 
     def __post_init__(self) -> None:
-        self.journal_sizes = np.bincount(self.journal, minlength=len(self.journal_ids))
+        corpus = self.corpus
+        self.journal_ids, self.topic_ids = corpus.journal_ids, corpus.topics
+        self.journal, self.citations = corpus.journal, corpus.citations
+        self.in_table = np.fromiter(map(corpus.journals.__contains__, self.journal_ids), bool, len(self.journal_ids))
         classified = np.flatnonzero(self.cell >= 0)
         journal, cell, citations = self.journal[classified], self.cell[classified], self.citations[classified]
         self.by_cell = classified[np.lexsort((citations, cell))].astype(np.int32)
@@ -147,17 +143,8 @@ class RankKernel:
     @classmethod
     def from_corpus(cls, corpus: Corpus) -> RankKernel:
         """The kernel of a corpus's codes: its journals, and its topics times the two document types, in table order."""
-        rows = np.argsort(corpus.journal, kind="stable")
-        return cls(
-            journal_ids=corpus.journal_ids,
-            topic_ids=corpus.topics,
-            in_table=np.fromiter(map(corpus.journals.__contains__, corpus.journal_ids), bool, len(corpus.journal_ids)),
-            journal=corpus.journal[rows],
-            # a cell code's low bit is its document type, articles before reviews
-            cell=np.where(corpus.topic < 0, -1, 2 * corpus.topic + corpus.review)[rows],
-            citations=corpus.citations[rows],
-            rows=rows,
-        )
+        # a cell code's low bit is its document type, articles before reviews
+        return cls(corpus, np.where(corpus.topic < 0, -1, 2 * corpus.topic + corpus.review))
 
     def _counts(self, weights: np.ndarray) -> tuple[np.ndarray, ...]:
         """Integer totals per cell code, and integer counts per occupied (journal, cell) pair."""

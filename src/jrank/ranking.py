@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import Journal
 from .indicators import Scores
 
 
@@ -48,24 +47,18 @@ def ranks(values: np.ndarray, sentinel: int) -> np.ndarray:
     return ranked
 
 
-def rank(
-    scores: Scores,
-    key: str,
-    scope: str | None = None,
-    journals: Mapping[str, Journal] | None = None,
-) -> RankingTable:
+def rank(scores: Scores, key: str, scope: str | None = None) -> RankingTable:
     """Rank the journals of the journal table on one indicator, optionally within one category.
 
     Journals unrankable on the chosen indicator are excluded.  With a scope,
-    only journals whose category list contains the label participate (a
-    multi-category journal appears in each of its categories' tables);
-    ``journals`` must then supply the category lists.
+    only journals whose category list, in the scored corpus's journal table,
+    contains the label participate (a multi-category journal appears in each
+    of its categories' tables).
     """
     column = scores.column(key)
     journal_ids = scores.kernel.journal_ids
     if scope is not None:
-        if journals is None:
-            raise ValueError("category-scoped ranking requires the journals mapping")
+        journals = scores.kernel.corpus.journals
         outside = (journal is None or scope not in journal.categories for journal in map(journals.get, journal_ids))
         column[np.fromiter(outside, dtype=bool, count=len(journal_ids))] = math.nan
     n = int(np.count_nonzero(~np.isnan(column)))

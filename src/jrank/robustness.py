@@ -5,8 +5,11 @@ Both analyses encode the corpus once as a
 four indicators, so every requested key is read off the same evaluations.  A
 bootstrap resample redraws every journal's publication list with replacement
 to its original size; it keeps the corpus's papers and changes only how often
-each one counts.  A simulation is therefore one draw for all journals, one
-``bincount`` into weights, one kernel evaluation and one
+each one counts.  :func:`bootstrap_rankings` lays the draw out by journal,
+journals in id order and each journal's papers in corpus order, and maps
+every drawn position back to its corpus row, the kernel's paper order.  A
+simulation is therefore one draw for all journals, one ``bincount`` into
+weights, one kernel evaluation and one
 :func:`~jrank.ranking.ranks` per key into one column of that key's journals x
 simulations matrix, whose rows the report's quartiles and ``delta`` reduce.
 The flip test evaluates the kernel twice, before and after the flip, ranks
@@ -78,14 +81,17 @@ def bootstrap_rankings(
         if not codes.size:
             raise ValueError(f"corpus has no journals rankable on {key!r}")
 
-    # journals in id order, each drawing its size from its own papers
-    sizes = kernel.journal_sizes[kernel.journal_sizes > 0]
+    # journals in id order, each drawing its size from its own papers, which
+    # keep corpus order; by_journal maps a draw back to its corpus row
+    by_journal = np.argsort(corpus.journal, kind="stable")
+    sizes = np.bincount(corpus.journal)
+    sizes = sizes[sizes > 0]
     highs = np.repeat(sizes, sizes)
     offsets = np.repeat(np.cumsum(sizes) - sizes, sizes)
     sampled = {key: np.empty((len(codes), sims), dtype=np.int64) for key, codes in tracked.items()}
     for sim, seq in enumerate(np.random.SeedSequence(seed).spawn(sims)):
         draw = np.random.default_rng(seq).integers(0, highs)
-        scores = kernel.evaluate(np.bincount(draw + offsets, minlength=len(highs)))
+        scores = kernel.evaluate(np.bincount(by_journal[draw + offsets], minlength=len(highs)))
         for key, codes in tracked.items():
             sampled[key][:, sim] = ranks(scores.column(key), len(codes) + 1)[codes]
     return {
@@ -123,14 +129,14 @@ def bootstrap_report(
     return reports
 
 
-def _top_papers(corpus: Corpus, kernel: RankKernel) -> np.ndarray:
-    """Kernel position of every journal's most cited paper, ties to the smallest pub_id in Python str order."""
-    sizes = kernel.journal_sizes[kernel.journal_sizes > 0]
-    most = np.repeat(np.maximum.reduceat(kernel.citations, np.cumsum(sizes) - sizes), sizes)
-    candidates = np.flatnonzero(kernel.citations == most)
-    pub_ids = [corpus.pub_ids[row] for row in kernel.rows[candidates].tolist()]
-    ties = groupby(zip(kernel.journal[candidates].tolist(), pub_ids, candidates.tolist()), key=itemgetter(0))
-    return np.array([min(tied)[2] for _, tied in ties], dtype=np.int64)
+def _top_papers(kernel: RankKernel) -> np.ndarray:
+    """Corpus row of every journal's most cited paper, ties to the smallest pub_id in Python str order."""
+    most = np.zeros(len(kernel.journal_ids), dtype=np.int64)
+    np.maximum.at(most, kernel.journal, kernel.citations)
+    candidates = np.flatnonzero(kernel.citations == most[kernel.journal])
+    pub_ids = map(kernel.corpus.pub_ids.__getitem__, candidates.tolist())
+    ties = sorted(zip(kernel.journal[candidates].tolist(), pub_ids, candidates.tolist()))
+    return np.array([next(tied)[2] for _, tied in groupby(ties, key=itemgetter(0))], dtype=np.int64)
 
 
 def perturbation_comparison(
@@ -144,7 +150,7 @@ def perturbation_comparison(
     """
     kernel = RankKernel.from_corpus(corpus)
     cell = kernel.cell.copy()
-    top = _top_papers(corpus, kernel)
+    top = _top_papers(kernel)
     top = top[cell[top] >= 0]  # an unclassified paper sits in no cell either way
     cell[top] ^= 1  # the document type is the low bit of a cell code
 

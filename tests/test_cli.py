@@ -501,6 +501,23 @@ class TestUsageErrors:
         assert capsys.readouterr().err == "error: --pubs and --journals are required\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("below", ["", "sub"])
+    @pytest.mark.parametrize("command", ["compute", "classify", "bootstrap", "generate"])
+    def test_out_at_or_under_a_file(self, tmp_path, capsys, command, below):
+        pubs, journals = write_tiny_corpus(tmp_path)
+        related = tmp_path / "related.csv"
+        related.write_text("pub_id,related_ids\n", encoding="utf-8")
+        inputs = {
+            "generate": [],
+            "classify": ["--pubs", str(pubs), "--journals", str(journals), "--related", str(related)],
+        }.get(command, ["--pubs", str(pubs), "--journals", str(journals)])
+        afile = tmp_path / "afile"
+        afile.write_bytes(b"not a directory\n")
+        out = afile / below
+        assert main([command, *inputs, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --out {out}: {afile} exists and is not a directory\n"
+        assert afile.read_bytes() == b"not a directory\n"
+
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("command", ["bootstrap", "flip-test", "generate"])
     def test_negative_seed(self, tmp_path, capsys, command, source):

@@ -89,6 +89,12 @@ class TestBuildCells:
             corpus = random_corpus(rng, max_journals=6, max_pubs=60, max_topics=12, unclassified_p=0.3)
             assert RankKernel.from_corpus(corpus).topic_ids == corpus.topics
 
+    def test_reads_the_corpus_columns_in_place(self):
+        corpus = random_corpus(np.random.default_rng(4), max_journals=6, max_pubs=60, max_topics=3)
+        kernel = RankKernel.from_corpus(corpus)
+        assert np.shares_memory(kernel.journal, corpus.journal)
+        assert np.shares_memory(kernel.citations, corpus.citations)
+
 
 class TestCsiCell:
     def test_worked_example_matches_all_pairs(self):
@@ -432,8 +438,7 @@ class TestWeightedEvaluation:
                                tie_heavy=tie_heavy, unclassified_p=0.1)
         kernel = RankKernel.from_corpus(corpus)
         weights = weights_for(kernel, data)
-        rows = corpus.publications
-        expanded = [rows[row] for row, w in zip(kernel.rows.tolist(), weights) for _ in range(w)]
+        expanded = [row for row, w in zip(corpus.publications, weights) for _ in range(w)]
         repeated = RankKernel.from_corpus(corpus_from_rows(expanded, corpus.journals))
         assert indicators_by_id(kernel.evaluate(weights)) == indicators_by_id(repeated.evaluate())
 
