@@ -475,6 +475,9 @@ def cmd_score(write: Callable[[RunConfig, Corpus], None], config: RunConfig) -> 
     corpus, clean = _load_checked(config)
     if not clean:
         return 1
+    if config.category is not None and not any(config.category in j.categories for j in corpus.journals.values()):
+        print(f"error: no journal in the journal table has category {config.category!r}", file=sys.stderr)
+        return 1
     if config.related_records_path is not None:
         classified = _classified(config, corpus)
         if classified is None:

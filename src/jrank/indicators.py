@@ -93,30 +93,32 @@ def _check_sums(terms: np.ndarray, starts: np.ndarray) -> None:
 
 @dataclass(eq=False)
 class RankKernel:
-    """The scoring kernel over a corpus's codes, read in place: paper ``i`` is corpus row ``i``.
+    """The scoring kernel of a corpus, whose codes it reads in place: paper ``i`` is corpus row ``i``.
 
-    ``cell`` is ``2 * topic code + review flag``, or -1 for an unclassified
-    paper; ``journal``, ``citations`` and the code tables are the corpus's
-    own.  ``by_cell`` orders the classified papers by (cell, citations),
-    ``by_pair`` by (journal, cell).  Journal codes cover the journal table and
-    every journal that publishes; only table journals (``in_table``) are scored.
+    A paper's cell code is ``2 * topic code + review flag``, articles before
+    reviews, or -1 for an unclassified paper; it is derived while the kernel
+    is built and not kept.  ``journal``, ``citations`` and the code tables are
+    the corpus's own.  ``by_cell`` orders the classified papers by (cell,
+    citations), ``by_pair`` by (journal, cell).  Journal codes cover the
+    journal table and every journal that publishes; only table journals
+    (``in_table``) are scored.
     """
 
     corpus: Corpus
-    cell: np.ndarray
 
     def __post_init__(self) -> None:
         corpus = self.corpus
         self.journal_ids, self.topic_ids = corpus.journal_ids, corpus.topics
         self.journal, self.citations = corpus.journal, corpus.citations
         self.in_table = np.fromiter(map(corpus.journals.__contains__, self.journal_ids), bool, len(self.journal_ids))
-        classified = np.flatnonzero(self.cell >= 0)
-        journal, cell, citations = self.journal[classified], self.cell[classified], self.citations[classified]
+        codes = np.where(corpus.topic < 0, -1, 2 * corpus.topic + corpus.review)
+        classified = np.flatnonzero(codes >= 0)
+        journal, cell, citations = self.journal[classified], codes[classified], self.citations[classified]
         self.by_cell = classified[np.lexsort((citations, cell))].astype(np.int32)
         self.by_pair = classified[np.lexsort((cell, journal))].astype(np.int32)
 
         # runs of equal (cell, citations) along by_cell, grouped by cell
-        cell = self.cell[self.by_cell]
+        cell = codes[self.by_cell]
         citations = self.citations[self.by_cell]
         self._runs = _run_starts(cell, citations)
         run_cell = cell[self._runs]
@@ -124,14 +126,14 @@ class RankKernel:
         self._cell_starts = _run_starts(run_cell)
         self._cells = run_cell[self._cell_starts]
         self._cell_of_run = _group_of(self._cell_starts, len(self._runs))
-        run_of_paper = np.empty(len(self.cell), dtype=np.int32)
+        run_of_paper = np.empty(len(codes), dtype=np.int32)
         run_of_paper[self.by_cell] = _group_of(self._runs, len(self.by_cell))
 
         # occupied (journal, cell) pairs along by_pair, each paper matched to
         # its run above; pairs grouped by (journal, topic)
         self._run_of_paired = run_of_paper[self.by_pair]
         journal = self.journal[self.by_pair]
-        cell = self.cell[self.by_pair]
+        cell = codes[self.by_pair]
         self._pair_starts = _run_starts(journal, cell)
         self.pair_journal = journal[self._pair_starts]
         self.pair_cell = cell[self._pair_starts]
@@ -139,12 +141,6 @@ class RankKernel:
         self._group_of_pair = _group_of(self._topic_starts, len(self._pair_starts))
         self._group_journal = self.pair_journal[self._topic_starts]
         self._group_topic = self.pair_cell[self._topic_starts] >> 1
-
-    @classmethod
-    def from_corpus(cls, corpus: Corpus) -> RankKernel:
-        """The kernel of a corpus's codes: its journals, and its topics times the two document types, in table order."""
-        # a cell code's low bit is its document type, articles before reviews
-        return cls(corpus, np.where(corpus.topic < 0, -1, 2 * corpus.topic + corpus.review))
 
     def _counts(self, weights: np.ndarray) -> tuple[np.ndarray, ...]:
         """Integer totals per cell code, and integer counts per occupied (journal, cell) pair."""
@@ -276,4 +272,4 @@ class Scores:
 
 def compute_all(corpus: Corpus) -> Scores:
     """All four indicators for every journal: the ``Scores`` of one encoding and one unweighted evaluation."""
-    return RankKernel.from_corpus(corpus).evaluate()
+    return RankKernel(corpus).evaluate()

@@ -1,19 +1,21 @@
 """Ranking-stability analysis: bootstrap resampling and the document-type flip.
 
-Both analyses encode the corpus once as a
-:class:`~jrank.indicators.RankKernel`, and each kernel evaluation scores all
-four indicators, so every requested key is read off the same evaluations.  A
-bootstrap resample redraws every journal's publication list with replacement
-to its original size; it keeps the corpus's papers and changes only how often
-each one counts.  :func:`bootstrap_rankings` lays the draw out by journal,
-journals in id order and each journal's papers in corpus order, and maps
-every drawn position back to its corpus row, the kernel's paper order.  A
-simulation is therefore one draw for all journals, one ``bincount`` into
-weights, one kernel evaluation and one
-:func:`~jrank.ranking.ranks` per key into one column of that key's journals x
-simulations matrix, whose rows the report's quartiles and ``delta`` reduce.
-The flip test evaluates the kernel twice, before and after the flip, ranks
-each side into one array per key and joins the two by journal code.
+Each evaluation of a :class:`~jrank.indicators.RankKernel` scores all four
+indicators, so every requested key is read off the same evaluations.  The
+bootstrap encodes the corpus once.  A bootstrap resample redraws every
+journal's publication list with replacement to its original size; it keeps
+the corpus's papers and changes only how often each one counts.
+:func:`bootstrap_rankings` lays the draw out by journal, journals in id order
+and each journal's papers in corpus order, and maps every drawn position back
+to its corpus row, the kernel's paper order.  A simulation is therefore one
+draw for all journals, one ``bincount`` into weights, one kernel evaluation
+and one :func:`~jrank.ranking.ranks` per key into one column of that key's
+journals x simulations matrix, whose rows the report's quartiles and
+``delta`` reduce.  The flip test scores two corpora with
+:func:`~jrank.indicators.compute_all`: the one given, and a copy whose only
+change is that each journal's most cited paper has the other document type.
+It ranks each side into one array per key before it scores the next, so one
+kernel is alive at a time, and joins the two sides by journal code.
 Per-simulation seeds are spawned deterministically from the master seed, so a
 report is reproducible bit for bit.
 
@@ -33,7 +35,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .corpus import Corpus
-from .indicators import RankKernel, Scores
+from .indicators import RankKernel, Scores, compute_all
 from .ranking import ranks
 
 
@@ -74,7 +76,7 @@ def bootstrap_rankings(
     """
     if sims < 1:
         raise ValueError(f"sims must be >= 1, got {sims}")
-    kernel = RankKernel.from_corpus(corpus)
+    kernel = RankKernel(corpus)
     scores = kernel.evaluate()
     tracked = {key: np.flatnonzero(~np.isnan(scores.column(key))) for key in keys}
     for key, codes in tracked.items():
@@ -129,13 +131,13 @@ def bootstrap_report(
     return reports
 
 
-def _top_papers(kernel: RankKernel) -> np.ndarray:
+def _top_papers(corpus: Corpus) -> np.ndarray:
     """Corpus row of every journal's most cited paper, ties to the smallest pub_id in Python str order."""
-    most = np.zeros(len(kernel.journal_ids), dtype=np.int64)
-    np.maximum.at(most, kernel.journal, kernel.citations)
-    candidates = np.flatnonzero(kernel.citations == most[kernel.journal])
-    pub_ids = map(kernel.corpus.pub_ids.__getitem__, candidates.tolist())
-    ties = sorted(zip(kernel.journal[candidates].tolist(), pub_ids, candidates.tolist()))
+    most = np.zeros(len(corpus.journal_ids), dtype=np.int64)
+    np.maximum.at(most, corpus.journal, corpus.citations)
+    candidates = np.flatnonzero(corpus.citations == most[corpus.journal])
+    pub_ids = map(corpus.pub_ids.__getitem__, candidates.tolist())
+    ties = sorted(zip(corpus.journal[candidates].tolist(), pub_ids, candidates.tolist()))
     return np.array([next(tied)[2] for _, tied in groupby(ties, key=itemgetter(0))], dtype=np.int64)
 
 
@@ -148,17 +150,14 @@ def perturbation_comparison(
     rank (journals unrankable in the original corpus last), with None where a
     journal is unrankable on that side.
     """
-    kernel = RankKernel.from_corpus(corpus)
-    cell = kernel.cell.copy()
-    top = _top_papers(kernel)
-    top = top[cell[top] >= 0]  # an unclassified paper sits in no cell either way
-    cell[top] ^= 1  # the document type is the low bit of a cell code
+    review = corpus.review.copy()
+    review[_top_papers(corpus)] ^= True
 
     def ranked(scores: Scores) -> dict[str, np.ndarray]:
-        # each side is ranked as soon as it is scored, so its Scores is freed before the flip is encoded
+        # each side is ranked as soon as it is scored, so its Scores and kernel are freed before the next is built
         return {key: ranks(scores.column(key), 0) for key in keys}
 
-    sides = (ranked(kernel.evaluate()), ranked(replace(kernel, cell=cell).evaluate()))
+    sides = [ranked(compute_all(side)) for side in (corpus, replace(corpus, review=review))]
     comparisons = {}
     for key in keys:
         original, perturbed = (side[key] for side in sides)
@@ -166,5 +165,5 @@ def perturbation_comparison(
         # by original rank; journals unrankable there come after every rank, in id order
         codes = codes[np.argsort(np.where(original > 0, original, len(original) + 1)[codes], kind="stable")]
         rows = zip(codes.tolist(), original[codes].tolist(), perturbed[codes].tolist())
-        comparisons[key] = [(kernel.journal_ids[code], before or None, after or None) for code, before, after in rows]
+        comparisons[key] = [(corpus.journal_ids[code], before or None, after or None) for code, before, after in rows]
     return comparisons

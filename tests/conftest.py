@@ -125,7 +125,7 @@ def scores_of(journals, breakdowns=None, **arrays) -> Scores:
     """
     breakdowns = breakdowns or {}
     pubs = [pub(f"p{i}", j, 0, t) for i, (j, t) in enumerate((j, t) for j in breakdowns for t in breakdowns[j])]
-    scores = RankKernel.from_corpus(corpus_of(pubs, journals=journals)).evaluate()
+    scores = RankKernel(corpus_of(pubs, journals=journals)).evaluate()
     groups = [breakdowns[j][t] for j in scores.kernel.journal_ids for t in sorted(breakdowns.get(j, ()))]
     return replace(
         scores,
@@ -140,7 +140,7 @@ def cell_scores(corpus: Corpus) -> dict[tuple[str, str, DocumentType], tuple[flo
 
     The score is None where the journal is its cell's sole publisher.
     """
-    scores = RankKernel.from_corpus(corpus).evaluate()
+    scores = RankKernel(corpus).evaluate()
     kernel = scores.kernel
     return {
         (kernel.journal_ids[j], kernel.topic_ids[c >> 1], (A, R)[c & 1]): (None if math.isnan(p) else p, n)

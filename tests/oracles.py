@@ -173,7 +173,7 @@ def brute_spearman(ranks_a: dict[str, int], ranks_b: dict[str, int]) -> float:
 
 def values(corpus: Corpus, key: str) -> dict[str, float | None]:
     """One indicator for every journal of the journal table, in id order; None where undefined."""
-    scores = RankKernel.from_corpus(corpus).evaluate()
+    scores = RankKernel(corpus).evaluate()
     kernel = scores.kernel
     column = scores.column(key).tolist()
     return {

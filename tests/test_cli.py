@@ -207,6 +207,18 @@ class TestCompute:
                 if l and not l.startswith("#") and not l.startswith("journal_id")]
         assert [r.split(",")[0] for r in rows] == ["jB"]
 
+    @pytest.mark.parametrize("category", ["NOPE", " X "])
+    @pytest.mark.parametrize("command", ["compute", "rank", "report"])
+    def test_category_no_journal_carries_writes_nothing(self, tmp_path, capsys, command, category):
+        # labels are stripped at ingest, so " X " names no journal's category although X does
+        pubs, journals = write_tiny_corpus(tmp_path)
+        out = tmp_path / "out"
+        code = main([command, "--pubs", str(pubs), "--journals", str(journals), "--out", str(out),
+                     "--category", category])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: no journal in the journal table has category {category!r}\n"
+        assert not out.exists()
+
     def test_percentile_formula_quoted_in_header(self, tmp_path):
         pubs, journals = write_tiny_corpus(tmp_path)
         out = tmp_path / "out"
@@ -349,30 +361,35 @@ class TestRobustnessCommands:
         assert capsys.readouterr().err == "error: corpus has no journals rankable on 'fncsi'\n"
         assert list(out.iterdir()) == []
 
-    @pytest.mark.parametrize("command, evaluations, files", [("bootstrap", 7 + 1, 8), ("flip-test", 2, 4)])
-    def test_one_encoding_and_evaluations_independent_of_key_count(
-        self, generated, tmp_path, monkeypatch, command, evaluations, files
+    @pytest.mark.parametrize(
+        "command, encodings, evaluations, files_per_key", [("bootstrap", 1, 7 + 1, 2), ("flip-test", 2, 2, 1)]
+    )
+    def test_encodings_and_evaluations_independent_of_key_count(
+        self, generated, tmp_path, monkeypatch, command, encodings, evaluations, files_per_key
     ):
         pubs, journals = generated
-        from_corpus, evaluate = RankKernel.from_corpus.__func__, RankKernel.evaluate
-        calls = {"from_corpus": 0, "evaluate": 0}
+        post_init, evaluate = RankKernel.__post_init__, RankKernel.evaluate
+        calls = {}
 
-        def counting_from_corpus(cls, corpus):
-            calls["from_corpus"] += 1
-            return from_corpus(cls, corpus)
+        def counting_post_init(self):
+            calls["encode"] += 1
+            post_init(self)
 
         def counting_evaluate(self, weights=None):
             calls["evaluate"] += 1
             return evaluate(self, weights)
 
-        monkeypatch.setattr(RankKernel, "from_corpus", classmethod(counting_from_corpus))
+        monkeypatch.setattr(RankKernel, "__post_init__", counting_post_init)
         monkeypatch.setattr(RankKernel, "evaluate", counting_evaluate)
         sims = ["--sims", "7"] if command == "bootstrap" else []
-        code = main([command, "--pubs", str(pubs), "--journals", str(journals), "--out", str(tmp_path / "out"),
-                     *sims])
-        assert code == 0
-        assert len(list((tmp_path / "out").iterdir())) == files  # all four indicators
-        assert calls == {"from_corpus": 1, "evaluate": evaluations}
+        for keys, n_keys in ((["--indicator", "fncsi"], 1), ([], 4)):  # one key, then the default four
+            calls.update(encode=0, evaluate=0)
+            out = tmp_path / f"out{n_keys}"
+            code = main([command, "--pubs", str(pubs), "--journals", str(journals), "--out", str(out),
+                         *keys, *sims])
+            assert code == 0
+            assert len(list(out.iterdir())) == files_per_key * n_keys
+            assert calls == {"encode": encodings, "evaluate": evaluations}
 
     def test_bootstrap_leaves_numpy_ma_unimported(self, generated, tmp_path):
         # importing numpy.ma costs time and peak memory in every bootstrap child; np.quantile pulls it in

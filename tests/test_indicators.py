@@ -41,8 +41,8 @@ def cell_members(kernel):
     """(topic, doc type) -> [(journal_id, citations)] in the kernel's by-cell order."""
     cells = {}
     for i in kernel.by_cell.tolist():
-        code = int(kernel.cell[i])
-        key = (kernel.topic_ids[code >> 1], (A, R)[code & 1])
+        topic, review = int(kernel.corpus.topic[i]), bool(kernel.corpus.review[i])
+        key = (kernel.topic_ids[topic], (A, R)[review])
         cells.setdefault(key, []).append((kernel.journal_ids[kernel.journal[i]], int(kernel.citations[i])))
     return cells
 
@@ -50,7 +50,7 @@ def cell_members(kernel):
 class TestBuildCells:
     def test_direct_grouping(self):
         corpus = corpus_of([pub("p1", "jA", 3, "t1"), pub("p2", "jB", 1, "t1")])
-        kernel = RankKernel.from_corpus(corpus)
+        kernel = RankKernel(corpus)
         cells = cell_members(kernel)
         assert set(cells) == {("t1", A)}
         assert [c for _, c in cells["t1", A]] == [1, 3]
@@ -60,7 +60,7 @@ class TestBuildCells:
 
     def test_doc_type_splits_cells(self):
         corpus = corpus_of([pub("p1", "jA", 3, "t1"), pub("p2", "jB", 1, "t1", doc=R)])
-        kernel = RankKernel.from_corpus(corpus)
+        kernel = RankKernel(corpus)
         assert {doc for _, doc in cell_members(kernel)} == {DocumentType.ARTICLE, DocumentType.REVIEW}
         assert kernel.evaluate().cell_total.tolist() == [1, 1]
 
@@ -71,7 +71,7 @@ class TestBuildCells:
                 doc=R if rng.random() < 0.4 else A)
             for i in range(10)
         ]
-        kernel = RankKernel.from_corpus(corpus_of(pubs))
+        kernel = RankKernel(corpus_of(pubs))
         assert kernel.evaluate().cell_total.sum() == 10
         # per-journal multiplicities never exceed the cell histogram
         for members in cell_members(kernel).values():
@@ -81,17 +81,17 @@ class TestBuildCells:
 
     def test_unclassified_publications_excluded(self):
         corpus = corpus_of([pub("p1", "jA", 3, "t1"), pub("p2", "jA", 9, None)])
-        assert RankKernel.from_corpus(corpus).evaluate().cell_total.tolist() == [1, 0]
+        assert RankKernel(corpus).evaluate().cell_total.tolist() == [1, 0]
 
     def test_cell_topics_are_the_corpus_topics(self):
         rng = np.random.default_rng(8)
         for _ in range(5):
             corpus = random_corpus(rng, max_journals=6, max_pubs=60, max_topics=12, unclassified_p=0.3)
-            assert RankKernel.from_corpus(corpus).topic_ids == corpus.topics
+            assert RankKernel(corpus).topic_ids == corpus.topics
 
     def test_reads_the_corpus_columns_in_place(self):
         corpus = random_corpus(np.random.default_rng(4), max_journals=6, max_pubs=60, max_topics=3)
-        kernel = RankKernel.from_corpus(corpus)
+        kernel = RankKernel(corpus)
         assert np.shares_memory(kernel.journal, corpus.journal)
         assert np.shares_memory(kernel.citations, corpus.citations)
 
@@ -415,7 +415,7 @@ def weights_for(kernel, data, low=0, high=3):
 class TestWeightedEvaluation:
     @pytest.fixture
     def kernel(self):
-        return RankKernel.from_corpus(cell_of([3, 1], [2, 2]))
+        return RankKernel(cell_of([3, 1], [2, 2]))
 
     @pytest.mark.parametrize(
         "weights",
@@ -436,17 +436,17 @@ class TestWeightedEvaluation:
     def test_weights_score_as_repeated_papers(self, seed, tie_heavy, data):
         corpus = random_corpus(np.random.default_rng(seed), max_journals=8, max_pubs=150, max_topics=4,
                                tie_heavy=tie_heavy, unclassified_p=0.1)
-        kernel = RankKernel.from_corpus(corpus)
+        kernel = RankKernel(corpus)
         weights = weights_for(kernel, data)
         expanded = [row for row, w in zip(corpus.publications, weights) for _ in range(w)]
-        repeated = RankKernel.from_corpus(corpus_from_rows(expanded, corpus.journals))
+        repeated = RankKernel(corpus_from_rows(expanded, corpus.journals))
         assert indicators_by_id(kernel.evaluate(weights)) == indicators_by_id(repeated.evaluate())
 
     @settings(max_examples=300, deadline=None)
     @given(sizes=st.lists(st.integers(1, 6), min_size=2, max_size=4), citations=st.integers(0, 50), data=st.data())
     def test_pure_tie_cell_is_exactly_half(self, sizes, citations, data):
         pubs = [pub(f"p{j}_{i}", f"j{j}", citations, "t1") for j, size in enumerate(sizes) for i in range(size)]
-        kernel = RankKernel.from_corpus(corpus_of(pubs))
+        kernel = RankKernel(corpus_of(pubs))
         assert kernel.evaluate(weights_for(kernel, data, 1, 4)).pair_score.tolist() == [0.5] * len(sizes)
 
     @settings(max_examples=300, deadline=None)
@@ -456,7 +456,7 @@ class TestWeightedEvaluation:
         data=st.data(),
     )
     def test_two_journal_complement_is_exact(self, own, others, data):
-        kernel = RankKernel.from_corpus(cell_of(own, others))
+        kernel = RankKernel(cell_of(own, others))
         pa, pb = kernel.evaluate(weights_for(kernel, data, 1, 4)).pair_score.tolist()
         assert pa + pb == 1.0
 
@@ -468,7 +468,7 @@ class TestInt64Limit:
     """Citation sums and products are exact int64 or rejected, never wrapped."""
 
     def kernel_of(self, citations, topic="t1"):
-        return RankKernel.from_corpus(corpus_of([pub(f"a{i}", "jA", c, topic) for i, c in enumerate(citations)]))
+        return RankKernel(corpus_of([pub(f"a{i}", "jA", c, topic) for i, c in enumerate(citations)]))
 
     @pytest.mark.parametrize(
         "papers",
@@ -488,7 +488,7 @@ class TestInt64Limit:
         assert self.kernel_of([_LIMIT]).evaluate().fnif.tolist() == [1.0]
         # own citations times the cell's paper count is exactly 2**63 - 1
         pubs = [pub("a", "jA", _LIMIT // 7, "t1")] + [pub(f"b{i}", "jB", 0, "t1") for i in range(6)]
-        scores = RankKernel.from_corpus(corpus_of(pubs)).evaluate()
+        scores = RankKernel(corpus_of(pubs)).evaluate()
         assert scores.cell_citations.tolist() == [_LIMIT // 7, 0] and scores.fnif.tolist() == [7.0, 0.0]
 
     @pytest.mark.parametrize(
@@ -528,7 +528,7 @@ class TestWeightLimit:
 
     def tied_pair(self):
         # two one-paper journals tied at 0 citations in one cell
-        return RankKernel.from_corpus(corpus_of([pub("a", "jA", 0, "t1"), pub("b", "jB", 0, "t1")]))
+        return RankKernel(corpus_of([pub("a", "jA", 0, "t1"), pub("b", "jB", 0, "t1")]))
 
     @pytest.mark.parametrize(
         "weights",

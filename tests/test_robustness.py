@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from jrank.corpus import DocumentType, Journal
 from jrank.indicators import INDICATOR_KEYS, compute_all
 from jrank.ranking import RankingTable, rank
 from jrank.robustness import bootstrap_rankings, bootstrap_report, perturbation_comparison, relative_change
+from jrank.synth import SyntheticProfile, generate_corpus
 
 
 def rank_of(table: RankingTable) -> dict[str, int]:
@@ -256,6 +258,21 @@ class TestPerturbationComparison:
                 journal_ids = sorted(original.keys() | perturbed.keys(), key=lambda j: (original.get(j, math.inf), j))
                 rows = [(j, original.get(j), perturbed.get(j)) for j in journal_ids]
                 assert comparisons[key] == rows
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_holds_one_kernel_at_a_time(self, seed):
+        # a second kernel built while the first side's is alive lifts the peak by about a third
+        profile = SyntheticProfile(n_journals=60, n_topics=50, pubs_min=50, pubs_max=150, skewed_journals=3)
+        corpus = generate_corpus(profile, seed=seed)
+        peaks = []
+        for run in (lambda: compute_all(corpus), lambda: perturbation_comparison(corpus, INDICATOR_KEYS)):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.15 * peaks[0], f"flip test peak {peaks[1]} B against {peaks[0]} B for compute_all"
 
     def test_tie_broken_in_str_order_where_a_trailing_nul_counts(self):
         # "a" < "a\0" as Python strings; a fixed-width numpy string array reads them as equal
