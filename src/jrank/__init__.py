@@ -22,16 +22,8 @@ from .corpus import (
     write_publications,
 )
 from .indicators import INDICATOR_KEYS, RankKernel, Scores, compute_all
-from .ranking import RankingRow, RankingTable, rank
-from .robustness import (
-    RankingSamples,
-    RankSummary,
-    RobustnessReport,
-    bootstrap_rankings,
-    bootstrap_report,
-    perturbation_comparison,
-    relative_change,
-)
+from .ranking import rank
+from .robustness import bootstrap_rankings, bootstrap_report, perturbation_comparison, relative_change
 from .synth import SyntheticProfile, generate_corpus, write_corpus_files
 
 __version__ = "0.1.0"
@@ -45,12 +37,7 @@ __all__ = [
     "Journal",
     "Publication",
     "RankKernel",
-    "RankSummary",
-    "RankingRow",
-    "RankingSamples",
-    "RankingTable",
     "RelatedRecords",
-    "RobustnessReport",
     "SchemaError",
     "Scores",
     "SyntheticProfile",

@@ -42,7 +42,7 @@ from .corpus import (
     write_table,
 )
 from .indicators import INDICATOR_KEYS, Scores, compute_all
-from .ranking import RankingTable, rank
+from .ranking import rank
 from .robustness import bootstrap_report, perturbation_comparison
 from .synth import CITATION_DISTRIBUTIONS, SyntheticProfile, generate_corpus, write_corpus_files
 
@@ -52,7 +52,9 @@ _KEY_TO_CLI = {v: k for k, v in _CLI_KEYS.items()}
 
 _json_string = json.encoder.encode_basestring_ascii
 
-_SUMMARY_FIELDS = ("min", "q1", "median", "q3", "max")  # bootstrap JSON names of the RankSummary fields, in order
+_RANKING_FIELDS = ("journal_id", "value", "rank", "percentile")  # a rank() row: CSV header and JSON keys
+
+_SUMMARY_FIELDS = ("min", "q1", "median", "q3", "max")  # bootstrap JSON names of a report row's rank summary, in order
 
 _PERCENTILE_NOTE = "percentile = 100 * (N - rank + 1) / N within the ranked set; higher is better"
 
@@ -356,25 +358,20 @@ def _slug(label: str) -> str:
     return "".join(ch if ch.isalnum() else "_" for ch in label)
 
 
-def _write_ranking(table: RankingTable, config: RunConfig) -> list[Path]:
-    suffix = f"_{_slug(table.scope)}" if table.scope else ""
-    stem = f"ranking_{table.indicator_name}{suffix}"
+def _write_ranking(key: str, rows: list[tuple[str, float, int, float]], config: RunConfig) -> list[Path]:
+    """Write ``rank()``'s rows for ``key``, in ``config.category``'s scope, in each requested format."""
+    scope = config.category
+    stem = f"ranking_{key}_{_slug(scope)}" if scope else f"ranking_{key}"
     meta = _meta(config, notes=[_PERCENTILE_NOTE])
     written = []
     if "csv" in config.formats:
         path = config.output_dir / f"{stem}.csv"
-        _write_csv(path, meta, ("journal_id", "value", "rank", "percentile"), table.rows)
+        _write_csv(path, meta, _RANKING_FIELDS, rows)
         written.append(path)
     if "json" in config.formats:
         path = config.output_dir / f"{stem}.json"
         _write_json(
-            path,
-            meta,
-            {
-                "indicator": table.indicator_name,
-                "scope": table.scope,
-                "rows": [row._asdict() for row in table.rows],
-            },
+            path, meta, {"indicator": key, "scope": scope, "rows": [dict(zip(_RANKING_FIELDS, row)) for row in rows]}
         )
         written.append(path)
     return written
@@ -465,11 +462,6 @@ def _write_indicators(config: RunConfig, scores: Scores) -> None:
         _write_indicators_json(config.output_dir / "indicators.json", meta, scores)
 
 
-def _rankings(config: RunConfig, scores: Scores) -> Iterator[RankingTable]:
-    """One ranking table per requested indicator, in the requested scope."""
-    return (rank(scores, key, scope=config.category) for key in config.indicators)
-
-
 def cmd_score(write: Callable[[RunConfig, Corpus], None], config: RunConfig) -> int:
     """The scoring commands: load, check, classify with ``--related``, then ``write`` the command's files."""
     corpus, clean = _load_checked(config)
@@ -490,14 +482,14 @@ def cmd_score(write: Callable[[RunConfig, Corpus], None], config: RunConfig) -> 
 def _write_compute(config: RunConfig, corpus: Corpus) -> None:
     scores = compute_all(corpus)
     _write_indicators(config, scores)
-    for table in _rankings(config, scores):
-        _write_ranking(table, config)
+    for key in config.indicators:
+        _write_ranking(key, rank(scores, key, scope=config.category), config)
 
 
 def _write_rank(config: RunConfig, corpus: Corpus) -> None:
     scores = compute_all(corpus)
-    for table in _rankings(config, scores):
-        for path in _write_ranking(table, config):
+    for key in config.indicators:
+        for path in _write_ranking(key, rank(scores, key, scope=config.category), config):
             print(f"wrote {path}")
 
 
@@ -513,13 +505,13 @@ def _write_report(config: RunConfig, corpus: Corpus) -> None:
         f"(publication coverage {coverage.publication_coverage:.4f}, "
         f"journal coverage {coverage.journal_coverage:.4f})"
     )
-    for table in _rankings(config, scores):
-        scope_note = f" in category {table.scope}" if table.scope else ""
+    scope_note = f" in category {config.category}" if config.category else ""
+    for key in config.indicators:
         lines.append("")
-        lines.append(f"top journals by {_KEY_TO_CLI[table.indicator_name]}{scope_note}:")
+        lines.append(f"top journals by {_KEY_TO_CLI[key]}{scope_note}:")
         lines.append("rank  journal_id        value       percentile")
-        for row in table.rows[:20]:
-            lines.append(f"{row.rank:>4}  {row.journal_id:<16}  {row.value:<10.6g}  {row.percentile:.2f}")
+        for journal_id, value, r, percentile in rank(scores, key, scope=config.category)[:20]:
+            lines.append(f"{r:>4}  {journal_id:<16}  {value:<10.6g}  {percentile:.2f}")
     out_path = config.output_dir / "summary.txt"
     with atomic_write(out_path) as fh:
         fh.write("\n".join(lines) + "\n")
@@ -532,33 +524,34 @@ def _write_bootstrap(config: RunConfig, corpus: Corpus) -> None:
     # raises before any file is written if one key has no rankable journal
     reports = bootstrap_report(corpus, config.indicators, sims=config.sims, seed=config.seed)
     for key in config.indicators:
-        report = reports[key]
+        rows, delta = reports[key]
+        sentinel_rank = len(rows) + 1
         meta = _meta(
             config,
             notes=[
-                f"simulations: {report.simulations}",
-                f"sentinel rank for journals unrankable in a simulation: {report.sentinel_rank}",
+                f"simulations: {config.sims}",
+                f"sentinel rank for journals unrankable in a simulation: {sentinel_rank}",
             ],
         )
         _write_json(
             config.output_dir / f"robustness_{key}.json",
             meta,
             {
-                "indicator": report.indicator_name,
-                "delta": report.delta,
-                "seed": report.seed,
-                "simulations": report.simulations,
-                "sentinel_rank": report.sentinel_rank,
-                "per_journal": {j: dict(zip(_SUMMARY_FIELDS, s)) for j, s in report.per_journal.items()},
+                "indicator": key,
+                "delta": delta,
+                "seed": config.seed,
+                "simulations": config.sims,
+                "sentinel_rank": sentinel_rank,
+                "per_journal": {journal_id: dict(zip(_SUMMARY_FIELDS, summary)) for journal_id, *summary in rows},
             },
         )
         _write_csv(
             config.output_dir / f"quartiles_{key}.csv",
             meta,
             ("journal_id", "min_rank", "q1", "median", "q3", "max_rank"),
-            [(j, *summary) for j, summary in report.per_journal.items()],
+            rows,
         )
-        print(f"delta {_KEY_TO_CLI[key]} = {report.delta}")
+        print(f"delta {_KEY_TO_CLI[key]} = {delta}")
 
 
 def _write_flip_test(config: RunConfig, corpus: Corpus) -> None:

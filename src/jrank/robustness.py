@@ -22,15 +22,16 @@ report is reproducible bit for bit.
 Journals covered by a report are those rankable on the *original* corpus
 under the indicator.  A journal that loses its comparison sets in a
 particular simulation receives the sentinel rank (tracked journal count + 1)
-for that simulation; the sentinel is recorded in the report.
+for that simulation; the sentinel is recorded in the output files' meta and
+JSON.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from itertools import groupby
 from operator import itemgetter
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,39 +40,14 @@ from .indicators import RankKernel, Scores, compute_all
 from .ranking import ranks
 
 
-class RankingSamples(NamedTuple):
-    """The tracked journals, in id order, and their ranks: ``ranks[i, sim]`` is ``journal_ids[i]``'s in ``sim``."""
-
-    journal_ids: list[str]
-    ranks: np.ndarray  # journals x simulations, int64
-
-
-class RankSummary(NamedTuple):
-    min_rank: int
-    q1: float
-    median: float
-    q3: float
-    max_rank: int
-
-
-@dataclass
-class RobustnessReport:
-    """Bootstrap ranking-stability summary for one indicator."""
-
-    indicator_name: str
-    per_journal: dict[str, RankSummary]
-    delta: float
-    seed: int
-    simulations: int
-    sentinel_rank: int
-
-
 def bootstrap_rankings(
     corpus: Corpus, keys: Sequence[str], sims: int = 100, seed: int = 42
-) -> dict[str, RankingSamples]:
+) -> dict[str, tuple[list[str], np.ndarray]]:
     """Resample the corpus ``sims`` times and collect each tracked journal's rank under every key.
 
-    Returns ``{key: samples}``, keys in ``keys`` order.
+    Returns ``{key: (journal_ids, ranks)}``, keys in ``keys`` order: the
+    tracked journals in id order, and their ranks as a journals x simulations
+    int64 matrix, ``ranks[i, sim]`` being ``journal_ids[i]``'s in ``sim``.
     Raises ValueError when no journal is rankable on one of the keys or ``sims`` < 1.
     """
     if sims < 1:
@@ -97,7 +73,7 @@ def bootstrap_rankings(
         for key, codes in tracked.items():
             sampled[key][:, sim] = ranks(scores.column(key), len(codes) + 1)[codes]
     return {
-        key: RankingSamples([kernel.journal_ids[code] for code in codes.tolist()], sampled[key])
+        key: ([kernel.journal_ids[code] for code in codes.tolist()], sampled[key])
         for key, codes in tracked.items()
     }
 
@@ -116,18 +92,21 @@ def relative_change(ranks: np.ndarray) -> float:
 
 def bootstrap_report(
     corpus: Corpus, keys: Sequence[str], sims: int = 100, seed: int = 42
-) -> dict[str, RobustnessReport]:
-    """Run the bootstrap once and summarize each journal's rank distribution under every key."""
+) -> dict[str, tuple[list[tuple[str, int, float, float, float, int]], float]]:
+    """Run the bootstrap once and summarize each journal's rank distribution under every key.
+
+    Returns ``{key: (rows, delta)}``: one ``(journal_id, min, q1, median, q3,
+    max)`` row per tracked journal, in id order, and the key's
+    :func:`relative_change`.
+    """
     reports = {}
     for key, (journal_ids, samples) in bootstrap_rankings(corpus, keys, sims=sims, seed=seed).items():
         ranks = np.sort(samples, axis=1)
         # inclusive quartiles: interpolation between order statistics, exact in integers until the last division
         low, step = np.divmod(np.arange(1, 4) * (sims - 1), 4)
         q1, median, q3 = ((ranks[:, low] * (4 - step) + ranks[:, np.minimum(low + 1, sims - 1)] * step) / 4).T.tolist()
-        summaries = map(RankSummary, ranks[:, 0].tolist(), q1, median, q3, ranks[:, -1].tolist())
-        reports[key] = RobustnessReport(
-            key, dict(zip(journal_ids, summaries)), relative_change(ranks), seed, sims, len(journal_ids) + 1
-        )
+        rows = list(zip(journal_ids, ranks[:, 0].tolist(), q1, median, q3, ranks[:, -1].tolist()))
+        reports[key] = (rows, relative_change(ranks))
     return reports
 
 

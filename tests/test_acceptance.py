@@ -163,7 +163,7 @@ def test_fncsi_fnif_rankings_strongly_correlated():
                                skewed_journals=0)
     corpus = generate_corpus(profile, seed=7)
     indicators = compute_all(corpus)
-    fncsi, fnif = ({row.journal_id: row.rank for row in rank(indicators, key).rows} for key in ("fncsi", "fnif"))
+    fncsi, fnif = ({journal_id: r for journal_id, _, r, _ in rank(indicators, key)} for key in ("fncsi", "fnif"))
     assert len(fncsi.keys() & fnif.keys()) == 40
     rho = brute_spearman(fncsi, fnif)
     assert rho > 0.9, f"spearman {rho}"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -548,3 +549,70 @@ class TestWeightLimit:
         scores = self.tied_pair().evaluate(np.array([2**30, 2**30 - 1]))
         assert scores.fncsi.tolist() == [0.5, 0.5]
         assert scores.n_classified.tolist() == [2**30, 2**30 - 1]
+
+
+# strictly increasing maps of citation counts that keep an uncited paper at 0
+_INCREASING = {
+    "3c + 1": lambda c: np.where(c > 0, 3 * c + 1, 0),
+    "c**2 + c": lambda c: c * c + c,
+    "c + 10**9": lambda c: np.where(c > 0, c + 10**9, 0),
+}
+
+
+def claims_corpus(seed, tie_heavy):
+    return random_corpus(np.random.default_rng(seed), max_journals=10, max_pubs=200, max_topics=4,
+                         tie_heavy=tie_heavy, unclassified_p=0.1)
+
+
+def compared_papers(scores, journal):
+    """N': the journal's papers summed over its (journal, cell) pairs that have comparison papers."""
+    pairs = (scores.kernel.pair_journal == journal) & ~np.isnan(scores.pair_score)
+    return int(scores.pair_papers[pairs].sum())
+
+
+class TestRobustnessClaims:
+    """The paper's two robustness claims for fncsi, as exact properties of the Mann-Whitney form.
+
+    Each holds unweighted (``compute_all``) and under the integer weights of a
+    bootstrap resample (``evaluate(weights)``).
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), tie_heavy=st.booleans(), data=st.data())
+    def test_fncsi_depends_only_on_the_order_of_citations(self, seed, tie_heavy, data):
+        # extremely highly cited papers: stretching citations keeps every cell's order, so fncsi is bit-identical
+        corpus = claims_corpus(seed, tie_heavy)
+        weights = weights_for(RankKernel(corpus), data)
+        for name, increasing in _INCREASING.items():
+            mapped = replace(corpus, citations=increasing(corpus.citations))
+            sides = [
+                (compute_all(corpus), compute_all(mapped)),
+                (RankKernel(corpus).evaluate(weights), RankKernel(mapped).evaluate(weights)),
+            ]
+            for before, after in sides:
+                for field in ("fncsi", "pair_score", "topic_score"):
+                    assert getattr(before, field).tobytes() == getattr(after, field).tobytes(), (name, field)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), tie_heavy=st.booleans(), data=st.data())
+    def test_one_retyped_paper_moves_its_journal_by_at_most_one_compared_paper(self, seed, tie_heavy, data):
+        # a wrongly assigned document type: only the retyped paper's own share of its journal's mean moves
+        corpus = claims_corpus(seed, tie_heavy)
+        weights = np.array(weights_for(RankKernel(corpus), data), dtype=np.int64)
+        classified = corpus.topic >= 0
+        for journal in np.unique(corpus.journal[classified]).tolist():
+            target = data.draw(st.sampled_from(np.flatnonzero(classified & (corpus.journal == journal)).tolist()))
+            review = corpus.review.copy()
+            review[target] ^= True
+            retyped = replace(corpus, review=review)
+            counted = weights.copy()
+            counted[target] = 1  # the retyped paper counts once
+            sides = [
+                (compute_all(corpus), compute_all(retyped)),
+                (RankKernel(corpus).evaluate(counted), RankKernel(retyped).evaluate(counted)),
+            ]
+            for before, after in sides:
+                n_before, n_after = compared_papers(before, journal), compared_papers(after, journal)
+                if n_before and n_after:
+                    moved = abs(after.fncsi[journal] - before.fncsi[journal])
+                    assert moved <= 1 / min(n_before, n_after) + 1e-12, (journal, n_before, n_after, moved)

@@ -7,8 +7,10 @@ import sys
 from operator import attrgetter
 from pathlib import Path
 
+import numpy as np
+
 from conftest import A, R, pub
-from oracles import reference_generate_corpus, reference_load_publications
+from oracles import random_corpus, reference_generate_corpus, reference_load_publications
 
 import jrank
 import jrank.cli
@@ -20,6 +22,20 @@ from jrank.synth import SyntheticProfile, generate_corpus, write_corpus_files
 def test_every_exported_name_resolves_and_appears_once():
     assert len(jrank.__all__) == len(set(jrank.__all__))
     assert [name for name in jrank.__all__ if not hasattr(jrank, name)] == []
+
+
+def test_analyses_return_plain_rows():
+    # the writers name the columns; an analysis hands back tuples and arrays, no record type
+    corpus = random_corpus(np.random.default_rng(26), max_journals=6, max_pubs=80, max_topics=2, unclassified_p=0.1)
+    keys = jrank.INDICATOR_KEYS
+    scores = jrank.compute_all(corpus)
+    rows = [row for key in keys for row in jrank.rank(scores, key)]
+    for summaries, _ in jrank.bootstrap_report(corpus, keys, sims=3, seed=1).values():
+        rows.extend(summaries)
+    rows.extend(row for flips in jrank.perturbation_comparison(corpus, keys).values() for row in flips)
+    assert rows and [type(row) for row in rows if type(row) is not tuple] == []
+    samples = jrank.bootstrap_rankings(corpus, keys, sims=3, seed=1)
+    assert [type(value) for value in samples.values()] == [tuple] * len(keys)
 
 
 def test_the_benchmark_trace_sites_are_still_bound():

@@ -14,7 +14,7 @@ from oracles import order_journals
 
 from jrank.corpus import Journal
 from jrank.indicators import INDICATOR_KEYS
-from jrank.ranking import RankingTable, rank, ranks
+from jrank.ranking import rank, ranks
 
 # ties, signed zeros and infinities are drawn often; None is an unrankable journal, NaN in Scores
 _floats = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0.5, math.inf, -math.inf]), st.floats(allow_nan=False))
@@ -28,18 +28,18 @@ def scores_with(values: dict[str, float | None], key="fncsi", journals=None):
     return scores_of(journals or list(values), **{k: column if k == key else other for k in INDICATOR_KEYS})
 
 
-def table_from(values: dict[str, float], key="fncsi", journals=None, **kwargs) -> RankingTable:
+def table_from(values: dict[str, float], key="fncsi", journals=None, **kwargs) -> list[tuple[str, float, int, float]]:
     return rank(scores_with(values, key, journals), key, **kwargs)
 
 
 class TestRank:
     def test_descending_order(self):
         table = table_from({"jA": 0.9, "jB": 0.7})
-        assert [(r.journal_id, r.rank) for r in table.rows] == [("jA", 1), ("jB", 2)]
+        assert [(journal_id, r) for journal_id, _, r, _ in table] == [("jA", 1), ("jB", 2)]
 
     def test_tie_broken_by_journal_id(self):
         table = table_from({"jB": 0.5, "jA": 0.5})
-        assert [(r.journal_id, r.rank) for r in table.rows] == [("jA", 1), ("jB", 2)]
+        assert [(journal_id, r) for journal_id, _, r, _ in table] == [("jA", 1), ("jB", 2)]
 
     def test_unknown_key_is_usage_error(self):
         with pytest.raises(ValueError, match="unknown indicator"):
@@ -47,7 +47,7 @@ class TestRank:
 
     def test_unrankable_journals_excluded(self):
         table = table_from({"jA": 0.9, "jB": None})
-        assert [r.journal_id for r in table.rows] == ["jA"]
+        assert [journal_id for journal_id, *_ in table] == ["jA"]
 
     def test_category_scope_filters_and_allows_multi_category(self):
         journals = {
@@ -57,31 +57,31 @@ class TestRank:
         }
         values = {"jA": 0.3, "jB": 0.8, "jC": 0.9}
         oncology = table_from(values, scope="ONCOLOGY", journals=journals)
-        assert [r.journal_id for r in oncology.rows] == ["jB", "jA"]
+        assert [journal_id for journal_id, *_ in oncology] == ["jB", "jA"]
         cell_bio = table_from(values, scope="CELL BIOLOGY", journals=journals)
-        assert [r.journal_id for r in cell_bio.rows] == ["jA"]
+        assert [journal_id for journal_id, *_ in cell_bio] == ["jA"]
 
     def test_empty_scope_gives_empty_table(self):
         journals = {"jA": Journal("jA", categories=("X",))}
         table = table_from({"jA": 0.5}, scope="NO SUCH", journals=journals)
-        assert table.rows == ()
+        assert table == []
 
     def test_percentile_endpoints_and_monotonicity(self):
         n = 7
         table = table_from({f"j{i}": float(i) for i in range(n)})
-        percentiles = [r.percentile for r in table.rows]
+        percentiles = [percentile for *_, percentile in table]
         assert percentiles[0] == 100.0
         assert percentiles[-1] == pytest.approx(100.0 / n)
         assert all(a > b for a, b in zip(percentiles, percentiles[1:]))
-        assert [r.rank for r in table.rows] == list(range(1, n + 1))
+        assert [r for _, _, r, _ in table] == list(range(1, n + 1))
 
     def test_invariant_under_strictly_increasing_transform(self):
         rng = np.random.default_rng(21)
         values = {f"j{i:02d}": float(v) for i, v in enumerate(rng.uniform(0, 5, size=30))}
         plain = table_from(values)
         squashed = table_from({j: math.tanh(v) for j, v in values.items()})
-        assert [r.journal_id for r in plain.rows] == [r.journal_id for r in squashed.rows]
-        assert [r.rank for r in plain.rows] == [r.rank for r in squashed.rows]
+        assert [journal_id for journal_id, *_ in plain] == [journal_id for journal_id, *_ in squashed]
+        assert [r for _, _, r, _ in plain] == [r for _, _, r, _ in squashed]
 
     def test_order_journals_skips_none(self):
         assert order_journals({"a": None, "b": 1.0, "c": 2.0}) == ["c", "b"]
@@ -100,12 +100,12 @@ class TestRank:
         table = table_from({j: values[j] for j in shuffled}, scope=scope, journals=journals)
         expected = order_journals({j: v for j, v in values.items() if scope is None or j in in_x})
         n = len(expected)
-        assert [(r.journal_id, r.rank, r.percentile) for r in table.rows] == [
+        assert [(journal_id, r, percentile) for journal_id, _, r, percentile in table] == [
             (j, r, 100.0 * (n - r + 1) / n) for r, j in enumerate(expected, start=1)
         ]
         # the value itself: type, sign of zero and all
-        assert all(type(row.value) is float and repr(row.value) == repr(values[row.journal_id]) for row in table.rows)
-        assert all(type(row.rank) is int and type(row.percentile) is float for row in table.rows)
+        assert all(type(value) is float and repr(value) == repr(values[journal_id]) for journal_id, value, _, _ in table)
+        assert all(type(r) is int and type(percentile) is float for _, _, r, percentile in table)
 
     @settings(max_examples=300, deadline=None)
     @given(column=st.lists(st.one_of(st.just(math.nan), _floats), max_size=12))

@@ -21,13 +21,13 @@ from oracles import (
 
 from jrank.corpus import DocumentType, Journal
 from jrank.indicators import INDICATOR_KEYS, compute_all
-from jrank.ranking import RankingTable, rank
+from jrank.ranking import rank
 from jrank.robustness import bootstrap_rankings, bootstrap_report, perturbation_comparison, relative_change
 from jrank.synth import SyntheticProfile, generate_corpus
 
 
-def rank_of(table: RankingTable) -> dict[str, int]:
-    return {row.journal_id: row.rank for row in table.rows}
+def rank_of(rows: list[tuple[str, float, int, float]]) -> dict[str, int]:
+    return {journal_id: r for journal_id, _, r, _ in rows}
 
 
 def small_corpus():
@@ -90,10 +90,10 @@ class TestBootstrap:
         # every journal has one paper: each resample is the identity, so all
         # indicator values and hence all ranks are constant across simulations
         pubs = [pub(f"p{i}", f"j{i}", i, "t1") for i in range(5)]
-        report = bootstrap_report(corpus_of(pubs), ["fncsi"], sims=25, seed=3)["fncsi"]
-        assert report.delta == 0.0
-        for summary in report.per_journal.values():
-            assert summary.min_rank == summary.max_rank
+        rows, delta = bootstrap_report(corpus_of(pubs), ["fncsi"], sims=25, seed=3)["fncsi"]
+        assert delta == 0.0
+        for _, min_rank, *_, max_rank in rows:
+            assert min_rank == max_rank
 
     def test_fixed_seed_reproduces_report_exactly(self):
         corpus = small_corpus()
@@ -103,17 +103,17 @@ class TestBootstrap:
 
     def test_different_seeds_differ(self):
         corpus = noisy_corpus()
-        a = bootstrap_rankings(corpus, ["fnif"], sims=20, seed=1)["fnif"]
-        b = bootstrap_rankings(corpus, ["fnif"], sims=20, seed=2)["fnif"]
-        assert a.journal_ids == b.journal_ids
-        assert not np.array_equal(a.ranks, b.ranks)
+        a_ids, a_ranks = bootstrap_rankings(corpus, ["fnif"], sims=20, seed=1)["fnif"]
+        b_ids, b_ranks = bootstrap_rankings(corpus, ["fnif"], sims=20, seed=2)["fnif"]
+        assert a_ids == b_ids
+        assert not np.array_equal(a_ranks, b_ranks)
 
     def test_quartiles_are_ordered(self):
-        report = bootstrap_report(small_corpus(), ["fncsi"], sims=30, seed=9)["fncsi"]
-        samples = bootstrap_rankings(small_corpus(), ["fncsi"], sims=30, seed=9)["fncsi"]
-        assert report.delta == relative_change(samples.ranks)
-        for s in report.per_journal.values():
-            assert s.min_rank <= s.q1 <= s.median <= s.q3 <= s.max_rank
+        rows, delta = bootstrap_report(small_corpus(), ["fncsi"], sims=30, seed=9)["fncsi"]
+        _, ranks = bootstrap_rankings(small_corpus(), ["fncsi"], sims=30, seed=9)["fncsi"]
+        assert delta == relative_change(ranks)
+        for _, min_rank, q1, median, q3, max_rank in rows:
+            assert min_rank <= q1 <= median <= q3 <= max_rank
 
     def test_rejects_unrankable_corpus_and_bad_sims(self):
         unclassified = corpus_of([pub("p1", "jA", 3, None)])
@@ -145,21 +145,21 @@ class TestReportSummary:
             for key in INDICATOR_KEYS:
                 seed = int(rng.integers(1000))
                 journal_ids, samples = bootstrap_rankings(corpus, [key], sims=sims, seed=seed)[key]
-                report = bootstrap_report(corpus, [key], sims=sims, seed=seed)[key]
-                assert list(report.per_journal) == journal_ids == sorted(journal_ids)
-                for summary, ranks in zip(report.per_journal.values(), samples.tolist()):
+                rows, _ = bootstrap_report(corpus, [key], sims=sims, seed=seed)[key]
+                assert [journal_id for journal_id, *_ in rows] == journal_ids == sorted(journal_ids)
+                for (_, *summary), ranks in zip(rows, samples.tolist()):
                     quartiles = statistics.quantiles(ranks, n=4, method="inclusive")
-                    assert summary == (min(ranks), *quartiles, max(ranks))
+                    assert summary == [min(ranks), *quartiles, max(ranks)]
                     assert [type(v) for v in summary] == [int, float, float, float, int]
 
     def test_one_simulation_summarizes_to_its_rank(self):
         corpus = random_corpus(np.random.default_rng(39), max_journals=10, max_pubs=150, max_topics=3)
         for key in INDICATOR_KEYS:
             journal_ids, samples = bootstrap_rankings(corpus, [key], sims=1, seed=5)[key]
-            report = bootstrap_report(corpus, [key], sims=1, seed=5)[key]
-            assert list(report.per_journal) == journal_ids
-            for summary, (only,) in zip(report.per_journal.values(), samples.tolist()):
-                assert summary == (only,) * 5
+            rows, _ = bootstrap_report(corpus, [key], sims=1, seed=5)[key]
+            assert [journal_id for journal_id, *_ in rows] == journal_ids
+            for (_, *summary), (only,) in zip(rows, samples.tolist()):
+                assert summary == [only] * 5
                 assert [type(v) for v in summary] == [int, float, float, float, int]
 
 
