@@ -102,6 +102,16 @@ class RankKernel:
     citations), ``by_pair`` by (journal, cell).  Journal codes cover the
     journal table and every journal that publishes; only table journals
     (``in_table``) are scored.
+
+    The build keeps only the arrays that ``evaluate`` reads: ``in_table``;
+    per classified paper, ``by_cell``, ``by_pair`` and ``_run_of_paired``
+    (int32); per run of equal (cell, citations), ``_runs``,
+    ``_run_citations`` and ``_cell_of_run``; per occupied cell,
+    ``_cell_starts`` and ``_cells``; per occupied (journal, cell) pair,
+    ``_pair_starts``, ``pair_journal``, ``pair_cell`` and ``_group_of_pair``;
+    per (journal, topic) group, ``_topic_starts``, ``_group_journal`` and
+    ``_group_topic``.  The cell codes, the sort keys and the sorted gathers
+    are freed after their last read.
     """
 
     corpus: Corpus
@@ -112,17 +122,21 @@ class RankKernel:
         self.journal, self.citations = corpus.journal, corpus.citations
         self.in_table = np.fromiter(map(corpus.journals.__contains__, self.journal_ids), bool, len(self.journal_ids))
         codes = np.where(corpus.topic < 0, -1, 2 * corpus.topic + corpus.review)
-        classified = np.flatnonzero(codes >= 0)
-        journal, cell, citations = self.journal[classified], codes[classified], self.citations[classified]
-        self.by_cell = classified[np.lexsort((citations, cell))].astype(np.int32)
-        self.by_pair = classified[np.lexsort((cell, journal))].astype(np.int32)
+        classified = np.flatnonzero(codes >= 0).astype(np.int32)
+        cell = codes[classified]
+        self.by_cell = classified[np.lexsort((self.citations[classified], cell))]
+        # journal and cell codes are int32, so the int64 key cannot pass 2**63 - 1
+        key = self.journal[classified].astype(np.int64) * (2 * len(self.topic_ids)) + cell
+        del cell
+        self.by_pair = classified[np.argsort(key, kind="stable")]
+        del key, classified
 
         # runs of equal (cell, citations) along by_cell, grouped by cell
         cell = codes[self.by_cell]
-        citations = self.citations[self.by_cell]
-        self._runs = _run_starts(cell, citations)
+        self._runs = _run_starts(cell, self.citations[self.by_cell])
         run_cell = cell[self._runs]
-        self._run_citations = citations[self._runs]
+        del cell
+        self._run_citations = self.citations[self.by_cell[self._runs]]
         self._cell_starts = _run_starts(run_cell)
         self._cells = run_cell[self._cell_starts]
         self._cell_of_run = _group_of(self._cell_starts, len(self._runs))
@@ -132,11 +146,13 @@ class RankKernel:
         # occupied (journal, cell) pairs along by_pair, each paper matched to
         # its run above; pairs grouped by (journal, topic)
         self._run_of_paired = run_of_paper[self.by_pair]
-        journal = self.journal[self.by_pair]
-        cell = codes[self.by_pair]
+        del run_of_paper
+        journal, cell = self.journal[self.by_pair], codes[self.by_pair]
+        del codes
         self._pair_starts = _run_starts(journal, cell)
         self.pair_journal = journal[self._pair_starts]
         self.pair_cell = cell[self._pair_starts]
+        del journal, cell
         self._topic_starts = _run_starts(self.pair_journal, self.pair_cell >> 1)
         self._group_of_pair = _group_of(self._topic_starts, len(self._pair_starts))
         self._group_journal = self.pair_journal[self._topic_starts]
@@ -163,9 +179,17 @@ class RankKernel:
         paired_weight = weights[self.by_pair]
         run = self._run_of_paired
         n_own = np.add.reduceat(paired_weight, self._pair_starts)
-        rank_sum = np.add.reduceat(paired_weight * (2 * below_in_cell + run_weight)[run], self._pair_starts)
-        own_citations = np.add.reduceat(paired_weight * self._run_citations[run], self._pair_starts)
-        return cell_total, cell_citations, n_own, rank_sum - n_own * n_own, own_citations
+        # one per-paper buffer serves both pair terms
+        terms = (2 * below_in_cell + run_weight)[run]
+        terms *= paired_weight
+        rank_sum = np.add.reduceat(terms, self._pair_starts)
+        np.take(self._run_citations, run, out=terms)
+        terms *= paired_weight
+        del paired_weight
+        own_citations = np.add.reduceat(terms, self._pair_starts)
+        del terms
+        rank_sum -= n_own * n_own
+        return cell_total, cell_citations, n_own, rank_sum, own_citations
 
     def evaluate(self, weights: np.ndarray | None = None) -> Scores:
         """Score every journal, each paper counted ``weights[i]`` times (default once).
@@ -173,6 +197,10 @@ class RankKernel:
         Raises ValueError for weights that are not one non-negative integer per
         paper or that total more than 2**31 - 1, and for citation sums or
         products that would pass 2**63 - 1.
+
+        Every per-paper array, ``weights`` included once the caller holds no
+        other reference, is freed before the per-pair stage, and each per-pair
+        temporary once it is reduced.
         """
         weights = np.ones(len(self.journal), dtype=np.int64) if weights is None else np.asarray(weights)
         if weights.dtype.kind not in "iu" or weights.shape != self.journal.shape or (weights < 0).any():
@@ -182,19 +210,30 @@ class RankKernel:
             raise ValueError(f"weights must total at most 2**31 - 1 ({_MAX_WEIGHT})")
         weights = weights.astype(np.int64, copy=False)
         n_journals = len(self.journal_ids)
+        # jif: every paper, classified or not
+        _check_products(self.citations, weights)
+        jif_citations = np.bincount(self.journal, weights=weights * self.citations, minlength=n_journals)
+        jif_papers = np.bincount(self.journal, weights=weights, minlength=n_journals)
         cell_total, cell_citations, n_own, numerator, own_citations = self._counts(weights)
+        del weights
 
         # fncsi: cells without comparison papers drop out, weights renormalize
-        n_other = cell_total[self.pair_cell] - n_own
+        pair_total = cell_total[self.pair_cell]
+        n_other = pair_total - n_own
         compared = (n_own > 0) & (n_other > 0)
-        # integer numerator, one division: exact for pure ties and complements
-        probability = _divide(numerator, 2 * n_own * n_other, compared)
+        # integer numerator, one division by 2 * n_own * n_other: exact for pure ties and complements
+        n_other *= n_own
+        n_other *= 2
+        probability = _divide(numerator, n_other, compared)
+        del numerator, n_other
         n_groups = len(self._topic_starts)
-        topic_sum = np.bincount(
-            self._group_of_pair, weights=np.where(compared, n_own * probability, 0.0), minlength=n_groups
-        )
+        pair_terms = n_own * probability
+        pair_terms[~compared] = 0.0
+        topic_sum = np.bincount(self._group_of_pair, weights=pair_terms, minlength=n_groups)
+        del pair_terms
         topic_n = np.add.reduceat(np.where(compared, n_own, 0), self._topic_starts)
         topic_score = _divide(topic_sum, topic_n, topic_n > 0)
+        del topic_sum
         weighted = np.bincount(
             self._group_journal, weights=np.where(topic_n > 0, topic_n * topic_score, 0.0), minlength=n_journals
         )
@@ -202,8 +241,13 @@ class RankKernel:
 
         # fnif: an all-uncited cell's normalized citations are defined as 0
         divisor = cell_citations[self.pair_cell]
-        _check_products(own_citations, cell_total[self.pair_cell])
-        fnif_terms = _divide(own_citations * cell_total[self.pair_cell], divisor, divisor > 0, fill=0.0)
+        _check_products(own_citations, pair_total)
+        own_citations *= pair_total
+        del pair_total
+        fnif_terms = _divide(own_citations, divisor, divisor > 0, fill=0.0)
+        del own_citations, divisor
+        fnif_sum = np.bincount(self.pair_journal, weights=fnif_terms, minlength=n_journals)
+        del fnif_terms
         n_classified = np.bincount(self.pair_journal, weights=n_own, minlength=n_journals)
 
         # expected_jif: topic means pool articles and reviews
@@ -213,16 +257,11 @@ class RankKernel:
         topic_count = np.add.reduceat(n_own, self._topic_starts)
         expected_terms = np.where(topic_count > 0, topic_mean[self._group_topic] * topic_count, 0.0)
 
-        # jif: every paper, classified or not
-        _check_products(self.citations, weights)
-        jif_citations = np.bincount(self.journal, weights=weights * self.citations, minlength=n_journals)
-        jif_papers = np.bincount(self.journal, weights=weights, minlength=n_journals)
-
         classified = n_classified > 0
         return Scores(
             kernel=self,
             fncsi=_divide(weighted, weight, weight > 0),
-            fnif=_divide(np.bincount(self.pair_journal, weights=fnif_terms, minlength=n_journals), n_classified, classified),
+            fnif=_divide(fnif_sum, n_classified, classified),
             expected_jif=_divide(
                 np.bincount(self._group_journal, weights=expected_terms, minlength=n_journals), n_classified, classified
             ),

@@ -11,7 +11,9 @@ to its corpus row, the kernel's paper order.  A simulation is therefore one
 draw for all journals, one ``bincount`` into weights, one kernel evaluation
 and one :func:`~jrank.ranking.ranks` per key into one column of that key's
 journals x simulations matrix, whose rows the report's quartiles and
-``delta`` reduce.  The flip test scores two corpora with
+``delta`` reduce.  One ``Scores`` is alive at a time: the unweighted one is
+freed once it has chosen the tracked journals, and each simulation's once its
+ranks are stored.  The flip test scores two corpora with
 :func:`~jrank.indicators.compute_all`: the one given, and a copy whose only
 change is that each journal's most cited paper has the other document type.
 It ranks each side into one array per key before it scores the next, so one
@@ -55,6 +57,7 @@ def bootstrap_rankings(
     kernel = RankKernel(corpus)
     scores = kernel.evaluate()
     tracked = {key: np.flatnonzero(~np.isnan(scores.column(key))) for key in keys}
+    del scores
     for key, codes in tracked.items():
         if not codes.size:
             raise ValueError(f"corpus has no journals rankable on {key!r}")
@@ -68,10 +71,12 @@ def bootstrap_rankings(
     offsets = np.repeat(np.cumsum(sizes) - sizes, sizes)
     sampled = {key: np.empty((len(codes), sims), dtype=np.int64) for key, codes in tracked.items()}
     for sim, seq in enumerate(np.random.SeedSequence(seed).spawn(sims)):
-        draw = np.random.default_rng(seq).integers(0, highs)
-        scores = kernel.evaluate(np.bincount(by_journal[draw + offsets], minlength=len(highs)))
+        rng = np.random.default_rng(seq)
+        # the weights go in unnamed, so that evaluate() frees them before its per-pair stage
+        scores = kernel.evaluate(np.bincount(by_journal[rng.integers(0, highs) + offsets], minlength=len(highs)))
         for key, codes in tracked.items():
             sampled[key][:, sim] = ranks(scores.column(key), len(codes) + 1)[codes]
+        del scores
     return {
         key: ([kernel.journal_ids[code] for code in codes.tolist()], sampled[key])
         for key, codes in tracked.items()

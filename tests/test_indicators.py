@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -25,6 +26,7 @@ from oracles import (
 
 from jrank.corpus import DocumentType
 from jrank.indicators import INDICATOR_KEYS, RankKernel, _check_sums, compute_all
+from jrank.synth import SyntheticProfile, generate_corpus
 
 
 def cell_score(journal_id, corpus, topic_id="t1", doc=A):
@@ -616,3 +618,66 @@ class TestRobustnessClaims:
                 if n_before and n_after:
                     moved = abs(after.fncsi[journal] - before.fncsi[journal])
                     assert moved <= 1 / min(n_before, n_after) + 1e-12, (journal, n_before, n_after, moved)
+
+
+def arrays_of(obj):
+    """Every ndarray attribute of ``obj``, as its dtype, shape and bytes."""
+    return {
+        name: (value.dtype.str, value.shape, value.tobytes())
+        for name, value in vars(obj).items()
+        if isinstance(value, np.ndarray)
+    }
+
+
+class TestInPlaceSteps:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), tie_heavy=st.booleans(), data=st.data())
+    def test_evaluations_leave_the_kernel_and_each_other_unchanged(self, seed, tie_heavy, data):
+        # an in-place step that writes through a view of kernel state would change every later evaluation
+        corpus = claims_corpus(seed, tie_heavy)
+        kernel = RankKernel(corpus)
+        state, columns = arrays_of(kernel), (corpus.topic.tobytes(), corpus.review.tobytes())
+        weights = np.array(weights_for(kernel, data), dtype=np.int64)
+        drawn = weights.tobytes()
+        first = arrays_of(kernel.evaluate(weights))
+        unweighted = arrays_of(kernel.evaluate())
+        assert arrays_of(kernel.evaluate(weights)) == first
+        assert unweighted == arrays_of(RankKernel(corpus).evaluate())
+        assert arrays_of(kernel) == state
+        assert (corpus.topic.tobytes(), corpus.review.tobytes()) == columns
+        assert weights.tobytes() == drawn
+
+
+def traced(run):
+    """``run()``'s result, the bytes it leaves allocated, and its peak, both by tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = run()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, kept, peak
+
+
+class TestBoundedMemory:
+    """The build and each evaluation free every temporary after its last read."""
+
+    @pytest.fixture(params=[(60, 1), (60, 2), (60, 3), (300, 1), (300, 2), (300, 3)], ids=lambda p: "%dj-seed%d" % p)
+    def corpus(self, request):
+        n_journals, seed = request.param
+        profile = SyntheticProfile(n_journals=n_journals, n_topics=50, pubs_min=50, pubs_max=150, skewed_journals=3)
+        return generate_corpus(profile, seed=seed)
+
+    def test_the_build_peaks_near_what_the_kernel_keeps(self, corpus):
+        # the sort keys and sorted gathers, held to the end of the build, take its peak past twice what it keeps
+        _, kept, peak = traced(lambda: RankKernel(corpus))
+        assert peak < 1.5 * kept, f"kernel build peak {peak} B against {kept} B kept"
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    def test_an_evaluation_holds_less_than_three_times_its_scores_beside_them(self, corpus, weighted):
+        # per-paper and per-pair temporaries held to the end of evaluate() take it past 3.3 times
+        kernel = RankKernel(corpus)
+        n = len(corpus.journal)
+        weights = np.bincount(np.random.default_rng(0).integers(0, n, n), minlength=n) if weighted else None
+        _, kept, peak = traced(lambda: kernel.evaluate(weights))
+        assert peak - kept < 3 * kept, f"evaluate() transient {peak - kept} B against {kept} B of Scores"
