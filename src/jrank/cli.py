@@ -18,10 +18,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -272,19 +272,44 @@ def _write_json(path: Path, meta: list[str], payload: dict[str, Any]) -> None:
         fh.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
 
 
-def _json_number(value: float | int | None) -> str:
-    """``value`` spelt as ``json.dumps`` spells it (NaN and the infinities included)."""
-    if value is None:
-        return "null"
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == math.inf:
-            return "Infinity"
-        if value == -math.inf:
-            return "-Infinity"
-        return float.__repr__(value)
-    return int.__repr__(value)
+def _json_floats(values: np.ndarray, nan: str = "NaN") -> list[str]:
+    """Each float of ``values`` spelt as ``json.dumps`` spells it, NaN as ``nan``.
+
+    ``float.__repr__`` spells every value; the few that are not finite are patched by index.
+    """
+    spelt = list(map(float.__repr__, values.tolist()))
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        spelt[i] = nan if np.isnan(values[i]) else "Infinity" if values[i] > 0 else "-Infinity"
+    return spelt
+
+
+def _joined(*parts: str | Iterable[str]) -> Iterator[str]:
+    """One string per position: the columns among ``parts`` zipped, each constant ``str`` repeated, joined in order."""
+    return map("".join, zip(*(repeat(part) if isinstance(part, str) else part for part in parts)))
+
+
+def _json_objects(indent: str, *prefix: Iterable[str], **members: Iterable[str]) -> Iterator[str]:
+    """One object per position of the spelt ``members`` columns, each after the ``prefix`` columns.
+
+    An object is spelt as ``json.dumps(indent=2, sort_keys=True)`` spells
+    one nested at ``indent``; a prefix is, for example, its member name.
+    """
+    parts: list[str | Iterable[str]] = []
+    for key in sorted(members):
+        parts += [f",\n{indent}  {_json_string(key)}: ", members[key]]
+    parts[0] = "{" + parts[0][1:]  # the first member follows the brace, not a comma
+    return _joined(*prefix, *parts, f"\n{indent}}}")
+
+
+def _json_block(items: Sequence[str], indent: str, brackets: str = "[]") -> str:
+    """A list of the spelt ``items`` nested at ``indent``, as ``json.dumps(indent=2)`` spells it.
+
+    With ``brackets="{}"`` the items are an object's spelt members.
+    """
+    if not items:
+        return brackets
+    inner = f"\n{indent}  "
+    return brackets[0] + inner + f",{inner}".join(items) + f"\n{indent}{brackets[1]}"
 
 
 def _indicator_rows(scores: Scores) -> Iterator[tuple[Any, ...]]:
@@ -295,67 +320,83 @@ def _indicator_rows(scores: Scores) -> Iterator[tuple[Any, ...]]:
     return zip([kernel.journal_ids[code] for code in codes.tolist()], *columns, scores.n_classified[codes].tolist())
 
 
-def _indicator_record(row: tuple[Any, ...], topics: list[tuple[str, float, int]]) -> str:
-    """One journal of ``indicators.json``: an element of the indented, key-sorted ``journals`` list."""
-    journal_id, *values, n_pubs = row
-    fncsi, fnif, expected_jif, jif = (None if math.isnan(value) else value for value in values)
-    if topics:
-        entries = ",\n".join(
-            f'        {_json_string(topic)}: {{\n'
-            f'          "papers_compared": {_json_number(n)},\n'
-            f'          "score": {_json_number(score)}\n'
-            f"        }}"
-            for topic, score, n in topics
-        )
-        breakdown = f"{{\n{entries}\n      }}"
-    else:
-        breakdown = "{}"
-    return (
-        "    {\n"
-        f'      "expected_jif": {_json_number(expected_jif)},\n'
-        f'      "fncsi": {_json_number(fncsi)},\n'
-        f'      "fnif": {_json_number(fnif)},\n'
-        f'      "jif": {_json_number(jif)},\n'
-        f'      "journal_id": {_json_string(journal_id)},\n'
-        f'      "n_pubs": {_json_number(n_pubs)},\n'
-        f'      "topic_breakdown": {breakdown}\n'
-        "    }"
-    )
+_JOURNALS_PER_BATCH = 8  # journals of indicators.json spelt at a time: bounds the text held in memory
 
 
 def _write_indicators_json(path: Path, meta: list[str], scores: Scores) -> None:
-    """Write ``indicators.json`` one journal record at a time.
+    """Write ``indicators.json`` in batches of whole journals, each column of a batch spelt at once.
 
     The bytes equal ``json.dumps({"meta": meta, "journals": [...]}, indent=2,
-    sort_keys=True) + "\n"`` for the records ``_indicator_record`` spells out,
-    without holding the document, its text or its chunks in memory.  A
-    journal's topic breakdown is its run of the kernel's (journal, topic)
-    groups, whose topics are already in id order; a topic in which none of its
-    papers was compared is left out.
+    sort_keys=True) + "\n"``, one record per journal of the journal table in
+    id order (``journal_id``, the four indicators, null where undefined,
+    ``n_pubs`` and ``topic_breakdown``), without holding the document or more
+    than one batch of its text in memory.  A journal's topic breakdown is its
+    run of the kernel's (journal, topic) groups, whose topics are already in
+    id order; a topic in which none of its papers was compared is left out.
     """
     kernel = scores.kernel
     codes = np.flatnonzero(kernel.in_table)
-    starts = np.searchsorted(kernel._group_journal, codes).tolist()
-    ends = np.searchsorted(kernel._group_journal, codes, side="right").tolist()
+    # one search for every journal: a search per batch would cast the int32 group journals each time
+    starts = np.searchsorted(kernel._group_journal, codes)
+    ends = np.searchsorted(kernel._group_journal, codes, side="right")
+    names = [f"{_json_string(topic)}: " for topic in kernel.topic_ids]
     with atomic_write(path) as fh:
         fh.write('{\n  "journals": [')
-        empty = True
-        for row, start, end in zip(_indicator_rows(scores), starts, ends):
-            groups = (array[start:end].tolist() for array in (kernel._group_topic, scores.topic_score, scores.topic_n))
-            topics = [(kernel.topic_ids[topic], score, n) for topic, score, n in zip(*groups) if n]
-            fh.write("\n" if empty else ",\n")
-            fh.write(_indicator_record(row, topics))
-            empty = False
-        fh.write("],\n" if empty else "\n  ],\n")
-        if meta:
-            lines = ",\n".join(f"    {_json_string(line)}" for line in meta)
-            fh.write(f'  "meta": [\n{lines}\n  ]\n}}\n')
-        else:
-            fh.write('  "meta": []\n}\n')
+        for first in range(0, len(codes), _JOURNALS_PER_BATCH):
+            batch = slice(first, first + _JOURNALS_PER_BATCH)
+            journals, low = codes[batch], starts[first]
+            groups = np.flatnonzero(scores.topic_n[low : ends[batch][-1]]) + low
+            entries = list(
+                _json_objects(
+                    "        ",
+                    map(names.__getitem__, kernel._group_topic[groups].tolist()),
+                    papers_compared=map(int.__repr__, scores.topic_n[groups].tolist()),
+                    score=_json_floats(scores.topic_score[groups]),
+                )
+            )
+            # each journal's run of compared groups, as bounds into entries
+            runs = zip(np.searchsorted(groups, starts[batch]).tolist(), np.searchsorted(groups, ends[batch]).tolist())
+            records = _json_objects(
+                "    ",
+                journal_id=map(_json_string, map(kernel.journal_ids.__getitem__, journals.tolist())),
+                n_pubs=map(int.__repr__, scores.n_classified[journals].tolist()),
+                topic_breakdown=(_json_block(entries[start:end], "      ", "{}") for start, end in runs),
+                **{key: _json_floats(getattr(scores, key)[journals], nan="null") for key in INDICATOR_KEYS},
+            )
+            fh.write("\n    " if first == 0 else ",\n    ")
+            fh.write(",\n    ".join(records))
+        fh.write("\n  ],\n" if len(codes) else "],\n")
+        fh.write(f'  "meta": {_json_block(list(map(_json_string, meta)), "  ")}\n}}\n')
 
 
 def _slug(label: str) -> str:
     return "".join(ch if ch.isalnum() else "_" for ch in label)
+
+
+def _write_ranking_json(
+    path: Path, meta: list[str], key: str, scope: str | None, rows: list[tuple[str, float, int, float]]
+) -> None:
+    """Write ``rank()``'s rows for ``key`` as JSON, each column spelt at once.
+
+    The bytes equal ``json.dumps({"meta": meta, "indicator": key, "scope":
+    scope, "rows": [dict(zip(_RANKING_FIELDS, row)) for row in rows]},
+    indent=2, sort_keys=True) + "\n"``.
+    """
+    journal_ids, values, ranks, percentiles = zip(*rows) if rows else ((),) * 4
+    records = _json_objects(
+        "    ",
+        journal_id=map(_json_string, journal_ids),
+        value=_json_floats(np.array(values, dtype=float)),
+        rank=map(int.__repr__, ranks),
+        percentile=_json_floats(np.array(percentiles, dtype=float)),
+    )
+    with atomic_write(path) as fh:
+        fh.write(
+            f'{{\n  "indicator": {_json_string(key)},\n'
+            f'  "meta": {_json_block(list(map(_json_string, meta)), "  ")},\n'
+            f'  "rows": {_json_block(list(records), "  ")},\n'
+            f'  "scope": {"null" if scope is None else _json_string(scope)}\n}}\n'
+        )
 
 
 def _write_ranking(key: str, rows: list[tuple[str, float, int, float]], config: RunConfig) -> list[Path]:
@@ -370,9 +411,7 @@ def _write_ranking(key: str, rows: list[tuple[str, float, int, float]], config: 
         written.append(path)
     if "json" in config.formats:
         path = config.output_dir / f"{stem}.json"
-        _write_json(
-            path, meta, {"indicator": key, "scope": scope, "rows": [dict(zip(_RANKING_FIELDS, row)) for row in rows]}
-        )
+        _write_ranking_json(path, meta, key, scope, rows)
         written.append(path)
     return written
 

@@ -252,6 +252,7 @@ class CoverageReport:
 
 
 _BLOCK_HINT = 16 * 1024  # characters of whole lines read per block
+_ASCII_PADDING = " \t\x0b\x0c\x1c\x1d\x1e\x1f"  # what str.strip removes from ASCII text besides line breaks
 
 
 def _read_table(path: Path | str, columns: tuple[str, ...]) -> Iterator[tuple[Sequence[int], list[list[str]]]]:
@@ -268,7 +269,9 @@ def _read_table(path: Path | str, columns: tuple[str, ...]) -> Iterator[tuple[Se
     return or NUL, no line longer than the csv field limit and no line of
     whitespace only, and every line has as many separators as the header:
     then each line is one record, and the block is split on the separator in
-    one call.  Its records are those ``csv.reader`` would give.
+    one call.  Its records are those ``csv.reader`` would give.  Its values
+    are stripped only when it holds a non-ASCII character or ASCII padding
+    (space, tab in a comma file, ``\x0b``, ``\x0c``, ``\x1c``-``\x1f``).
     From the first block that is not clean on, one ``csv.reader`` streams the
     rest of the file, so a quoted field may hold delimiters, quotes and line
     breaks.  There blank and ``#`` comment lines are skipped only where a
@@ -329,6 +332,7 @@ def _read_table(path: Path | str, columns: tuple[str, ...]) -> Iterator[tuple[Se
 
         stride = len(header)
         limit = csv.field_size_limit()
+        padding = _ASCII_PADDING.replace(delimiter, "")
         while block := fh.readlines(_BLOCK_HINT):
             text = "".join(block)
             if (
@@ -343,7 +347,11 @@ def _read_table(path: Path | str, columns: tuple[str, ...]) -> Iterator[tuple[Se
                 break
             fields = text.replace("\n", delimiter).split(delimiter)
             del fields[len(block) * stride :]  # the empty string after a final line break
-            yield range(line + 1, line + len(block) + 1), [list(map(str.strip, fields[p::stride])) for p in positions]
+            values = [fields[p::stride] for p in positions]
+            # an ASCII block without padding has nothing to strip
+            if not text.isascii() or any(map(text.__contains__, padding)):
+                values = [list(map(str.strip, column)) for column in values]
+            yield range(line + 1, line + len(block) + 1), values
             line += len(block)
         else:
             return

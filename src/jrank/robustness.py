@@ -63,12 +63,14 @@ def bootstrap_rankings(
             raise ValueError(f"corpus has no journals rankable on {key!r}")
 
     # journals in id order, each drawing its size from its own papers, which
-    # keep corpus order; by_journal maps a draw back to its corpus row
-    by_journal = np.argsort(corpus.journal, kind="stable")
+    # keep corpus order; by_journal maps a draw back to its corpus row.  The
+    # three per-paper arrays are int32, as the kernel's paper indices are;
+    # int32 bounds give the same int64 draws
+    by_journal = np.argsort(corpus.journal, kind="stable").astype(np.int32)
     sizes = np.bincount(corpus.journal)
-    sizes = sizes[sizes > 0]
+    sizes = sizes[sizes > 0].astype(np.int32)
     highs = np.repeat(sizes, sizes)
-    offsets = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    offsets = np.repeat((np.cumsum(sizes) - sizes).astype(np.int32), sizes)
     sampled = {key: np.empty((len(codes), sims), dtype=np.int64) for key, codes in tracked.items()}
     for sim, seq in enumerate(np.random.SeedSequence(seed).spawn(sims)):
         rng = np.random.default_rng(seq)

@@ -304,12 +304,15 @@ class TestBlocks:
         assert [(e.line, e.message) for e in frag.errors] == [(14, "duplicate pub_id 'p3'")]
         assert frag.publications[-1].pub_id == "p40"
 
-    @pytest.mark.parametrize("pad", ["\xa0", "\u3000", "\x85", "\x1c"])
+    @pytest.mark.parametrize("pad", ["\xa0", "\u3000", "\x85", "\x1c", " ", "\t", "\x0b", "\x0c", "\x1f"])
     def test_padding_in_an_otherwise_clean_block_is_stripped(self, tmp_path, pad):
         padded = f"{pad}p50,jA{pad},{pad}2018,Article{pad},{pad}1{pad},{pad}t1\n"
-        frag = self.load_in_blocks(tmp_path, HEADER + self.ROWS + padded + self.ROWS.replace("p", "q"))
-        assert not frag.errors
-        assert frag.publications[12] == Publication("p50", "jA", 2018, DocumentType.ARTICLE, 1, "t1")
+        text = HEADER + self.ROWS + padded + self.ROWS.replace("p", "q")
+        # in a tab-separated file a tab separates, so every other pad is tried there too
+        for delimiter in ",\t".replace(pad, ""):
+            frag = self.load_in_blocks(tmp_path, text.replace(",", delimiter))
+            assert not frag.errors
+            assert frag.publications[12] == Publication("p50", "jA", 2018, DocumentType.ARTICLE, 1, "t1")
 
 
 # Values for the cells of generated tables: valid ones per table, and others

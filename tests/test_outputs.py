@@ -1,4 +1,4 @@
-"""Output files: ``indicators.json`` against ``json.dumps``, its memory, and lossless read-back."""
+"""Output files: the JSON writers against ``json.dumps``, ``indicators.json``'s memory, and lossless read-back."""
 
 from __future__ import annotations
 
@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 from conftest import Record, corpus_of, load_corpus, pub, records, scores_of
 import jrank
 from jrank import cli
-from jrank.cli import _write_csv, _write_indicators_json, main
+from jrank.cli import _RANKING_FIELDS, _write_csv, _write_indicators_json, _write_ranking_json, main
 from jrank.corpus import Journal
 from jrank.indicators import INDICATOR_KEYS, compute_all
+from jrank.ranking import rank
 from jrank.synth import write_corpus_files
 
 
@@ -131,6 +132,25 @@ class TestIndicatorsJson:
         assert peak < size / 4, f"peak {peak} B for a {size} B file"
 
 
+def ranking_document(meta, key, scope, rows):
+    """The document a ranking JSON file holds for ``rank()``'s rows, for ``json.dumps`` to encode."""
+    return {"meta": meta, "indicator": key, "scope": scope, "rows": [dict(zip(_RANKING_FIELDS, row)) for row in rows]}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    meta=st.lists(_strings, max_size=3),
+    key=_strings,
+    scope=st.none() | _strings,
+    rows=st.lists(st.tuples(_strings, _floats, st.integers(-(2**70), 2**70), _floats), max_size=5),
+)
+def test_ranking_json_bytes_equal_indented_sorted_json_dumps(tmp_path_factory, meta, key, scope, rows):
+    path = tmp_path_factory.mktemp("rank") / "ranking.json"
+    _write_ranking_json(path, meta, key, scope, rows)
+    expected = json.dumps(ranking_document(meta, key, scope, rows), indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
 # journal ids that a delimited file must quote or that read back as comments
 _TRICKY = st.sampled_from([",", '"', "\n", "\r", "#", " "])
 _journal_ids = st.text(st.one_of(_TRICKY, st.characters(blacklist_categories=("Cs",))), min_size=1, max_size=10)
@@ -176,13 +196,18 @@ def test_every_json_output_loads_back_to_its_payload(tmp_path, monkeypatch):
         assert main([*command, *io_flags, "--out", str(tmp_path / command[0])]) == 0
 
     names = {path.relative_to(tmp_path).as_posix() for path, _ in written}
-    assert {"bootstrap/robustness_fncsi.json", "compute/ranking_jif.json"} <= names
+    assert "bootstrap/robustness_fncsi.json" in names
     for path, document in written:
         assert json.loads(path.read_text(encoding="utf-8")) == document, path
 
-    # the indicator tables against records read off the library's own Scores, not the writers' input
+    # the ranking and indicator files against values read off the library's own Scores, not the writers' input
     corpus, errors = load_corpus(data / "publications.csv", data / "journals.csv")
-    expected = records(compute_all(corpus))
+    scores = compute_all(corpus)
+    for key in INDICATOR_KEYS:
+        document = json.loads((tmp_path / "compute" / f"ranking_{key}.json").read_text(encoding="utf-8"))
+        assert document["meta"][:3] == [f"tool: jrank {jrank.__version__}", "command: compute", "seed: 42"]
+        assert document["rows"] and document == ranking_document(document["meta"], key, None, rank(scores, key)), key
+    expected = records(scores)
     assert not errors and any(ind.fncsi is None for ind in expected) and any(ind.topic_breakdown for ind in expected)
     for command in ("compute", "report"):
         document = json.loads((tmp_path / command / "indicators.json").read_text(encoding="utf-8"))
