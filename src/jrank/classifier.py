@@ -36,6 +36,7 @@ class RelatedRecords:
 class AssignmentReport:
     """Counts from one assignment pass.
 
+    ``already_classified`` counts records whose subject already had a topic;
     ``external_ignored`` counts related ids that reference publications
     outside the corpus; ``still_unclassified`` is the number of publications
     left without a topic after the pass.
@@ -84,7 +85,7 @@ def assign_majority(corpus: Corpus, related: Iterable[RelatedRecords]) -> tuple[
     corpus; the most frequent wins, ties broken by the smallest topic id, the
     first in :attr:`Corpus.topics`.  Related ids not present in the corpus
     are ignored and counted.  Publications that already carry a topic are
-    never modified.
+    never modified, and the result keeps the corpus's (distinct) ``pub_ids``.
     ``related`` is read once, in batches of ``_VOTE_BATCH`` records, so it
     may be a stream such as :func:`read_related`; a subject with more than
     one record takes the vote of its last record that has one.
@@ -94,8 +95,6 @@ def assign_majority(corpus: Corpus, related: Iterable[RelatedRecords]) -> tuple[
     unclassified, outside = len(corpus.topics), len(corpus.topics) + 1
     # one int object per code; -1 decodes to the last, unclassified
     code_of = dict(zip(corpus.pub_ids, _decode(range(unclassified + 1), corpus.topic)))
-    if len(code_of) < len(corpus.pub_ids):  # a repeated id keeps its last topic, if any
-        code_of.update((p, c) for p, c in zip(corpus.pub_ids, corpus.topic.tolist()) if c >= 0)
 
     assignments: dict[str, int] = {}
     external = 0

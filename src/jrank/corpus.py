@@ -121,6 +121,10 @@ class Corpus:
     review, ``pub_years`` is int32 and ``citations`` int64.  The tables
     follow from the rows and the journal table, so corpora with the same
     :attr:`publications` and ``journals`` hold the same arrays.
+
+    ``pub_ids`` are distinct, and nothing checks it again: ingest rejects a
+    repeated id as a row error, the generator numbers its ids, and the
+    classifier and the flip test keep the ids they are given.
     """
 
     pub_ids: tuple[str, ...]
@@ -168,6 +172,11 @@ def _decoded(corpus: Corpus, doc_types: Sequence, unclassified: str | None) -> t
     kinds = _decode(doc_types, corpus.review.view(np.uint8))
     topic_ids = _decode((*corpus.topics, unclassified), corpus.topic)
     return corpus.pub_ids, journal_ids, corpus.pub_years.tolist(), kinds, corpus.citations.tolist(), topic_ids
+
+
+def _in_table(corpus: Corpus) -> np.ndarray:
+    """Whether each journal code's journal is in the journal table; index it by ``corpus.journal``."""
+    return np.fromiter(map(corpus.journals.__contains__, corpus.journal_ids), bool, len(corpus.journal_ids))
 
 
 def _sorted_table(
@@ -579,25 +588,16 @@ def write_journals(journals: Mapping[str, Journal], path: Path | str) -> None:
 
 
 def validate_corpus(corpus: Corpus) -> list[Finding]:
-    """Check referential integrity; pure, and side-effect free.
+    """Check that every publication's journal is in the journal table; pure, and side-effect free.
 
-    Findings cover dangling journal references and duplicate publication
-    ids, in row order.  Topics need no check: a corpus's topics are those its
-    publications use.  No finding means the corpus is acceptable for
-    indicator computation.
+    Findings name each dangling journal reference, in row order.  Publication
+    ids need no check, as they are distinct by the :class:`Corpus` rule, and
+    topics need none, as a corpus's topics are those its publications use.
+    No finding means the corpus is acceptable for indicator computation.
     """
-    findings: list[Finding] = []
-    # a set check and one lookup per journal clear a clean corpus; the row walk only runs to report findings
-    if len(set(corpus.pub_ids)) == len(corpus.pub_ids) and all(map(corpus.journals.__contains__, corpus.journal_ids)):
-        return findings
-    seen: set[str] = set()
-    for pub_id, journal_id in zip(corpus.pub_ids, _decode(corpus.journal_ids, corpus.journal)):
-        if pub_id in seen:
-            findings.append(Finding("duplicate-pub-id", pub_id, "publication id appears more than once"))
-        seen.add(pub_id)
-        if journal_id not in corpus.journals:
-            findings.append(Finding("dangling-journal", pub_id, f"journal {journal_id!r} not in journal table"))
-    return findings
+    rows = np.flatnonzero((~_in_table(corpus))[corpus.journal]).tolist()
+    dangling = zip(map(corpus.pub_ids.__getitem__, rows), _decode(corpus.journal_ids, corpus.journal[rows]))
+    return [Finding("dangling-journal", p, f"journal {j!r} not in journal table") for p, j in dangling]
 
 
 def coverage_stats(corpus: Corpus) -> CoverageReport:

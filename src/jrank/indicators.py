@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, _in_table
 
 INDICATOR_KEYS = ("fncsi", "fnif", "expected_jif", "jif")
 
@@ -120,7 +120,7 @@ class RankKernel:
         corpus = self.corpus
         self.journal_ids, self.topic_ids = corpus.journal_ids, corpus.topics
         self.journal, self.citations = corpus.journal, corpus.citations
-        self.in_table = np.fromiter(map(corpus.journals.__contains__, self.journal_ids), bool, len(self.journal_ids))
+        self.in_table = _in_table(corpus)
         codes = np.where(corpus.topic < 0, -1, 2 * corpus.topic + corpus.review)
         classified = np.flatnonzero(codes >= 0).astype(np.int32)
         cell = codes[classified]

@@ -292,14 +292,10 @@ def reference_assign_majority(
 ) -> tuple[Corpus, AssignmentReport]:
     """Majority topic per unclassified subject, one record and one ``Counter`` at a time.
 
-    Topics are those of the input corpus (a repeated id keeps its last
-    topic, if any); ties go to the smallest topic id; a subject's later
-    record with a vote replaces its earlier one.
+    Topics are those of the input corpus; ties go to the smallest topic id;
+    a subject's later record with a vote replaces its earlier one.
     """
-    topic_of: dict[str, str | None] = {}
-    for p in corpus.publications:
-        if p.topic_id is not None or p.pub_id not in topic_of:
-            topic_of[p.pub_id] = p.topic_id
+    topic_of = {p.pub_id: p.topic_id for p in corpus.publications}
     assignments: dict[str, str] = {}
     external = already = 0
     for record in related:

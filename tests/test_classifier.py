@@ -115,13 +115,6 @@ class TestMajority:
         assert same_corpus(out, corpus)
         assert report.assigned == 0
 
-    def test_a_repeated_id_with_a_topic_is_never_modified(self):
-        # validation rejects repeated ids, but the library call keeps every classified row as it is
-        corpus = corpus_of([pub("x", "jA", 5, "t1"), pub("x", "jA", 2), classified("r1", "t2")])
-        out, report = assign_majority(corpus, [RelatedRecords("x", ("r1",))])
-        assert same_corpus(out, corpus)
-        assert report.assigned == 0 and report.already_classified == 1
-
 
 class TestLoadRelated:
     def test_pipe_separated_ids(self, tmp_path):
@@ -161,7 +154,7 @@ class TestLoadRelated:
 
 @st.composite
 def _vote_cases(draw):
-    """A corpus and related records with ties, repeated ids, unknown subjects and external ids.
+    """A corpus and related records with ties, unknown subjects and external ids.
 
     Topic names sort differently as text and as numbers (``t10`` < ``t2``);
     with 300 topics one filler paper per topic gives more than 256 ranks,
@@ -171,8 +164,8 @@ def _vote_cases(draw):
     topics = [f"t{i}" for i in range(n_topics)]
     topic = st.one_of(st.none(), st.sampled_from(topics)) if topics else st.none()
     ids = [f"p{i}" for i in range(draw(st.integers(1, 8)))]
-    # drawn with replacement, so a corpus id may repeat with the same or another topic
-    papers = [pub(pid, "jA", 1, draw(topic)) for pid in draw(st.lists(st.sampled_from(ids), min_size=1, max_size=12))]
+    # drawn without replacement, as corpus ids are distinct; an id left out is outside the corpus
+    papers = [pub(pid, "jA", 1, draw(topic)) for pid in draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))]
     fillers = [f"f{i}" for i in range(n_topics)] if n_topics > 12 else []
     papers += [pub(fid, "jB", 0, t) for fid, t in zip(fillers, topics)]
     related_id = st.sampled_from(ids + ["x1", "x2"] + fillers[:3] + fillers[-3:])
@@ -191,6 +184,7 @@ def test_batched_vote_matches_the_record_by_record_vote(case, batch):
         got, report = assign_majority(corpus, iter(records))
     want, want_report = reference_assign_majority(corpus, records)
     assert same_corpus(got, want) and report == want_report
+    assert got.pub_ids == corpus.pub_ids  # the distinct ids it was given, in their order
 
 
 # rows of a related file: good records with ids in and outside the corpus,

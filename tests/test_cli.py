@@ -138,6 +138,17 @@ class TestValidate:
         assert main(["validate", "--pubs", str(pubs), "--journals", str(journals)]) == 1
         assert "dangling-journal" in capsys.readouterr().err
 
+    def test_dangling_journals_are_reported_in_row_order(self, tmp_path, capsys):
+        # findings grouped by journal, or sorted by pub_id, come out in another order
+        rows = "d1,jZ,2018,Article,4,t1\na1,jA,2018,Article,3,t1\nc1,jY,2018,Review,2,t1\nb1,jZ,2018,Article,1,t1\n"
+        pubs, journals = write_tiny_corpus(tmp_path, rows=rows)
+        assert main(["validate", "--pubs", str(pubs), "--journals", str(journals)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: dangling-journal: d1: journal 'jZ' not in journal table",
+            "error: dangling-journal: c1: journal 'jY' not in journal table",
+            "error: dangling-journal: b1: journal 'jZ' not in journal table",
+        ]
+
     def test_missing_input_is_config_error(self, tmp_path):
         assert main(["validate", "--pubs", str(tmp_path / "nope.csv"), "--journals", str(tmp_path / "nope2.csv")]) == 2
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import statistics
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from oracles import (
     reference_relative_change,
 )
 
+from jrank import robustness as robustness_module
 from jrank.corpus import DocumentType, Journal
 from jrank.indicators import INDICATOR_KEYS, compute_all
 from jrank.ranking import rank
@@ -250,7 +252,12 @@ class TestPerturbationComparison:
             shuffled = tuple(pubs[i] for i in rng.permutation(len(pubs)))
             corpus = corpus_from_rows(shuffled, corpus.journals)
             flipped = flip_doc_type(corpus)
-            comparisons = perturbation_comparison(corpus, INDICATOR_KEYS)
+            with mock.patch.object(robustness_module, "compute_all", wraps=compute_all) as scored:
+                comparisons = perturbation_comparison(corpus, INDICATOR_KEYS)
+            # the retyped side takes the oracle's review flags and keeps the corpus's distinct ids
+            plain, retyped = (call.args[0] for call in scored.call_args_list)
+            assert plain is corpus and np.array_equal(retyped.review, flipped.review)
+            assert retyped.pub_ids == corpus.pub_ids
             assert list(comparisons) == list(INDICATOR_KEYS)
             for key in INDICATOR_KEYS:
                 original = rank_of(rank(compute_all(corpus), key))

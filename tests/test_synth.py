@@ -32,6 +32,7 @@ class TestGenerate:
         profile = SyntheticProfile(n_journals=10, n_topics=2, pubs_min=5, pubs_max=12)
         corpus = generate_corpus(profile, seed=1)
         assert validate_corpus(corpus) == []
+        assert len(set(corpus.pub_ids)) == len(corpus.pub_ids)  # validation does not check the ids
         assert len(corpus.journals) == 10
         for n_pubs in Counter(p.journal_id for p in corpus.publications).values():
             assert 5 <= n_pubs <= 12
