@@ -6,7 +6,7 @@ jif), turns them into deterministic rankings, and quantifies how stable those
 rankings are under bootstrap resampling and document-type mislabeling.
 """
 
-from .classifier import AssignmentReport, RelatedRecords, assign_majority, read_related
+from .classifier import AssignmentReport, assign_majority, read_related
 from .corpus import (
     Corpus,
     CoverageReport,
@@ -37,7 +37,6 @@ __all__ = [
     "Journal",
     "Publication",
     "RankKernel",
-    "RelatedRecords",
     "SchemaError",
     "Scores",
     "SyntheticProfile",

@@ -4,17 +4,17 @@ Unclassified publications inherit the topic that occurs most often among
 their related records' topics.  Assignment is a single pass: every majority
 is taken over the topic labels present in the *input* corpus, so freshly
 assigned topics never feed later decisions and the result is independent of
-processing order.  Related records are read a block at a time and voted on
-in batches of ``_VOTE_BATCH`` with NumPy, so a pass over a streamed file
-holds one batch of records, not the file.
+processing order.  Related records are read and voted on with NumPy a block
+of the file at a time, as two columns: subject ids and their related-id
+tuples.  A pass over a streamed file holds one block, not the file.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -22,14 +22,6 @@ from .corpus import Corpus, RowError, _decode, _read_table
 
 RELATED_COLUMNS = ("pub_id", "related_ids")
 RELATED_SEPARATOR = "|"
-
-
-@dataclass(frozen=True, slots=True)
-class RelatedRecords:
-    """Related-publication ids for one publication, in retrieval order."""
-
-    pub_id: str
-    related_ids: tuple[str, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,14 +40,17 @@ class AssignmentReport:
     already_classified: int
 
 
-def read_related(path: Path | str, errors: list[RowError]) -> Iterator[RelatedRecords]:
-    """Yield related records one at a time; related_ids are ``|``-separated.
+def read_related(path: Path | str, errors: list[RowError]) -> Iterator[tuple[list[str], list[tuple[str, ...]]]]:
+    """Yield the accepted records of each block of the file as two columns: subject ids, and related-id tuples.
 
-    Rows with an empty related list, a self-reference, or a duplicate subject
-    id are appended to ``errors`` as they are read, and not yielded.
+    A tuple holds the subject's ``|``-separated ``related_ids`` in retrieval order.  Rows with an empty related
+    list, a self-reference, or a duplicate subject id are appended to ``errors`` as they are read, and left out
+    of their block, which may then be empty.
     """
     seen: set[str] = set()
     for lines, block in _read_table(path, RELATED_COLUMNS):
+        subjects: list[str] = []
+        lists: list[tuple[str, ...]] = []
         for lineno, pub_id, related_ids in zip(lines, *block):
             related = tuple(filter(None, map(str.strip, related_ids.split(RELATED_SEPARATOR))))
             if not pub_id:
@@ -71,13 +66,14 @@ def read_related(path: Path | str, errors: list[RowError]) -> Iterator[RelatedRe
                 errors.append(RowError(lineno, f"duplicate related-record row for {pub_id!r}"))
                 continue
             seen.add(pub_id)
-            yield RelatedRecords(pub_id, related)
+            subjects.append(pub_id)
+            lists.append(related)
+        yield subjects, lists
 
 
-_VOTE_BATCH = 256  # related records voted on at once
-
-
-def assign_majority(corpus: Corpus, related: Iterable[RelatedRecords]) -> tuple[Corpus, AssignmentReport]:
+def assign_majority(
+    corpus: Corpus, related: Iterable[tuple[Sequence[str], Sequence[tuple[str, ...]]]]
+) -> tuple[Corpus, AssignmentReport]:
     """Assign topics to unclassified publications by majority over related records.
 
     For each unclassified publication with a related record, the candidate
@@ -86,9 +82,10 @@ def assign_majority(corpus: Corpus, related: Iterable[RelatedRecords]) -> tuple[
     first in :attr:`Corpus.topics`.  Related ids not present in the corpus
     are ignored and counted.  Publications that already carry a topic are
     never modified, and the result keeps the corpus's (distinct) ``pub_ids``.
-    ``related`` is read once, in batches of ``_VOTE_BATCH`` records, so it
-    may be a stream such as :func:`read_related`; a subject with more than
-    one record takes the vote of its last record that has one.
+    ``related`` holds blocks of records as ``(subject ids, related-id
+    tuples)`` columns, voted on one block at a time, so it may be a stream
+    such as :func:`read_related`; a subject with more than one record takes
+    the vote of its last record that has one.
     """
     # topic codes index corpus.topics, which is sorted, so the smallest code is the smallest id;
     # past the codes, one for unclassified papers and one for ids outside the corpus
@@ -99,14 +96,12 @@ def assign_majority(corpus: Corpus, related: Iterable[RelatedRecords]) -> tuple[
     assignments: dict[str, int] = {}
     external = 0
     already = 0
-    related = iter(related)
-    while batch := list(islice(related, _VOTE_BATCH)):
-        subjects = [record.pub_id for record in batch]
-        lists = [record.related_ids for record in batch]
-        row = np.repeat(np.arange(len(batch)), np.fromiter(map(len, lists), np.intp, len(batch)))  # each id's record
+    for subjects, lists in related:
+        n = len(subjects)
+        row = np.repeat(np.arange(n), np.fromiter(map(len, lists), np.intp, n))  # each id's record
         ids = chain(subjects, chain.from_iterable(lists))
-        codes = np.fromiter(map(code_of.get, ids, repeat(outside)), np.intp, len(batch) + len(row))
-        subject_codes, id_codes = codes[: len(batch)], codes[len(batch) :]
+        codes = np.fromiter(map(code_of.get, ids, repeat(outside)), np.intp, n + len(row))
+        subject_codes, id_codes = codes[:n], codes[n:]
         subject_of_id = subject_codes[row]
         external += int(np.count_nonzero((id_codes == outside) & (subject_of_id != outside)))
         already += int(np.count_nonzero(subject_codes < unclassified))

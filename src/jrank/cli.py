@@ -10,7 +10,8 @@ command's writer.  An output directory is created with its first file, so a
 command that fails before writing leaves none.  Outputs are deterministic:
 rerunning a command with identical inputs and seed produces byte-identical
 files, and every output records the tool version, the seed, and a hash of the
-resolved configuration so results can be audited later.
+resolved configuration so results can be audited later.  The JSON files are
+spelt column by column, and :func:`_write_json` writes the object of each.
 """
 
 from __future__ import annotations
@@ -97,8 +98,8 @@ _FLAGS: dict[str, dict[str, Any]] = {
         "help": "indicator key; repeatable (default: all four)",
     },
     "category": {"help": "restrict rankings to one journal category label"},
-    "sims": {"type": int, "help": "bootstrap simulation count (default: 100)"},
-    "seed": {"type": int, "help": "random seed (default: 42)"},
+    "sims": {"type": int, "help": f"bootstrap simulation count (default: {_DEFAULTS['sims']})"},
+    "seed": {"type": int, "help": f"random seed (default: {_DEFAULTS['seed']})"},
     **{
         flag: {
             "type": kind,
@@ -266,12 +267,6 @@ def _write_csv(path: Path, meta: list[str], header: Sequence[str], rows: Iterabl
         write_table(fh, header, ([_fmt(v) for v in row] for row in rows))
 
 
-def _write_json(path: Path, meta: list[str], payload: dict[str, Any]) -> None:
-    document = {"meta": meta, **payload}
-    with atomic_write(path) as fh:
-        fh.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
-
-
 def _json_floats(values: np.ndarray, nan: str = "NaN") -> list[str]:
     """Each float of ``values`` spelt as ``json.dumps`` spells it, NaN as ``nan``.
 
@@ -312,6 +307,19 @@ def _json_block(items: Sequence[str], indent: str, brackets: str = "[]") -> str:
     return brackets[0] + inner + f",{inner}".join(items) + f"\n{indent}{brackets[1]}"
 
 
+def _write_json(path: Path, meta: list[str], /, **members: str | Iterable[str]) -> None:
+    """Write ``meta`` and the ``members`` as one object, spelt as ``json.dumps(indent=2, sort_keys=True) + "\n"``.
+
+    A member is its value spelt nested at two spaces, or a stream of pieces of that text written as they come.
+    """
+    members["meta"] = _json_block(list(map(_json_string, meta)), "  ")
+    with atomic_write(path) as fh:
+        for i, name in enumerate(sorted(members)):  # the first member follows the brace, each later one a comma
+            fh.write(f"{',' if i else '{'}\n  {_json_string(name)}: ")
+            fh.writelines([members[name]] if isinstance(members[name], str) else members[name])
+        fh.write("\n}\n")
+
+
 def _indicator_rows(scores: Scores) -> Iterator[tuple[Any, ...]]:
     """(journal id, the four indicators, n_pubs) of each journal of the journal table, in id order; NaN if undefined."""
     kernel = scores.kernel
@@ -340,8 +348,8 @@ def _write_indicators_json(path: Path, meta: list[str], scores: Scores) -> None:
     starts = np.searchsorted(kernel._group_journal, codes)
     ends = np.searchsorted(kernel._group_journal, codes, side="right")
     names = [f"{_json_string(topic)}: " for topic in kernel.topic_ids]
-    with atomic_write(path) as fh:
-        fh.write('{\n  "journals": [')
+
+    def journal_list() -> Iterator[str]:  # the spelt journal list, a batch of whole journals at a time
         for first in range(0, len(codes), _JOURNALS_PER_BATCH):
             batch = slice(first, first + _JOURNALS_PER_BATCH)
             journals, low = codes[batch], starts[first]
@@ -363,10 +371,11 @@ def _write_indicators_json(path: Path, meta: list[str], scores: Scores) -> None:
                 topic_breakdown=(_json_block(entries[start:end], "      ", "{}") for start, end in runs),
                 **{key: _json_floats(getattr(scores, key)[journals], nan="null") for key in INDICATOR_KEYS},
             )
-            fh.write("\n    " if first == 0 else ",\n    ")
-            fh.write(",\n    ".join(records))
-        fh.write("\n  ],\n" if len(codes) else "],\n")
-        fh.write(f'  "meta": {_json_block(list(map(_json_string, meta)), "  ")}\n}}\n')
+            yield "[\n    " if first == 0 else ",\n    "
+            yield ",\n    ".join(records)
+        yield "\n  ]" if len(codes) else "[]"
+
+    _write_json(path, meta, journals=journal_list())
 
 
 def _slug(label: str) -> str:
@@ -390,13 +399,8 @@ def _write_ranking_json(
         rank=map(int.__repr__, ranks),
         percentile=_json_floats(np.array(percentiles, dtype=float)),
     )
-    with atomic_write(path) as fh:
-        fh.write(
-            f'{{\n  "indicator": {_json_string(key)},\n'
-            f'  "meta": {_json_block(list(map(_json_string, meta)), "  ")},\n'
-            f'  "rows": {_json_block(list(records), "  ")},\n'
-            f'  "scope": {"null" if scope is None else _json_string(scope)}\n}}\n'
-        )
+    scope_json = "null" if scope is None else _json_string(scope)
+    _write_json(path, meta, indicator=_json_string(key), rows=_json_block(list(records), "  "), scope=scope_json)
 
 
 def _write_ranking(key: str, rows: list[tuple[str, float, int, float]], config: RunConfig) -> list[Path]:
@@ -442,12 +446,12 @@ def _load_checked(config: RunConfig) -> tuple[Corpus, bool]:
 def _classified(config: RunConfig, corpus: Corpus) -> tuple[Corpus, AssignmentReport] | None:
     """Assign topics to ``corpus`` from the related records; None, after printing them, if a row is bad.
 
-    The records are voted on as they are read, so one batch is alive at a time.
+    The records are voted on as they are read, so one block is alive at a time.
     """
     errors: list[RowError] = []
-    records = read_related(config.related_records_path, errors)
+    blocks = read_related(config.related_records_path, errors)
     # after a bad row nothing is written: read on to report every bad row, but stop voting
-    classified = assign_majority(corpus, (record for record in records if not errors))
+    classified = assign_majority(corpus, (block for block in blocks if not errors))
     _print_row_errors(config.related_records_path, errors)
     return None if errors else classified
 
@@ -572,17 +576,19 @@ def _write_bootstrap(config: RunConfig, corpus: Corpus) -> None:
                 f"sentinel rank for journals unrankable in a simulation: {sentinel_rank}",
             ],
         )
+        # one object per tracked journal, under its id; rows come in id order, so in key order
+        journal_ids, low, *quartiles, high = zip(*rows)
+        summary = [map(int.__repr__, low), *(_json_floats(np.array(q)) for q in quartiles), map(int.__repr__, high)]
+        per_journal = _json_objects("    ", map(_json_string, journal_ids), ": ", **dict(zip(_SUMMARY_FIELDS, summary)))
         _write_json(
             config.output_dir / f"robustness_{key}.json",
             meta,
-            {
-                "indicator": key,
-                "delta": delta,
-                "seed": config.seed,
-                "simulations": config.sims,
-                "sentinel_rank": sentinel_rank,
-                "per_journal": {journal_id: dict(zip(_SUMMARY_FIELDS, summary)) for journal_id, *summary in rows},
-            },
+            delta=repr(delta),  # finite: every rank is at least 1
+            indicator=_json_string(key),
+            per_journal=_json_block(list(per_journal), "  ", "{}"),
+            seed=int.__repr__(config.seed),
+            sentinel_rank=int.__repr__(sentinel_rank),
+            simulations=int.__repr__(config.sims),
         )
         _write_csv(
             config.output_dir / f"quartiles_{key}.csv",

@@ -5,14 +5,14 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import pytest
 
 from oracles import corpus_from_rows, values  # values is re-exported: the test modules import it from here
 
-from jrank.classifier import RelatedRecords, read_related
+from jrank.classifier import read_related
 from jrank.corpus import (
     Corpus,
     CorpusFragment,
@@ -70,10 +70,15 @@ def load_corpus(pubs_path: Path | str, journals_path: Path | str) -> tuple[Corpu
     return corpus_from_fragments(pubs, journals), pubs.errors + journals.errors
 
 
-def load_related(path: Path | str) -> tuple[list[RelatedRecords], list[RowError]]:
-    """Every record of ``read_related`` in a list, and the rows that failed to parse."""
+def load_related(path: Path | str) -> tuple[list[tuple[str, tuple[str, ...]]], list[RowError]]:
+    """Every ``(pub_id, related_ids)`` record of ``read_related``'s blocks in one list, and the rows that failed to parse."""
     errors: list[RowError] = []
-    return list(read_related(path, errors)), errors
+    return [record for subjects, lists in read_related(path, errors) for record in zip(subjects, lists)], errors
+
+
+def block_of(records: Sequence[tuple[str, tuple[str, ...]]]) -> tuple[list[str], list[tuple[str, ...]]]:
+    """The ``(subject ids, related ids)`` columns of one block of ``read_related`` holding these records."""
+    return [pub_id for pub_id, _ in records], [related for _, related in records]
 
 
 class Record(NamedTuple):

@@ -13,7 +13,9 @@ bootstrap's ``delta`` as a plain left-to-right loop.  :func:`flip_doc_type`
 is the reference for the kernel's document-type flip: it rewrites the corpus
 itself.
 :func:`reference_assign_majority` votes one related record at a time with a
-``Counter``, the way the classifier did before it voted in batches.
+``Counter``, the way the classifier did before it voted a block at a time;
+its records, like :func:`reference_load_related`'s, are plain ``(pub_id,
+related_ids)`` tuples.
 
 The reference readers at the end (:func:`reference_load_publications`,
 :func:`reference_load_journals`, :func:`reference_load_related`) parse every
@@ -38,7 +40,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from jrank.classifier import AssignmentReport, RelatedRecords
+from jrank.classifier import AssignmentReport
 from jrank.corpus import (
     Corpus,
     CorpusFragment,
@@ -288,7 +290,7 @@ def random_corpus(
 
 
 def reference_assign_majority(
-    corpus: Corpus, related: Iterable[RelatedRecords]
+    corpus: Corpus, related: Iterable[tuple[str, tuple[str, ...]]]
 ) -> tuple[Corpus, AssignmentReport]:
     """Majority topic per unclassified subject, one record and one ``Counter`` at a time.
 
@@ -298,18 +300,18 @@ def reference_assign_majority(
     topic_of = {p.pub_id: p.topic_id for p in corpus.publications}
     assignments: dict[str, str] = {}
     external = already = 0
-    for record in related:
-        if record.pub_id not in topic_of:
+    for pub_id, related_ids in related:
+        if pub_id not in topic_of:
             continue
-        in_corpus = [rid for rid in record.related_ids if rid in topic_of]
-        external += len(record.related_ids) - len(in_corpus)
-        if topic_of[record.pub_id] is not None:
+        in_corpus = [rid for rid in related_ids if rid in topic_of]
+        external += len(related_ids) - len(in_corpus)
+        if topic_of[pub_id] is not None:
             already += 1
             continue
         votes = Counter(topic_of[rid] for rid in in_corpus if topic_of[rid] is not None)
         if votes:
             top = max(votes.values())
-            assignments[record.pub_id] = min(t for t, n in votes.items() if n == top)
+            assignments[pub_id] = min(t for t, n in votes.items() if n == top)
     rows = [replace(p, topic_id=assignments.get(p.pub_id, p.topic_id)) for p in corpus.publications]
     report = AssignmentReport(
         assigned=len(assignments),
@@ -431,8 +433,8 @@ def reference_load_journals(path: Path | str) -> JournalsFragment:
     return fragment
 
 
-def reference_load_related(path: Path | str) -> tuple[list[RelatedRecords], list[RowError]]:
-    records: list[RelatedRecords] = []
+def reference_load_related(path: Path | str) -> tuple[list[tuple[str, tuple[str, ...]]], list[RowError]]:
+    records: list[tuple[str, tuple[str, ...]]] = []
     errors: list[RowError] = []
     seen: set[str] = set()
     for line, (pub_id, related_ids) in reference_rows(path, ("pub_id", "related_ids")):
@@ -447,7 +449,7 @@ def reference_load_related(path: Path | str) -> tuple[list[RelatedRecords], list
             errors.append(RowError(line, f"duplicate related-record row for {pub_id!r}"))
         else:
             seen.add(pub_id)
-            records.append(RelatedRecords(pub_id, related))
+            records.append((pub_id, related))
     return records, errors
 
 

@@ -5,18 +5,16 @@ from __future__ import annotations
 import itertools
 import random
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import corpus_of, load_corpus, load_related, pub, same_corpus
+from conftest import block_of, corpus_of, load_corpus, load_related, pub, same_corpus
 from oracles import reference_assign_majority
 
-from jrank import classifier as classifier_module
 from jrank import cli
-from jrank.classifier import RelatedRecords, assign_majority, read_related
+from jrank.classifier import assign_majority, read_related
 from jrank.synth import SyntheticProfile, generate_corpus, write_corpus_files
 
 
@@ -33,7 +31,7 @@ class TestMajority:
         corpus = corpus_of(
             [pub("x", "jA", 5), classified("r1", "t1"), classified("r2", "t1"), classified("r3", "t2")]
         )
-        out, report = assign_majority(corpus, [RelatedRecords("x", ("r1", "r2", "r3"))])
+        out, report = assign_majority(corpus, [block_of([("x", ("r1", "r2", "r3"))])])
         assert topic_of(out, "x") == "t1"
         assert report.assigned == 1
 
@@ -43,25 +41,25 @@ class TestMajority:
         for related_order in itertools.permutations(("r1", "r2")):
             for pub_order in itertools.permutations(base):
                 corpus = corpus_of(list(pub_order))
-                out, _ = assign_majority(corpus, [RelatedRecords("x", related_order)])
+                out, _ = assign_majority(corpus, [block_of([("x", related_order)])])
                 assert topic_of(out, "x") == "t1"
 
     def test_no_topical_related_records_leaves_unclassified(self):
         corpus = corpus_of([pub("x", "jA", 5), pub("r1", "jB", 1)])  # r1 itself unclassified
-        out, report = assign_majority(corpus, [RelatedRecords("x", ("r1",))])
+        out, report = assign_majority(corpus, [block_of([("x", ("r1",))])])
         assert topic_of(out, "x") is None
         assert report.assigned == 0
         assert report.still_unclassified == 2
 
     def test_external_ids_ignored_and_counted(self):
         corpus = corpus_of([pub("x", "jA", 5), classified("r1", "t3")])
-        out, report = assign_majority(corpus, [RelatedRecords("x", ("ext1", "r1", "ext2"))])
+        out, report = assign_majority(corpus, [block_of([("x", ("ext1", "r1", "ext2"))])])
         assert topic_of(out, "x") == "t3"
         assert report.external_ignored == 2
 
     def test_never_modifies_already_classified(self):
         corpus = corpus_of([pub("x", "jA", 5, "t9"), classified("r1", "t1")])
-        out, report = assign_majority(corpus, [RelatedRecords("x", ("r1",))])
+        out, report = assign_majority(corpus, [block_of([("x", ("r1",))])])
         assert topic_of(out, "x") == "t9"
         assert report.assigned == 0 and report.already_classified == 1
 
@@ -69,7 +67,7 @@ class TestMajority:
         # y's topic is decided this pass, so x (related only to y) stays
         # unclassified: fresh assignments never feed later majorities
         corpus = corpus_of([pub("x", "jA", 5), pub("y", "jA", 4), classified("r1", "t1")])
-        related = [RelatedRecords("x", ("y",)), RelatedRecords("y", ("r1",))]
+        related = [block_of([("x", ("y",)), ("y", ("r1",))])]
         out, report = assign_majority(corpus, related)
         assert topic_of(out, "y") == "t1"
         assert topic_of(out, "x") is None
@@ -82,7 +80,7 @@ class TestMajority:
             sources = [classified(f"r{i}", topics[rng.integers(len(topics))]) for i in range(8)]
             corpus = corpus_of([pub("x", "jA", 5)] + sources)
             ids = tuple(f"r{i}" for i in rng.choice(8, size=rng.integers(1, 8), replace=False))
-            out, _ = assign_majority(corpus, [RelatedRecords("x", ids)])
+            out, _ = assign_majority(corpus, [block_of([("x", ids)])])
             assigned = topic_of(out, "x")
             candidate_topics = {topic_of(corpus, rid) for rid in ids}
             assert assigned in candidate_topics
@@ -95,14 +93,11 @@ class TestMajority:
             sources = [classified(f"r{i}", f"t{rng.integers(4)}") for i in range(10)]
             targets = [pub(f"x{i}", "jA", int(rng.integers(10))) for i in range(5)]
             corpus = corpus_of(sources + targets)
-            related = [
-                RelatedRecords(
-                    t.pub_id,
-                    tuple(f"r{i}" for i in rng.choice(10, size=3, replace=False)) + ("external",),
-                )
+            related = [block_of([
+                (t.pub_id, tuple(f"r{i}" for i in rng.choice(10, size=3, replace=False)) + ("external",))
                 for t in targets
                 if rng.random() < 0.8
-            ]
+            ])]
             once, report_once = assign_majority(corpus, related)
             twice, report_twice = assign_majority(once, related)
             assert same_corpus(once, twice)
@@ -111,7 +106,7 @@ class TestMajority:
 
     def test_records_for_unknown_publications_are_skipped(self):
         corpus = corpus_of([classified("r1", "t1")])
-        out, report = assign_majority(corpus, [RelatedRecords("ghost", ("r1",))])
+        out, report = assign_majority(corpus, [block_of([("ghost", ("r1",))])])
         assert same_corpus(out, corpus)
         assert report.assigned == 0
 
@@ -121,7 +116,7 @@ class TestLoadRelated:
         path = tmp_path / "r.csv"
         path.write_text("pub_id,related_ids\np1,r1|r2|r3\n", encoding="utf-8")
         records, _ = load_related(path)
-        assert records == [RelatedRecords("p1", ("r1", "r2", "r3"))]
+        assert records == [("p1", ("r1", "r2", "r3"))]
 
     def test_empty_related_list_is_error(self, tmp_path):
         path = tmp_path / "r.csv"
@@ -148,7 +143,7 @@ class TestLoadRelated:
             encoding="utf-8",
         )
         records, errors = load_related(path)
-        assert records == [RelatedRecords("p1", ("r1", "# r2", "r3")), RelatedRecords("p3", ("r1\tr2", "r4"))]
+        assert records == [("p1", ("r1", "# r2", "r3")), ("p3", ("r1\tr2", "r4"))]
         assert [(e.line, e.message) for e in errors] == [(6, "no related ids for 'p2'")]
 
 
@@ -170,18 +165,24 @@ def _vote_cases(draw):
     papers += [pub(fid, "jB", 0, t) for fid, t in zip(fillers, topics)]
     related_id = st.sampled_from(ids + ["x1", "x2"] + fillers[:3] + fillers[-3:])
     records = draw(st.lists(
-        st.builds(RelatedRecords, st.sampled_from(ids + ["ghost"]), st.lists(related_id, max_size=7).map(tuple)),
+        st.tuples(st.sampled_from(ids + ["ghost"]), st.lists(related_id, max_size=7).map(tuple)),
         max_size=10,
     ))
     return corpus_of(draw(st.permutations(papers))), records
 
 
 @settings(max_examples=400, deadline=None)
-@given(case=_vote_cases(), batch=st.integers(1, 3))
-def test_batched_vote_matches_the_record_by_record_vote(case, batch):
+@given(case=_vote_cases(), data=st.data())
+def test_batched_vote_matches_the_record_by_record_vote(case, data):
     corpus, records = case
-    with mock.patch.object(classifier_module, "_VOTE_BATCH", batch):
-        got, report = assign_majority(corpus, iter(records))
+    # blocks of 1-3 records in order, and one empty block, as read_related yields for a block of rejected rows
+    blocks, start = [], 0
+    while start < len(records):
+        end = start + data.draw(st.integers(1, 3))
+        blocks.append(block_of(records[start:end]))
+        start = end
+    blocks.insert(data.draw(st.integers(0, len(blocks))), block_of([]))
+    got, report = assign_majority(corpus, iter(blocks))
     want, want_report = reference_assign_majority(corpus, records)
     assert same_corpus(got, want) and report == want_report
     assert got.pub_ids == corpus.pub_ids  # the distinct ids it was given, in their order
@@ -206,7 +207,7 @@ def test_streamed_records_vote_as_the_loaded_list_does(tmp_path_factory, rows):
     errors = []
     streamed, report = assign_majority(corpus, read_related(path, errors))
     records, loaded_errors = load_related(path)
-    loaded, loaded_report = assign_majority(corpus, records)
+    loaded, loaded_report = assign_majority(corpus, [block_of(records)])
     assert same_corpus(streamed, loaded) and report == loaded_report
     assert errors == loaded_errors
 

@@ -652,6 +652,14 @@ class TestSubcommandFlags:
         listed = set(re.findall(r"--([a-z][a-z-]*)", capsys.readouterr().out))
         assert listed == flags | {"help", "config"}
 
+    def test_bootstrap_help_states_the_defaults_a_run_takes(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["bootstrap", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "--sims SIMS bootstrap simulation count (default: 100)" in text
+        assert "--seed SEED random seed (default: 42)" in text
+        assert (cli._DEFAULTS["sims"], cli._DEFAULTS["seed"]) == (100, 42)
+
 
 class TestReport:
     def test_summary_written(self, generated, tmp_path, capsys):

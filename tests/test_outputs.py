@@ -9,16 +9,30 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pytest
+
 from conftest import Record, corpus_of, load_corpus, pub, records, scores_of
+from make_golden import GOLDEN
 import jrank
-from jrank import cli
-from jrank.cli import _RANKING_FIELDS, _write_csv, _write_indicators_json, _write_ranking_json, main
+from jrank.cli import (
+    _RANKING_FIELDS,
+    _json_block,
+    _json_floats,
+    _json_string,
+    _write_csv,
+    _write_indicators_json,
+    _write_json,
+    _write_ranking_json,
+    main,
+)
 from jrank.corpus import Journal
 from jrank.indicators import INDICATOR_KEYS, compute_all
 from jrank.ranking import rank
+from jrank.robustness import bootstrap_report
 from jrank.synth import write_corpus_files
 
 
@@ -137,6 +151,19 @@ def ranking_document(meta, key, scope, rows):
     return {"meta": meta, "indicator": key, "scope": scope, "rows": [dict(zip(_RANKING_FIELDS, row)) for row in rows]}
 
 
+def robustness_document(meta, key, rows, delta, seed, sims):
+    """The document ``robustness_<key>.json`` holds for ``bootstrap_report()``'s rows and delta of ``key``."""
+    return {
+        "meta": meta,
+        "indicator": key,
+        "delta": delta,
+        "seed": seed,
+        "simulations": sims,
+        "sentinel_rank": len(rows) + 1,
+        "per_journal": {journal_id: dict(zip(("min", "q1", "median", "q3", "max"), summary)) for journal_id, *summary in rows},
+    }
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     meta=st.lists(_strings, max_size=3),
@@ -148,6 +175,34 @@ def test_ranking_json_bytes_equal_indented_sorted_json_dumps(tmp_path_factory, m
     path = tmp_path_factory.mktemp("rank") / "ranking.json"
     _write_ranking_json(path, meta, key, scope, rows)
     expected = json.dumps(ranking_document(meta, key, scope, rows), indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+def spelt(value):
+    """``value`` spelt as the writers spell a member: a string, a float, an int, or a list of strings."""
+    if isinstance(value, str):
+        return _json_string(value)
+    if isinstance(value, float):
+        return _json_floats(np.array([value]))[0]
+    if isinstance(value, list):
+        return _json_block(list(map(_json_string, value)), "  ")
+    return int.__repr__(value)
+
+
+# member names the writer's own parameters could shadow, and any other name but "meta"
+_member_names = st.sampled_from(["path", "members", ""]) | _strings.filter(lambda name: name != "meta")
+_members = st.dictionaries(
+    _member_names, _strings | _floats | st.integers(-(2**70), 2**70) | st.lists(_strings, max_size=3), max_size=5
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(meta=st.lists(_strings, max_size=3), members=_members, streamed=st.booleans())
+def test_json_document_bytes_equal_indented_sorted_json_dumps(tmp_path_factory, meta, members, streamed):
+    path = tmp_path_factory.mktemp("doc") / "document.json"
+    # a streamed member arrives one character at a time
+    _write_json(path, meta, **{name: iter(spelt(v)) if streamed else spelt(v) for name, v in members.items()})
+    expected = json.dumps({"meta": meta, **members}, indent=2, sort_keys=True) + "\n"
     assert path.read_bytes() == expected.encode("utf-8")
 
 
@@ -175,7 +230,7 @@ def test_csv_table_reads_back_as_the_rows_written(tmp_path_factory, meta, rows):
         assert [None if f == "unrankable" else type(v)(f) for v, f in zip(values, fields)] == values
 
 
-def test_every_json_output_loads_back_to_its_payload(tmp_path, monkeypatch):
+def test_every_json_output_loads_back_to_its_payload(tmp_path):
     odd = ['J, "A"', "Jé\U0001f600", "#lead", "back\\slash"]
     pubs = [pub(f"p{i}{k}", jid, (i * 7 + k) % 5, f"t{k}") for i, jid in enumerate(odd) for k in range(3)]
     pubs.append(pub("u1", "jun", 2, None))
@@ -183,22 +238,13 @@ def test_every_json_output_loads_back_to_its_payload(tmp_path, monkeypatch):
     data = tmp_path / "data"
     write_corpus_files(corpus_of(pubs, journals=journals), data)
 
-    written = []
-    write_json = cli._write_json
-
-    def record_json(path, meta, payload):
-        written.append((path, {"meta": meta, **payload}))
-        write_json(path, meta, payload)
-
-    monkeypatch.setattr(cli, "_write_json", record_json)
     io_flags = ["--pubs", str(data / "publications.csv"), "--journals", str(data / "journals.csv")]
     for command in (["compute"], ["bootstrap", "--sims", "5"], ["report"]):
         assert main([*command, *io_flags, "--out", str(tmp_path / command[0])]) == 0
-
-    names = {path.relative_to(tmp_path).as_posix() for path, _ in written}
-    assert "bootstrap/robustness_fncsi.json" in names
-    for path, document in written:
-        assert json.loads(path.read_text(encoding="utf-8")) == document, path
+    # every JSON file the commands wrote is checked below
+    written = {path.relative_to(tmp_path).as_posix() for path in tmp_path.rglob("*.json")}
+    names = [f"{kind}_{key}.json" for kind in ("compute/ranking", "bootstrap/robustness") for key in INDICATOR_KEYS]
+    assert written == {*names, "compute/indicators.json", "report/indicators.json"}
 
     # the ranking and indicator files against values read off the library's own Scores, not the writers' input
     corpus, errors = load_corpus(data / "publications.csv", data / "journals.csv")
@@ -218,3 +264,29 @@ def test_every_json_output_loads_back_to_its_payload(tmp_path, monkeypatch):
         assert header == ["journal_id", *INDICATOR_KEYS, "n_pubs"]
         read_back = [(jid, *(None if f == "unrankable" else float(f) for f in values), int(n)) for jid, *values, n in rows]
         assert read_back == [tuple(ind[:6]) for ind in expected], command
+    # the robustness reports against the library's own bootstrap, with the run's seed, count and sentinel rank
+    for key, (rows, delta) in bootstrap_report(corpus, INDICATOR_KEYS, sims=5, seed=42).items():
+        document = json.loads((tmp_path / "bootstrap" / f"robustness_{key}.json").read_text(encoding="utf-8"))
+        assert document["meta"][:3] == [f"tool: jrank {jrank.__version__}", "command: bootstrap", "seed: 42"]
+        assert len(rows) > 1 and document == robustness_document(document["meta"], key, rows, delta, 42, 5), key
+
+
+def test_no_command_spells_json_with_the_indenting_encoder(tmp_path, monkeypatch, capsys):
+    # the writers spell every JSON file column by column; json.dumps(indent=...) goes through this pure-Python encoder
+    def refuse(*args, **kwargs):
+        raise AssertionError("a command encoded JSON with json's indenting encoder")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    with pytest.raises(AssertionError):
+        json.dumps({"journals": []}, indent=2)
+    # the config hash and the config errors quote values with json's C encoder, which stays available
+    config = tmp_path / "config.json"
+    corpus = GOLDEN / "corpus"
+    config.write_text(json.dumps({"pubs": str(corpus / "publications.csv"), "journals": str(corpus / "journals.csv")}))
+    for argv in (["compute"], ["rank"], ["report"], ["bootstrap", "--sims", "5"]):
+        assert main([*argv, "--config", str(config), "--out", str(tmp_path / argv[0])]) == 0, argv[0]
+    assert len(list(tmp_path.rglob("*.json"))) == 1 + 5 + 4 + 1 + 4  # the config, then each command's JSON files
+    config.write_text('{"sims": [5, "x"]}')
+    capsys.readouterr()
+    assert main(["bootstrap", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f'error: config key sims in {config} must be an integer, not [5, "x"]\n'

@@ -24,7 +24,7 @@ def test_every_exported_name_resolves_and_appears_once():
     assert [name for name in jrank.__all__ if not hasattr(jrank, name)] == []
 
 
-def test_analyses_return_plain_rows():
+def test_analyses_return_plain_rows(tmp_path):
     # the writers name the columns; an analysis hands back tuples and arrays, no record type
     corpus = random_corpus(np.random.default_rng(26), max_journals=6, max_pubs=80, max_topics=2, unclassified_p=0.1)
     keys = jrank.INDICATOR_KEYS
@@ -36,6 +36,13 @@ def test_analyses_return_plain_rows():
     assert rows and [type(row) for row in rows if type(row) is not tuple] == []
     samples = jrank.bootstrap_rankings(corpus, keys, sims=3, seed=1)
     assert [type(value) for value in samples.values()] == [tuple] * len(keys)
+    # related records come as blocks of two plain columns: subject ids, and a tuple of related ids per subject
+    related = tmp_path / "related.csv"
+    related.write_text("pub_id,related_ids\nu1,a1|a2\nu2,\nu3,a1\n", encoding="utf-8")
+    blocks = list(jrank.read_related(related, []))
+    assert [type(block) for block in blocks] == [tuple] and [type(column) for column in blocks[0]] == [list, list]
+    assert blocks == [(["u1", "u3"], [("a1", "a2"), ("a1",)])]
+    assert {type(value) for subjects, lists in blocks for value in (*subjects, *lists)} == {str, tuple}
 
 
 def test_the_benchmark_trace_sites_are_still_bound():
