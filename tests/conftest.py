@@ -71,7 +71,7 @@ def load_corpus(pubs_path: Path | str, journals_path: Path | str) -> tuple[Corpu
 
 
 def load_related(path: Path | str) -> tuple[list[tuple[str, tuple[str, ...]]], list[RowError]]:
-    """Every ``(pub_id, related_ids)`` record of ``read_related``'s blocks in one list, and the rows that failed to parse."""
+    """Every ``(pub_id, related_ids)`` record of ``read_related``'s blocks in one list, and the rows that failed."""
     errors: list[RowError] = []
     return [record for subjects, lists in read_related(path, errors) for record in zip(subjects, lists)], errors
 

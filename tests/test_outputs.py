@@ -10,10 +10,9 @@ import random
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-import pytest
 
 from conftest import Record, corpus_of, load_corpus, pub, records, scores_of
 from make_golden import GOLDEN
@@ -160,7 +159,9 @@ def robustness_document(meta, key, rows, delta, seed, sims):
         "seed": seed,
         "simulations": sims,
         "sentinel_rank": len(rows) + 1,
-        "per_journal": {journal_id: dict(zip(("min", "q1", "median", "q3", "max"), summary)) for journal_id, *summary in rows},
+        "per_journal": {
+            journal_id: dict(zip(("min", "q1", "median", "q3", "max"), summary)) for journal_id, *summary in rows
+        },
     }
 
 
