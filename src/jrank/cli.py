@@ -3,15 +3,16 @@
 Subcommands: validate, classify, compute, rank, bootstrap, flip-test,
 generate, report.  Each subcommand takes only the flags it reads, and a JSON
 config file (``--config``) may set any of them; explicit flags override the
-file.  The five scoring commands (compute, rank, report, bootstrap and
-flip-test) share one path, :func:`cmd_score`, which loads and checks the
-corpus, classifies it when ``--related`` is given, and hands it to the
-command's writer.  An output directory is created with its first file, so a
-command that fails before writing leaves none.  Outputs are deterministic:
-rerunning a command with identical inputs and seed produces byte-identical
-files, and every output records the tool version, the seed, and a hash of the
-resolved configuration so results can be audited later.  The JSON files are
-spelt column by column, and :func:`_write_json` writes the object of each.
+file.  Classify and the five scoring commands (compute, rank, report,
+bootstrap and flip-test) share one path, :func:`cmd_score`, which loads and
+checks the corpus, classifies it when ``--related`` is given, printing the
+assignment counts, and hands it to the command's writer.  An output
+directory is created with its first file, so a command that fails before
+writing leaves none.  Outputs are deterministic: rerunning a command with
+identical inputs and seed produces byte-identical files, and every output
+records the tool version, the seed, and a hash of the resolved configuration
+so results can be audited later.  The JSON files are spelt column by column,
+and :func:`_write_json` writes the object of each.
 """
 
 from __future__ import annotations
@@ -476,37 +477,20 @@ def cmd_validate(config: RunConfig) -> int:
     return 0 if clean else 1
 
 
-def cmd_classify(config: RunConfig) -> int:
-    corpus, clean = _load_checked(config)
-    classified = _classified(config, corpus) if clean else None
-    if classified is None:
-        return 1
-    assigned_corpus, report = classified
-    out_path = config.output_dir / "publications_classified.csv"
-    write_publications(assigned_corpus, out_path)
-    print(
-        f"assigned: {report.assigned}, still unclassified: {report.still_unclassified}, "
-        f"external related ids ignored: {report.external_ignored}"
-    )
-    print(f"wrote {out_path}")
-    return 0
-
-
 def _write_indicators(config: RunConfig, scores: Scores) -> None:
     meta = _meta(config)
     if "csv" in config.formats:
-        _write_csv(
-            config.output_dir / "indicators.csv",
-            meta,
-            ("journal_id", "fncsi", "fnif", "expected_jif", "jif", "n_pubs"),
-            _indicator_rows(scores),
-        )
+        header = ("journal_id", *INDICATOR_KEYS, "n_pubs")
+        _write_csv(config.output_dir / "indicators.csv", meta, header, _indicator_rows(scores))
     if "json" in config.formats:
         _write_indicators_json(config.output_dir / "indicators.json", meta, scores)
 
 
 def cmd_score(write: Callable[[RunConfig, Corpus], None], config: RunConfig) -> int:
-    """The scoring commands: load, check, classify with ``--related``, then ``write`` the command's files."""
+    """Classify and the scoring commands: load, check, classify with ``--related``, then ``write`` the command's files.
+
+    Classifying prints the assignment counts before ``write`` runs.
+    """
     corpus, clean = _load_checked(config)
     if not clean:
         return 1
@@ -517,9 +501,19 @@ def cmd_score(write: Callable[[RunConfig, Corpus], None], config: RunConfig) -> 
         classified = _classified(config, corpus)
         if classified is None:
             return 1
-        corpus, _ = classified
+        corpus, report = classified
+        print(
+            f"assigned: {report.assigned}, still unclassified: {report.still_unclassified}, "
+            f"external related ids ignored: {report.external_ignored}"
+        )
     write(config, corpus)
     return 0
+
+
+def _write_classified(config: RunConfig, corpus: Corpus) -> None:
+    out_path = config.output_dir / "publications_classified.csv"
+    write_publications(corpus, out_path)
+    print(f"wrote {out_path}")
 
 
 def _write_compute(config: RunConfig, corpus: Corpus) -> None:
@@ -632,7 +626,11 @@ _RANKINGS = ("format", "indicator", "category", "seed")
 # subcommand -> (command, help, the flags it reads besides --config)
 _COMMANDS: dict[str, tuple[Callable[[RunConfig], int], str, tuple[str, ...]]] = {
     "validate": (cmd_validate, "check corpus files and report findings", _IO),
-    "classify": (cmd_classify, "assign topics to unclassified publications by majority rule", (*_IO, "related")),
+    "classify": (
+        partial(cmd_score, _write_classified),
+        "assign topics to unclassified publications by majority rule",
+        (*_IO, "related"),
+    ),
     "compute": (
         partial(cmd_score, _write_compute), "compute all indicators and write ranking tables", (*_IO, *_RANKINGS)
     ),

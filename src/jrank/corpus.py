@@ -8,8 +8,9 @@ ids are integer codes into sorted tables (:class:`Publication` is the row
 type that :attr:`Corpus.publications` decodes for code that works row by
 row).  The topics are those the publications are assigned to.  Corpora are
 immutable once built: topic assignment returns a new instance with a new
-topic column, and the bootstrap and the document-type flip reweight or
-recode the kernel's arrays instead of copying the corpus.
+topic column, the bootstrap reweights the kernel's arrays instead of copying
+the corpus, and the document-type flip scores a copy whose review column is
+inverted.
 
 Every table is read by :func:`_read_table`, in blocks of whole lines.  A
 clean block, one in which every line is a plain record with the header's
@@ -45,7 +46,7 @@ JOURNAL_COLUMNS = ("journal_id", "title", "categories")
 
 CATEGORY_SEPARATOR = "|"
 
-_MAX_CITATIONS = 2**63 - 1  # the indicator kernel holds citation counts as int64
+_INT64_MAX = 2**63 - 1  # the indicator kernel holds citation counts, and their sums, as int64
 
 
 class SchemaError(Exception):
@@ -63,17 +64,9 @@ class DocumentType(enum.Enum):
     ARTICLE = "Article"
     REVIEW = "Review"
 
-    @classmethod
-    def parse(cls, text: str) -> DocumentType:
-        """Parse a document-type tag, case-insensitively."""
-        member = _DOCUMENT_TYPES.get(text.strip().lower())
-        if member is None:
-            raise ValueError(f"unknown document type {text!r} (expected Article or Review)")
-        return member
 
-
-_DOCUMENT_TYPES = {member.value.lower(): member for member in DocumentType}
-_REVIEW_FLAGS = {tag: member is DocumentType.REVIEW for tag, member in _DOCUMENT_TYPES.items()}
+# lowercased document-type tag -> review flag; ingest matches tags case-insensitively
+_REVIEW_FLAGS = {member.value.lower(): member is DocumentType.REVIEW for member in DocumentType}
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,10 +84,6 @@ class Publication:
     doc_type: DocumentType
     citations: int
     topic_id: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.citations < 0:
-            raise ValueError(f"publication {self.pub_id!r}: citations must be >= 0")
 
 
 @dataclass(frozen=True, slots=True)
@@ -465,9 +454,11 @@ def _parse_publication(
         raise ValueError(f"citations {citations!r} is not an integer") from None
     if count < 0:
         raise ValueError(f"citations must be >= 0, got {count}")
-    if count > _MAX_CITATIONS:
-        raise ValueError(f"citations must be <= {_MAX_CITATIONS}, got {count}")
-    review = DocumentType.parse(doc_type) is DocumentType.REVIEW
+    if count > _INT64_MAX:
+        raise ValueError(f"citations must be <= {_INT64_MAX}, got {count}")
+    review = _REVIEW_FLAGS.get(doc_type.lower())
+    if review is None:
+        raise ValueError(f"unknown document type {doc_type!r} (expected Article or Review)")
     if pub_id in seen:
         raise ValueError(f"duplicate pub_id {pub_id!r}")
     seen.add(pub_id)

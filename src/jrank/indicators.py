@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, _in_table
+from .corpus import _INT64_MAX, Corpus, _in_table
 
 INDICATOR_KEYS = ("fncsi", "fnif", "expected_jif", "jif")
 
@@ -68,7 +68,6 @@ def _divide(num: np.ndarray, den: np.ndarray, where: np.ndarray, fill: float = m
     return np.divide(num, den, out=np.full(len(num), fill), where=where)
 
 
-_INT64_MAX = 2**63 - 1
 _OVERFLOW = f"citation counts too large: a weighted citation sum or product would pass 2**63 - 1 ({_INT64_MAX})"
 _MAX_WEIGHT = 2**31 - 1  # bounds the paper counts, so rank_sum <= 2 * W**2 and 2 * n_own * n_other fit int64
 
@@ -79,16 +78,21 @@ def _check_products(a: np.ndarray, b: np.ndarray) -> None:
         raise ValueError(_OVERFLOW)
 
 
-def _check_sums(terms: np.ndarray, starts: np.ndarray) -> None:
-    """Raise ValueError unless every segment sum of the non-negative int64 ``terms`` fits int64.
+def _group_sums(terms: np.ndarray, groups: np.ndarray, n: int) -> np.ndarray:
+    """The sum of the non-negative int64 ``terms`` in each of ``n`` groups, exact; ValueError unless each fits int64.
 
-    The high and low 32 bits are summed apart, so neither sum can wrap while a
-    segment holds fewer than 2**31 terms; the total is below 2**63 exactly when
-    its part above the low 32 bits is below 2**31.
+    ``groups`` holds each term's group index.  The high and low 32 bits are
+    summed apart, so neither sum can wrap while a group holds fewer than 2**31
+    terms; the total is below 2**63 exactly when its part above the low 32
+    bits is below 2**31.
     """
-    high = np.add.reduceat(terms >> 32, starts) + (np.add.reduceat(terms & 0xFFFFFFFF, starts) >> 32)
+    high, low = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    np.add.at(high, groups, terms >> 32)
+    np.add.at(low, groups, terms & 0xFFFFFFFF)
+    high += low >> 32
     if (high >= 2**31).any():
         raise ValueError(_OVERFLOW)
+    return (high << 32) + (low & 0xFFFFFFFF)
 
 
 @dataclass(eq=False)
@@ -169,10 +173,8 @@ class RankKernel:
         cell_total[self._cells] = np.add.reduceat(run_weight, self._cell_starts)
         # every weighted citation term, and every partial sum below, is at most its cell's sum
         _check_products(self._run_citations, run_weight)
-        run_citations = run_weight * self._run_citations
-        _check_sums(run_citations, self._cell_starts)
         cell_citations = np.zeros(n_cells, dtype=np.int64)
-        cell_citations[self._cells] = np.add.reduceat(run_citations, self._cell_starts)
+        cell_citations[self._cells] = _group_sums(run_weight * self._run_citations, self._cell_of_run, len(self._cells))
 
         # twice U: 2 per same-cell paper cited less, 1 per paper cited equally,
         # less the n_own**2 that the pair's papers score against each other
@@ -212,8 +214,8 @@ class RankKernel:
         n_journals = len(self.journal_ids)
         # jif: every paper, classified or not
         _check_products(self.citations, weights)
-        jif_citations = np.bincount(self.journal, weights=weights * self.citations, minlength=n_journals)
-        jif_papers = np.bincount(self.journal, weights=weights, minlength=n_journals)
+        jif_citations = _group_sums(weights * self.citations, self.journal, n_journals)
+        jif_papers = _group_sums(weights, self.journal, n_journals)
         cell_total, cell_citations, n_own, numerator, own_citations = self._counts(weights)
         del weights
 

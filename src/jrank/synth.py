@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import _MAX_CITATIONS, Corpus, Journal, _sorted_table, write_journals, write_publications
+from .corpus import _INT64_MAX, Corpus, Journal, _sorted_table, write_journals, write_publications
 
 CITATION_DISTRIBUTIONS = ("lognormal", "uniform")
 
@@ -77,8 +77,8 @@ class SyntheticProfile:
                 raise ValueError(f"{name} must be in [0, 1]")
         if not 0 <= self.skewed_journals <= self.n_journals:
             raise ValueError("skewed_journals must be between 0 and n_journals")
-        if self.outlier_citations > _MAX_CITATIONS:
-            raise ValueError(f"outlier_citations must be <= {_MAX_CITATIONS}")
+        if self.outlier_citations > _INT64_MAX:
+            raise ValueError(f"outlier_citations must be <= {_INT64_MAX}")
         if self.n_topics > _MAX_TOPICS:
             raise ValueError(f"n_topics must be <= {_MAX_TOPICS}")
 
@@ -144,8 +144,8 @@ def generate_corpus(profile: SyntheticProfile, seed: int) -> Corpus:
             topic[uniforms[:, 0] < unclassified] = -1
         journal = np.full(len(counts), position, dtype=np.int32)
         columns.append((journal, topic, uniforms[:, -1] < profile.review_fraction, _BASE_YEAR - year.astype(np.int32)))
-    if max(citations) > _MAX_CITATIONS:
-        raise ValueError(f"citations must be <= {_MAX_CITATIONS}, got {max(citations)}")
+    if max(citations) > _INT64_MAX:
+        raise ValueError(f"citations must be <= {_INT64_MAX}, got {max(citations)}")
 
     journal, topic, review, pub_years = map(np.concatenate, zip(*columns))
     journal_ids, journal = _sorted_table(journal_ids, journal, keep=journals)

@@ -377,6 +377,9 @@ def reference_rows(path: Path | str, columns: tuple[str, ...]) -> Iterator[tuple
             yield line, tuple(map(str.strip, pick(row)))
 
 
+_REFERENCE_DOC_TYPES = {"article": DocumentType.ARTICLE, "review": DocumentType.REVIEW}
+
+
 def reference_parse_publication(
     pub_id: str, journal_id: str, pub_year: str, doc_type: str, citations: str, topic_id: str
 ) -> tuple[str, str, int, DocumentType, int, str | None]:
@@ -398,7 +401,9 @@ def reference_parse_publication(
         raise ValueError(f"citations must be >= 0, got {count}")
     if count > 2**63 - 1:
         raise ValueError(f"citations must be <= {2**63 - 1}, got {count}")
-    return pub_id, journal_id, year, DocumentType.parse(doc_type), count, topic_id or None
+    if doc_type.lower() not in _REFERENCE_DOC_TYPES:
+        raise ValueError(f"unknown document type {doc_type!r} (expected Article or Review)")
+    return pub_id, journal_id, year, _REFERENCE_DOC_TYPES[doc_type.lower()], count, topic_id or None
 
 
 def reference_load_publications(path: Path | str) -> CorpusFragment:

@@ -269,6 +269,17 @@ class TestCompute:
         assert err.startswith("error: ") and "2**63 - 1 (9223372036854775807)" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["compute"], ["bootstrap", "--sims", "3"], ["flip-test"]])
+    def test_journal_sum_of_unclassified_papers_beyond_int64_fails_before_writing(self, tmp_path, capsys, command):
+        # jif's sum for jA is 2**63; no cell holds the unclassified papers
+        rows = f"u1,jA,2018,Article,{2**62},\nu2,jA,2018,Article,{2**62},\nb1,jB,2018,Article,2,t1\n"
+        pubs, journals = write_tiny_corpus(tmp_path, rows=rows)
+        out = tmp_path / "out"
+        assert main([*command, "--pubs", str(pubs), "--journals", str(journals), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "2**63 - 1 (9223372036854775807)" in err
+        assert not out.exists()
+
 
 class TestClassify:
     def test_assigns_and_writes_new_publications(self, tmp_path, capsys):
@@ -486,6 +497,25 @@ class TestConfigFile:
         out = tmp_path / "out"
         assert main(["compute", "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: at least one --format is required\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        ("settings", "message"),
+        [
+            (["compute"], "config file {cfg} must hold a JSON object"),
+            ({"indicator": []}, "at least one --indicator is required"),
+            ({"format": ["xml"]}, "unknown format(s): xml"),
+        ],
+    )
+    def test_config_usage_error(self, tmp_path, capsys, settings, message):
+        pubs, journals = write_tiny_corpus(tmp_path)
+        cfg = tmp_path / "run.json"
+        if isinstance(settings, dict):
+            settings = {"pubs": str(pubs), "journals": str(journals), **settings}
+        cfg.write_text(json.dumps(settings), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["compute", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(cfg=cfg)}\n"
         assert not out.exists()
 
     def test_mistyped_generate_config_value_is_usage_error(self, tmp_path, capsys):

@@ -25,7 +25,7 @@ from oracles import (
 )
 
 from jrank.corpus import DocumentType
-from jrank.indicators import INDICATOR_KEYS, RankKernel, _check_sums, compute_all
+from jrank.indicators import INDICATOR_KEYS, RankKernel, _group_sums, compute_all
 from jrank.synth import SyntheticProfile, generate_corpus
 
 
@@ -273,6 +273,11 @@ class TestJif:
         compared = sum(n for _, n in ja.topic_breakdown.values())
         assert len([p for p in corpus.publications if p.journal_id == "jA"]) > compared  # jif denominator is wider
 
+    def test_citation_sum_past_2_53_is_exact(self):
+        # summed in float64, 2**53 + 1 + 1 rounds back to 2**53 at each step
+        corpus = corpus_of([pub("a1", "jA", 2**53), pub("a2", "jA", 1), pub("a3", "jA", 1), pub("b1", "jB", 1)])
+        assert values(corpus, "jif")["jA"] == brute_jif(corpus, "jA") == 3002399751580331.5
+
 
 class TestComputeAll:
     def test_two_journal_corpus_fully_populated(self):
@@ -487,6 +492,11 @@ class TestInt64Limit:
         with pytest.raises(ValueError, match=r"2\*\*63 - 1 \(9223372036854775807\)"):
             compute_all(corpus_of(pubs))
 
+    def test_journal_sum_of_unclassified_papers_beyond_the_limit_is_rejected(self):
+        pubs = [pub("u1", "jA", 2**62), pub("u2", "jA", 2**62), pub("b1", "jB", 1, "t1")]
+        with pytest.raises(ValueError, match=r"2\*\*63 - 1 \(9223372036854775807\)"):
+            compute_all(corpus_of(pubs))
+
     def test_sums_and_products_at_the_limit_are_exact(self):
         assert self.kernel_of([_LIMIT]).evaluate().fnif.tolist() == [1.0]
         # own citations times the cell's paper count is exactly 2**63 - 1
@@ -518,12 +528,12 @@ class TestInt64Limit:
     )
     def test_segment_sums_are_checked_exactly(self, segments):
         terms = np.array([t for segment in segments for t in segment], dtype=np.int64)
-        starts = np.cumsum([0] + [len(segment) for segment in segments[:-1]])
+        groups = np.repeat(np.arange(len(segments)), [len(segment) for segment in segments])
         if max(sum(segment) for segment in segments) > _LIMIT:
             with pytest.raises(ValueError, match=r"2\*\*63 - 1"):
-                _check_sums(terms, starts)
+                _group_sums(terms, groups, len(segments))
         else:
-            _check_sums(terms, starts)
+            assert _group_sums(terms, groups, len(segments)).tolist() == [sum(segment) for segment in segments]
 
 
 class TestWeightLimit:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 import sys
 from operator import attrgetter
@@ -22,6 +23,15 @@ from jrank.synth import SyntheticProfile, generate_corpus, write_corpus_files
 def test_every_exported_name_resolves_and_appears_once():
     assert len(jrank.__all__) == len(set(jrank.__all__))
     assert [name for name in jrank.__all__ if not hasattr(jrank, name)] == []
+
+
+def test_every_module_parses_under_the_declared_python_floor():
+    """Every module of the package parses with the grammar of Python 3.10, the floor ``requires-python`` declares.
+
+    This checks grammar only: a call to a library function added in 3.11 would pass.
+    """
+    for path in sorted(Path(jrank.__file__).parent.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
 
 
 def test_analyses_return_plain_rows(tmp_path):
