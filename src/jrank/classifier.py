@@ -100,7 +100,7 @@ def assign_majority(
         n = len(subjects)
         row = np.repeat(np.arange(n), np.fromiter(map(len, lists), np.intp, n))  # each id's record
         ids = chain(subjects, chain.from_iterable(lists))
-        codes = np.fromiter(map(code_of.get, ids, repeat(outside)), np.intp, n + len(row))
+        codes = np.array(list(map(code_of.get, ids, repeat(outside))), np.intp)
         subject_codes, id_codes = codes[:n], codes[n:]
         subject_of_id = subject_codes[row]
         external += int(np.count_nonzero((id_codes == outside) & (subject_of_id != outside)))

@@ -20,12 +20,18 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
+
+# OpenBLAS reads this once, as numpy loads, and otherwise starts a worker thread per
+# extra core; jrank makes no BLAS call, so a command's outputs do not depend on it
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

@@ -216,6 +216,10 @@ class RankKernel:
         _check_products(self.citations, weights)
         jif_citations = _group_sums(weights * self.citations, self.journal, n_journals)
         jif_papers = _group_sums(weights, self.journal, n_journals)
+        # float64 holds a sum up to 2**53 exactly, so dividing it rounds once; a larger sum divides as Python ints
+        jif = _divide(jif_citations, jif_papers, jif_papers > 0)
+        for j in np.flatnonzero(jif_citations > 2**53).tolist():
+            jif[j] = int(jif_citations[j]) / int(jif_papers[j])
         cell_total, cell_citations, n_own, numerator, own_citations = self._counts(weights)
         del weights
 
@@ -267,7 +271,7 @@ class RankKernel:
             expected_jif=_divide(
                 np.bincount(self._group_journal, weights=expected_terms, minlength=n_journals), n_classified, classified
             ),
-            jif=_divide(jif_citations, jif_papers, jif_papers > 0),
+            jif=jif,
             n_classified=n_classified.astype(np.int64),
             cell_total=cell_total,
             cell_citations=cell_citations,

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -12,6 +15,7 @@ import pytest
 
 from oracles import corpus_from_rows, values  # values is re-exported: the test modules import it from here
 
+import jrank
 from jrank.classifier import read_related
 from jrank.corpus import (
     Corpus,
@@ -79,6 +83,16 @@ def load_related(path: Path | str) -> tuple[list[tuple[str, tuple[str, ...]]], l
 def block_of(records: Sequence[tuple[str, tuple[str, ...]]]) -> tuple[list[str], list[tuple[str, ...]]]:
     """The ``(subject ids, related ids)`` columns of one block of ``read_related`` holding these records."""
     return [pub_id for pub_id, _ in records], [related for _, related in records]
+
+
+def run_child(script: str, cwd: Path | None = None, **env: str) -> list[str]:
+    """The stdout lines of ``python -c script`` run on this package, ``OPENBLAS_NUM_THREADS`` unset unless given."""
+    environ = {name: value for name, value in os.environ.items() if name != "OPENBLAS_NUM_THREADS"}
+    environ.update(env, PYTHONPATH=str(Path(jrank.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=environ, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
 
 
 class Record(NamedTuple):

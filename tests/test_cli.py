@@ -14,6 +14,9 @@ from pathlib import Path
 
 import pytest
 
+from conftest import run_child
+from make_golden import COMMANDS, GOLDEN
+
 import jrank
 from jrank import cli
 from jrank.cli import _write_csv, main
@@ -427,6 +430,37 @@ class TestRobustnessCommands:
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "False"
+
+
+class TestStartUp:
+    """A ``jrank`` process loads numpy with OpenBLAS on one thread, unless the user set its thread count."""
+
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="threads are counted under /proc/self/task")
+    def test_a_command_runs_on_one_thread(self, generated):
+        # run as `python -m jrank.cli validate ...` runs it; on a one-CPU host OpenBLAS starts no worker
+        # thread in any case, so there this passes without the default too
+        pubs, journals = generated
+        script = (
+            "import os, runpy, sys\n"
+            f"sys.argv = ['jrank', 'validate', '--pubs', {str(pubs)!r}, '--journals', {str(journals)!r}]\n"
+            "try:\n"
+            "    runpy.run_module('jrank.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as stop:\n"
+            "    print('exit', stop.code)\n"
+            "print('threads', len(os.listdir('/proc/self/task')))\n"
+        )
+        assert run_child(script)[-2:] == ["exit 0", "threads 1"]
+
+    def test_a_thread_count_the_user_sets_is_kept(self, tmp_path):
+        argv = [*dict(COMMANDS)["compute"], "--out", str(tmp_path / "compute")]
+        script = (
+            "import os\n"
+            "from jrank.cli import main\n"
+            f"print('exit', main({argv!r}), 'threads', os.environ['OPENBLAS_NUM_THREADS'])\n"
+        )
+        assert run_child(script, cwd=GOLDEN, OPENBLAS_NUM_THREADS="2")[-1] == "exit 0 threads 2"
+        want = {path.name: path.read_bytes() for path in (GOLDEN / "compute").iterdir() if path.name != "stdout.txt"}
+        assert {path.name: path.read_bytes() for path in (tmp_path / "compute").iterdir()} == want
 
 
 class TestConfigFile:

@@ -278,6 +278,17 @@ class TestJif:
         corpus = corpus_of([pub("a1", "jA", 2**53), pub("a2", "jA", 1), pub("a3", "jA", 1), pub("b1", "jB", 1)])
         assert values(corpus, "jif")["jA"] == brute_jif(corpus, "jA") == 3002399751580331.5
 
+    def test_citation_sum_float64_cannot_hold_divides_once(self):
+        # the sums are exact int64; converting one to float64 before dividing rounds twice (…886e+16)
+        big = 88929575565058854
+        rows = [pub("a1", "jA", big), pub("a2", "jA", big), pub("a3", "jA", big + 1), pub("b1", "jB", 1)]
+        corpus = corpus_of(rows)
+        assert values(corpus, "jif")["jA"] == brute_jif(corpus, "jA") == 8.892957556505885e16
+        # bootstrap weights: a1 twice, a3 not drawn
+        weighted = RankKernel(corpus).evaluate([2, 1, 0, 1])
+        repeated = corpus_from_rows([rows[0], *rows[:2], rows[3]], corpus.journals)
+        assert weighted.jif[0] == brute_jif(repeated, "jA") == 8.892957556505885e16
+
 
 class TestComputeAll:
     def test_two_journal_corpus_fully_populated(self):

@@ -9,8 +9,9 @@ from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from conftest import A, R, pub
+from conftest import A, R, pub, run_child
 from oracles import random_corpus, reference_generate_corpus, reference_load_publications
 
 import jrank
@@ -25,6 +26,21 @@ def test_every_exported_name_resolves_and_appears_once():
     assert [name for name in jrank.__all__ if not hasattr(jrank, name)] == []
 
 
+def test_importing_the_package_loads_no_numpy_and_leaves_the_environment_alone():
+    # the command line's OpenBLAS default must not reach a library user's process, or its children
+    script = (
+        "import os, sys\n"
+        "before = dict(os.environ)\n"
+        "import jrank\n"
+        "print('numpy' in sys.modules, dict(os.environ) == before)\n"
+        "from jrank import *\n"
+        "print(sorted(set(jrank.__all__) - set(globals())))\n"
+        "import jrank.cli\n"  # numpy is loaded by now: too late for the default to take effect
+        "print('OPENBLAS_NUM_THREADS' in os.environ)\n"
+    )
+    assert run_child(script) == ["False True", "[]", "False"]
+
+
 def test_every_module_parses_under_the_declared_python_floor():
     """Every module of the package parses with the grammar of Python 3.10, the floor ``requires-python`` declares.
 
@@ -32,6 +48,44 @@ def test_every_module_parses_under_the_declared_python_floor():
     """
     for path in sorted(Path(jrank.__file__).parent.glob("*.py")):
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+_BLAS_CALLS = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum"}
+
+
+def _blas_uses(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, what) of every ``@``, call of a BLAS-backed numpy function, and use of ``linalg`` in ``tree``."""
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            uses.append((node.lineno, "@"))
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) in _BLAS_CALLS:
+            uses.append((node.lineno, ast.unparse(node.func)))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or "", *(alias.name for alias in node.names)]
+            uses.extend((node.lineno, name) for name in names if "linalg" in name.split("."))
+        elif "linalg" in (getattr(node, "attr", None), getattr(node, "id", None)):
+            uses.append((node.lineno, ast.unparse(node)))
+    return uses
+
+
+def test_the_package_makes_no_blas_call():
+    """No module calls into BLAS, the premise of the command line's one-thread OpenBLAS default.
+
+    A BLAS call added later would run on one thread under ``jrank``; it must come with a look at that default.
+    """
+    found = [(path.name, *use) for path in sorted(Path(jrank.__file__).parent.glob("*.py"))
+             for use in _blas_uses(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []
+
+
+@pytest.mark.parametrize("source", [
+    "c = a @ b", "a @= b", "np.dot(a, b)", "a.dot(b)", "vdot(a, b)", "np.inner(a, b)", "np.matmul(a, b)",
+    "np.tensordot(a, b)", "np.einsum('i,i', a, b)", "np.linalg.norm(a)", "from numpy.linalg import norm",
+    "from numpy import linalg", "import numpy.linalg", "la = np.linalg",
+])
+def test_the_blas_scan_sees_each_form(source):
+    assert len(_blas_uses(ast.parse(source))) == 1
 
 
 def test_analyses_return_plain_rows(tmp_path):
